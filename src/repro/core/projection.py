@@ -1,32 +1,36 @@
-"""Projection-point machinery for P-TPMiner.
+"""Projection states for P-TPMiner.
 
 P-TPMiner performs PrefixSpan-style *pseudo-projection*: instead of
 materializing projected databases, every sequence keeps a small set of
 **projection states**, each describing one way the current pattern prefix
-embeds into the sequence:
+embeds into the sequence. A state is a plain tuple of ints over the
+sequence's occurrence index (:class:`~repro.temporal.endpoint.EncodedSequence`
+numbers its event occurrences ``e = 0, 1, ...``):
 
 ``pos``
     Index of the pointset matched by the pattern's *last* pointset
     (``-1`` for the empty prefix).
-``pending``
-    The started-but-unfinished interval occurrences as triples
-    ``(label_id, pocc, socc)`` — which *sequence* occurrence each open
-    *pattern* occurrence is bound to. A pattern finish token can only
-    close the bound sequence occurrence, whose finish position is known in
-    O(1) from :attr:`EncodedSequence.finish_pos`.
+``binds``
+    The sequence occurrence bound to each open (started, unfinished)
+    *pattern* occurrence, in the order the search opened them. A pattern
+    finish token can only close the bound occurrence ``e``, so it has
+    exactly one candidate position, ``occ_finish[e]``.
 ``used``
-    All sequence occurrences ``(label_id, socc)`` consumed by the
-    embedding so far; enforces the injectivity of the occurrence mapping.
+    Bitmask over occurrence indices: every occurrence the embedding has
+    consumed so far, which keeps the occurrence mapping injective.
+``min_finish``
+    The smallest finish position among ``binds`` (:data:`NO_FINISH` when
+    nothing is bound), so dead-state elimination is one comparison.
 ``window_start``
     Timestamp of the first matched pointset; only set under a
-    ``max_span`` time constraint.
+    ``max_span`` time constraint (``None`` otherwise).
 
 Unlike classical PrefixSpan, keeping only the earliest match is *not*
 complete here: binding a start token to a different duplicate occurrence
 changes where the matching finish can appear. Each sequence therefore
 keeps all distinct states (:func:`dedupe_states`).
 
-Two structural facts keep the state sets small:
+Three structural facts keep the state sets small and the scans short:
 
 * **No dominance ordering exists to exploit.** Every embedding of the
   same prefix consumes exactly as many occurrences as the prefix
@@ -34,45 +38,38 @@ Two structural facts keep the state sets small:
   — one can never be a strict subset of another. Exact deduplication is
   therefore all the reduction there is.
 * **Dead states are prunable.** When an embedding advances past the
-  finish position of a pending occurrence (``finish_pos <= pos``), that
+  finish position of a bound occurrence (``min_finish < pos``), that
   occurrence can never be closed: the state supports no *complete*
   descendant pattern and P-TPMiner's postfix pruning drops it at
   projection time (see :mod:`repro.core.pruning`). Dropping it is sound
   because every embedding of a complete pattern keeps all pending
   finishes ahead of the frontier at every step.
+* **Consumed starts never lie after the frontier.** Every occurrence in
+  ``used`` was consumed by a start or point token matched at or before
+  ``pos``. A start or point after the frontier is therefore never in
+  ``used``, so the search gathers S-extension starts from the sequence's
+  last-position table once per sequence, not once per state.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import sys
+from typing import Optional
 
 from repro import contracts
 from repro.temporal.endpoint import EncodedSequence
 
-__all__ = ["State", "EMPTY_STATE", "check_state", "dedupe_states"]
+__all__ = ["State", "EMPTY_STATE", "NO_FINISH", "check_state", "dedupe_states"]
 
-PendingEntry = tuple[int, int, int]  # (label_id, pocc, socc)
-OccKey = tuple[int, int]  # (label_id, socc)
+#: One embedding frontier of the current prefix in one sequence:
+#: ``(pos, binds, used, min_finish, window_start)``.
+State = tuple[int, tuple[int, ...], int, int, Optional[float]]
 
-
-class State(NamedTuple):
-    """One embedding frontier of the current prefix in one sequence."""
-
-    pos: int
-    pending: frozenset[PendingEntry]
-    used: frozenset[OccKey]
-    window_start: Optional[float] = None
-
-    def pending_socc(self, label_id: int, pocc: int) -> int | None:
-        """Sequence occurrence bound to pattern occurrence (label, pocc)."""
-        for lab, p, socc in self.pending:
-            if lab == label_id and p == pocc:
-                return socc
-        return None
-
+#: ``min_finish`` of a state with nothing bound: past every position.
+NO_FINISH = sys.maxsize
 
 #: The root state: nothing matched yet.
-EMPTY_STATE = State(-1, frozenset(), frozenset())
+EMPTY_STATE: State = (-1, (), 0, NO_FINISH, None)
 
 
 def check_state(state: State, seq: EncodedSequence) -> None:
@@ -84,43 +81,45 @@ def check_state(state: State, seq: EncodedSequence) -> None:
     invariant. Checks:
 
     * the frontier ``pos`` indexes a real pointset (or is ``-1``);
-    * every pending (open) occurrence is recorded in ``used`` — an open
-      interval was necessarily introduced by a consumed start;
-    * pending bindings are injective both ways: one sequence occurrence
-      cannot serve two pattern occurrences and vice versa;
-    * every pending/used occurrence actually exists in the sequence.
+    * every bound or used occurrence exists in the sequence;
+    * every bound (open) occurrence is marked ``used`` — an open interval
+      was necessarily introduced by a consumed start;
+    * no sequence occurrence is bound to two pattern occurrences;
+    * ``min_finish`` is the earliest finish among the bound occurrences.
     """
+    pos, binds, used, min_finish, _window_start = state
+    num_occ = len(seq.occ_keys)
     contracts.check(
-        -1 <= state.pos < len(seq.pointsets),
+        -1 <= pos < len(seq.pointsets),
         "projection frontier out of range",
-        details=lambda: f"pos={state.pos}, len={len(seq.pointsets)}",
+        details=lambda: f"pos={pos}, len={len(seq.pointsets)}",
     )
-    pattern_side: set[OccKey] = set()
-    sequence_side: set[OccKey] = set()
-    for lab, pocc, socc in state.pending:
-        contracts.check(
-            (lab, socc) in state.used,
-            "pending occurrence not marked used",
-            details=lambda: f"pending=({lab}, {pocc}, {socc})",
-        )
-        contracts.check(
-            (lab, pocc) not in pattern_side,
-            "pattern occurrence bound twice in pending set",
-            details=lambda: f"({lab}, {pocc})",
-        )
-        contracts.check(
-            (lab, socc) not in sequence_side,
-            "sequence occurrence bound twice in pending set",
-            details=lambda: f"({lab}, {socc})",
-        )
-        pattern_side.add((lab, pocc))
-        sequence_side.add((lab, socc))
-    for lab, socc in state.used:
-        contracts.check(
-            (lab, socc) in seq.start_pos,
-            "used occurrence missing from the sequence",
-            details=lambda: f"({lab}, {socc})",
-        )
+    contracts.check(
+        0 <= used < 1 << num_occ,
+        "used occurrence missing from the sequence",
+        details=lambda: f"used={used:#x}, occurrences={num_occ}",
+    )
+    contracts.check(
+        all(0 <= e < num_occ for e in binds),
+        "bound occurrence missing from the sequence",
+        details=lambda: f"binds={binds}, occurrences={num_occ}",
+    )
+    contracts.check(
+        all(used >> e & 1 for e in binds if e >= 0),
+        "bound occurrence not marked used",
+        details=lambda: f"binds={binds}, used={used:#x}",
+    )
+    contracts.check(
+        len(set(binds)) == len(binds),
+        "sequence occurrence bound twice",
+        details=lambda: f"binds={binds}",
+    )
+    contracts.check(
+        min_finish
+        == min((seq.occ_finish[e] for e in binds), default=NO_FINISH),
+        "min_finish disagrees with the bound occurrences",
+        details=lambda: f"min_finish={min_finish}, binds={binds}",
+    )
 
 
 def dedupe_states(

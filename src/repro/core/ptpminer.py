@@ -37,7 +37,13 @@ from typing import Any, Callable, Optional
 from repro import contracts
 from repro.core.config import MinerConfig
 from repro.core.counting import PairTables
-from repro.core.projection import EMPTY_STATE, State, check_state, dedupe_states
+from repro.core.projection import (
+    EMPTY_STATE,
+    NO_FINISH,
+    State,
+    check_state,
+    dedupe_states,
+)
 from repro.core.pruning import PruneCounters, PruningConfig
 from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport, TemporalPattern
@@ -49,12 +55,7 @@ from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.temporal.endpoint import (
-    FINISH,
-    POINT,
-    START,
-    EncodedDatabase,
-)
+from repro.temporal.endpoint import FINISH, START, EncodedDatabase
 
 __all__ = ["PTPMiner", "MiningResult", "mine"]
 
@@ -705,7 +706,6 @@ class PTPMiner:
           counters bit for bit.
         """
         sequences = encoded.sequences
-        htp = self.mode == "htp"
         postfix_prune = self.pruning.postfix
         max_span = self.max_span
         max_weight = max(weights, default=0.0)
@@ -734,17 +734,12 @@ class PTPMiner:
         # Pattern state, mutated along the DFS and restored on backtrack.
         pointsets: list[list[tuple[int, int]]] = []
         next_occ: dict[int, int] = {}
-        open_start_ps: dict[tuple[int, int], int] = {}  # (lab,pocc)->ps idx
+        # Open pattern occurrences as (label_id, pocc, pattern pointset
+        # index), in the order they were opened: entry i is bound to
+        # binds[i] of every projection state at this node.
+        open_occs: list[tuple[int, int, int]] = []
         num_tokens = 0
         num_occurrences = 0
-
-        def allowed_finish(lab: int, pocc: int) -> bool:
-            """Canonical duplicate rule: close lower same-pointset occs first."""
-            my_ps = open_start_ps[(lab, pocc)]
-            for (olab, opocc), ops in open_start_ps.items():
-                if olab == lab and opocc < pocc and ops == my_ps:
-                    return False
-            return True
 
         def make_pair_ok() -> Optional[Callable[[_Candidate], bool]]:
             """Pair pruning: sym-level upper bounds vs pattern symbols.
@@ -822,234 +817,253 @@ class PTPMiner:
             proj: list[tuple[int, tuple[State, ...]]],
             last_token: Optional[tuple[int, int]],
         ) -> dict[_Candidate, tuple[float, list[int]]]:
-            """Phase 1: one scan yielding candidate -> (weight, sids)."""
-            weight_of: dict[_Candidate, float] = {}
-            sids_of: dict[_Candidate, list[int]] = {}
+            """Phase 1: one scan yielding candidate -> (weight, sids).
+
+            Point tokens need no mode check: ``_prepare`` rejects a tp
+            database that holds point events.
+            """
             pair_ok = make_pair_ok()
-            # Pair pruning applies per candidate, between discovery and
-            # accumulation; the pattern-side symbol sets are hoisted in
-            # make_pair_ok() so each check is a handful of dict lookups,
-            # cached per candidate for the node.
-            pair_cache: dict[_Candidate, bool] = {}
+
+            def admit(cand: _Candidate) -> bool:
+                """Count a newly found candidate; False if pair-pruned."""
+                counters.candidates_considered += 1
+                if pair_ok is None or pair_ok(cand):
+                    return True
+                counters.pruned_pair += 1
+                if obs_on:
+                    pruned_by_ext[cand[0]] += 1
+                if prov is not None:
+                    prov.record_pruned(
+                        decode_extended(cand),
+                        site="pair",
+                        level=num_tokens + 1,
+                        root=cand_root(cand),
+                        threshold=threshold_box[0],
+                    )
+                return False
+
+            # Supporter sids per candidate (None if pair-pruned); those of
+            # S-extension starts and points are collected per symbol.
+            sids_of: dict[_Candidate, Optional[list[int]]] = {}
+            start_sids: dict[int, list[int]] = {}
             # Provenance: candidates rejected by the max_span window
             # during the scan. Recorded after the scan, minus any that
             # another state *did* discover (those were generated).
             span_skipped: Optional[set[_Candidate]] = (
                 set() if prov is not None and max_span is not None else None
             )
+            # The open occurrences a finish may close, as (i, sym, pocc).
+            # Canonical duplicate rule: of the same-label occurrences
+            # opened in one pattern pointset, the lowest pocc closes first.
+            closable = [
+                (i, lab * 3 + FINISH, pocc)
+                for i, (lab, pocc, ps) in enumerate(open_occs)
+                if not any(
+                    olab == lab and ops == ps and opocc < pocc
+                    for olab, opocc, ops in open_occs
+                )
+            ]
             for sid, states in proj:
                 seq = sequences[sid]
-                seq_pointsets = seq.pointsets
+                times = seq.times
+                occ_finish = seq.occ_finish
                 found: set[_Candidate] = set()
-                for st in states:
-                    pending_by_socc = {
-                        (lab, socc): pocc for lab, pocc, socc in st.pending
-                    }
-                    used = st.used
-                    pos = st.pos
-                    # --- I-extensions in the current pointset -----------
-                    if last_token is not None and pos >= 0:
-                        for sym, socc in seq_pointsets[pos]:
-                            kind = sym % 3
-                            lab = sym // 3
-                            if kind == FINISH:
-                                pocc = pending_by_socc.get((lab, socc))
-                                if pocc is None:
-                                    continue
-                                if (sym, pocc) <= last_token:
-                                    continue
-                                if not allowed_finish(lab, pocc):
-                                    continue
-                                found.add((_I_EXT, sym, pocc))
-                            elif kind == POINT and not htp:
-                                continue
-                            else:
-                                pocc = next_occ.get(lab, 0) + 1
-                                if (sym, pocc) <= last_token:
-                                    continue
-                                if (lab, socc) in used:
-                                    continue
-                                if (
-                                    max_span is not None
-                                    and kind == START
-                                    and seq.times[seq.finish_pos[(lab, socc)]]
-                                    - st.window_start
-                                    > max_span + _EPS
-                                ):
-                                    if span_skipped is not None:
-                                        span_skipped.add((_I_EXT, sym, pocc))
-                                    continue
-                                found.add((_I_EXT, sym, pocc))
-                    # --- S-extensions in the postfix --------------------
+                if max_span is None:
+                    # --- S-extension starts and points ------------------
+                    # Consumed starts never lie after the frontier, so
+                    # every start/point after a state's pos extends it:
+                    # one walk of the last-position table from the
+                    # sequence's smallest frontier serves all its states.
+                    frontier = states[0][0]
+                    if len(states) > 1:
+                        frontier = min(st[0] for st in states)
+                    for last, sym in seq.sym_last:
+                        if last <= frontier:
+                            break
+                        if sym in start_sids:
+                            start_sids[sym].append(sid)
+                        else:
+                            start_sids[sym] = [sid]
+                for pos, binds, used, _min_finish, wstart in states:
                     limit = (
-                        st.window_start + max_span
-                        if max_span is not None and st.window_start is not None
+                        wstart + max_span
+                        if max_span is not None and wstart is not None
                         else None
                     )
-                    for pos2 in range(pos + 1, len(seq_pointsets)):
-                        if limit is not None and seq.times[pos2] > limit + _EPS:
-                            break
-                        for sym, socc in seq_pointsets[pos2]:
-                            kind = sym % 3
-                            lab = sym // 3
-                            if kind == FINISH:
-                                pocc = pending_by_socc.get((lab, socc))
-                                if pocc is None:
-                                    continue
-                                if not allowed_finish(lab, pocc):
-                                    continue
-                                found.add((_S_EXT, sym, pocc))
-                            elif kind == POINT and not htp:
+                    # --- finishes: each at its bound occurrence's finish
+                    for i, fsym, pocc in closable:
+                        fpos = occ_finish[binds[i]]
+                        if fpos > pos:
+                            if limit is None or times[fpos] <= limit + _EPS:
+                                found.add((_S_EXT, fsym, pocc))
+                        elif (
+                            fpos == pos
+                            and last_token is not None
+                            and (fsym, pocc) > last_token
+                        ):
+                            found.add((_I_EXT, fsym, pocc))
+                    # --- I-extension starts and points at the frontier --
+                    if last_token is not None:
+                        for sym, e in seq.occ_pointsets[pos]:
+                            if sym % 3 == FINISH:
                                 continue
-                            else:
-                                if (lab, socc) in used:
-                                    continue
-                                if max_span is not None and kind == START:
-                                    wstart = (
-                                        st.window_start
-                                        if st.window_start is not None
-                                        else seq.times[pos2]
-                                    )
-                                    finish_time = seq.times[
-                                        seq.finish_pos[(lab, socc)]
-                                    ]
-                                    if finish_time - wstart > max_span + _EPS:
-                                        if span_skipped is not None:
-                                            span_skipped.add(
-                                                (
-                                                    _S_EXT,
-                                                    sym,
-                                                    next_occ.get(lab, 0) + 1,
-                                                )
-                                            )
-                                        continue
-                                pocc = next_occ.get(lab, 0) + 1
-                                found.add((_S_EXT, sym, pocc))
-                weight = weights[sid]
-                for cand in found:
-                    keep = pair_cache.get(cand)
-                    if keep is None:
-                        counters.candidates_considered += 1
-                        keep = pair_ok(cand) if pair_ok is not None else True
-                        pair_cache[cand] = keep
-                        if not keep:
-                            counters.pruned_pair += 1
-                            if obs_on:
-                                pruned_by_ext[cand[0]] += 1
-                            if prov is not None:
-                                prov.record_pruned(
-                                    decode_extended(cand),
-                                    site="pair",
-                                    level=num_tokens + 1,
-                                    root=cand_root(cand),
-                                    threshold=threshold_box[0],
-                                )
-                    if not keep:
+                            pocc = next_occ.get(sym // 3, 0) + 1
+                            if (sym, pocc) <= last_token or used >> e & 1:
+                                continue
+                            if (
+                                max_span is not None
+                                and wstart is not None
+                                and sym % 3 == START
+                                and times[occ_finish[e]] - wstart
+                                > max_span + _EPS
+                            ):
+                                if span_skipped is not None:
+                                    span_skipped.add((_I_EXT, sym, pocc))
+                                continue
+                            found.add((_I_EXT, sym, pocc))
+                    if max_span is None:
                         continue
-                    weight_of[cand] = weight_of.get(cand, 0.0) + weight
-                    sids_of.setdefault(cand, []).append(sid)
+                    # --- S-extension starts and points in the window ----
+                    for pos2 in range(pos + 1, len(times)):
+                        if limit is not None and times[pos2] > limit + _EPS:
+                            break
+                        window = wstart if wstart is not None else times[pos2]
+                        for sym, e in seq.occ_pointsets[pos2]:
+                            kind = sym % 3
+                            if kind == FINISH:
+                                continue
+                            pocc = next_occ.get(sym // 3, 0) + 1
+                            if kind == START and (
+                                times[occ_finish[e]] - window > max_span + _EPS
+                            ):
+                                if span_skipped is not None:
+                                    span_skipped.add((_S_EXT, sym, pocc))
+                                continue
+                            found.add((_S_EXT, sym, pocc))
+                for cand in found:
+                    if cand in sids_of:
+                        sids = sids_of[cand]
+                    else:
+                        sids = sids_of[cand] = [] if admit(cand) else None
+                    if sids is not None:
+                        sids.append(sid)
+            for sym, sids in start_sids.items():
+                cand = (_S_EXT, sym, next_occ.get(sym // 3, 0) + 1)
+                sids_of[cand] = sids if admit(cand) else None
             if prov is not None and span_skipped:
                 # Candidates no state discovered at all: window-rejected
                 # everywhere, so the search never generated them.
                 for cand in sorted(span_skipped):
-                    if cand not in pair_cache:
+                    if cand not in sids_of:
                         prov.record_pruned(
                             decode_extended(cand),
                             site="max_span",
                             level=num_tokens + 1,
                             root=cand_root(cand),
                         )
-            return {
-                cand: (weight_of[cand], sids_of[cand]) for cand in weight_of
-            }
+            gathered: dict[_Candidate, tuple[float, list[int]]] = {}
+            for cand, sids in sids_of.items():
+                if sids is not None:
+                    weight = 0.0
+                    for sid in sids:
+                        weight += weights[sid]
+                    gathered[cand] = (weight, sids)
+            return gathered
 
         def project(
             proj_map: dict[int, tuple[State, ...]],
             cand: _Candidate,
             sids: list[int],
+            close_idx: int,
         ) -> list[tuple[int, tuple[State, ...]]]:
-            """Phase 2: build the projected states for one candidate."""
-            ext, sym, pocc = cand
+            """Phase 2: build the projected states for one candidate.
+
+            ``close_idx`` is, for a finish, the index into ``binds`` of
+            the open occurrence it closes.
+            """
+            ext, sym, _pocc = cand
             kind = sym % 3
-            lab = sym // 3
             new_proj: list[tuple[int, tuple[State, ...]]] = []
             for sid in sids:
                 seq = sequences[sid]
-                seq_pointsets = seq.pointsets
+                times = seq.times
+                occ_start = seq.occ_start
+                occ_finish = seq.occ_finish
                 new_states: list[State] = []
-                for st in proj_map[sid]:
-                    pending_by_socc = {
-                        (l, socc): p for l, p, socc in st.pending
-                    }
-                    if ext == _I_EXT:
-                        positions = (st.pos,) if st.pos >= 0 else ()
-                        limit = None
-                    else:
-                        positions = range(st.pos + 1, len(seq_pointsets))
-                        limit = (
-                            st.window_start + max_span
-                            if max_span is not None
-                            and st.window_start is not None
-                            else None
-                        )
-                    finish_of = seq.finish_pos
-                    for pos2 in positions:
-                        if (
-                            limit is not None
-                            and seq.times[pos2] > limit + _EPS
-                        ):
-                            break
-                        if max_span is not None:
-                            wstart = (
-                                st.window_start
-                                if st.window_start is not None
-                                else seq.times[pos2]
-                            )
-                        else:
-                            wstart = None
-                        for s2, socc in seq_pointsets[pos2]:
-                            if s2 != sym:
+                for pos, binds, used, min_finish, wstart in proj_map[sid]:
+                    limit = (
+                        wstart + max_span
+                        if max_span is not None and wstart is not None
+                        else None
+                    )
+                    if kind == FINISH:
+                        # One candidate position: the bound occurrence's
+                        # finish, at the frontier (I) or after it (S).
+                        fpos = occ_finish[binds[close_idx]]
+                        if ext == _I_EXT:
+                            if fpos != pos:
                                 continue
-                            if kind == FINISH:
-                                if pending_by_socc.get((lab, socc)) != pocc:
-                                    continue
-                                pending = st.pending - {(lab, pocc, socc)}
-                                used = st.used
-                            else:
-                                if (lab, socc) in st.used:
-                                    continue
-                                if (
-                                    max_span is not None
-                                    and kind == START
-                                    and seq.times[finish_of[(lab, socc)]]
-                                    - wstart
-                                    > max_span + _EPS
-                                ):
-                                    continue
-                                pending = (
-                                    st.pending | {(lab, pocc, socc)}
-                                    if kind == START
-                                    else st.pending
-                                )
-                                used = st.used | {(lab, socc)}
-                            # Postfix pruning (dead-state elimination):
-                            # an embedding that moved strictly past a
-                            # pending finish can never yield a complete
-                            # pattern (a finish AT pos2 is still
-                            # reachable by I-extension).
-                            if (
-                                postfix_prune
-                                and ext == _S_EXT
-                                and pending
-                                and any(
-                                    finish_of[(plab, psocc)] < pos2
-                                    for plab, _p, psocc in pending
-                                )
-                            ):
+                        elif fpos <= pos or (
+                            limit is not None and times[fpos] > limit + _EPS
+                        ):
+                            continue
+                        rest = binds[:close_idx] + binds[close_idx + 1 :]
+                        if min_finish < fpos:
+                            # Postfix pruning (dead-state elimination): an
+                            # embedding that moved strictly past a pending
+                            # finish can never yield a complete pattern.
+                            # Under it every state keeps min_finish >= pos,
+                            # so only S-extensions trip this check.
+                            if postfix_prune:
                                 counters.pruned_dead_states += 1
                                 continue
+                            rest_min = min_finish
+                        elif rest:
+                            rest_min = min(map(occ_finish.__getitem__, rest))
+                        else:
+                            rest_min = NO_FINISH
+                        new_states.append((fpos, rest, used, rest_min, wstart))
+                        continue
+                    if ext == _I_EXT:
+                        occs: Sequence[int] = [
+                            e
+                            for s2, e in seq.occ_pointsets[pos]
+                            if s2 == sym and not used >> e & 1
+                        ]
+                        after = pos - 1
+                    else:
+                        # Occurrences after the frontier are never used.
+                        occs = seq.sym_occs[sym]
+                        after = pos
+                    for e in occs:
+                        pos2 = occ_start[e]
+                        if pos2 <= after:
+                            continue
+                        if limit is not None and times[pos2] > limit + _EPS:
+                            break
+                        window = wstart
+                        if max_span is not None:
+                            if window is None:
+                                window = times[pos2]
+                            if kind == START and (
+                                times[occ_finish[e]] - window > max_span + _EPS
+                            ):
+                                continue
+                        # Postfix pruning, as above (a finish AT pos2 is
+                        # still reachable by I-extension).
+                        if postfix_prune and min_finish < pos2:
+                            counters.pruned_dead_states += 1
+                            continue
+                        if kind == START:
+                            finish = occ_finish[e]
+                            new_states.append((
+                                pos2, (*binds, e), used | 1 << e,
+                                finish if finish < min_finish else min_finish,
+                                window,
+                            ))
+                        else:
                             new_states.append(
-                                State(pos2, pending, used, wstart)
+                                (pos2, binds, used | 1 << e, min_finish, window)
                             )
                 deduped = dedupe_states(new_states, dedupe_stats)
                 if contracts.checking:
@@ -1170,35 +1184,36 @@ class PTPMiner:
                         root_counters_t0 = counters.as_dict()
                     cost.record_frequent(num_tokens + 1)
                 counters.candidates_frequent += 1
+                close_idx = -1  # the slot of the open occurrence a finish closes
+                if kind == FINISH:
+                    close_idx = [occ[:2] for occ in open_occs].index((lab, pocc))
                 if obs_on:
                     with obs_span(
                         "project",
                         ext="I" if ext == _I_EXT else "S",
                         depth=num_tokens + 1,
                     ):
-                        new_proj = project(proj_map, cand, sids)
+                        new_proj = project(proj_map, cand, sids, close_idx)
                     depth = num_tokens + 1
                     states_by_depth[depth] = states_by_depth.get(
                         depth, 0
                     ) + sum(len(states) for _sid, states in new_proj)
                 else:
-                    new_proj = project(proj_map, cand, sids)
+                    new_proj = project(proj_map, cand, sids, close_idx)
                 # --- apply the extension to the pattern state ----------
                 if ext == _S_EXT:
                     pointsets.append([(sym, pocc)])
                 else:
                     pointsets[-1].append((sym, pocc))
                 num_tokens += 1
-                if kind == START:
-                    next_occ[lab] = pocc
-                    open_start_ps[(lab, pocc)] = len(pointsets) - 1
-                    num_occurrences += 1
-                elif kind == POINT:
-                    next_occ[lab] = pocc
-                    num_occurrences += 1
+                if kind == FINISH:
+                    closed = open_occs.pop(close_idx)
                 else:
-                    del open_start_ps[(lab, pocc)]
-                if not open_start_ps:
+                    next_occ[lab] = pocc
+                    num_occurrences += 1
+                    if kind == START:
+                        open_occs.append((lab, pocc, len(pointsets) - 1))
+                if not open_occs:
                     counters.patterns_emitted += 1
                     if cost is not None:
                         cost.record_pattern(num_tokens)
@@ -1240,8 +1255,11 @@ class PTPMiner:
                             supp_sids,
                             {
                                 s: [
-                                    (encoded.labels[wlab], wsocc)
-                                    for wlab, wsocc in sts[0].used
+                                    (encoded.labels[wlab], wocc)
+                                    for e, (wlab, wocc) in enumerate(
+                                        sequences[s].occ_keys
+                                    )
+                                    if sts[0][2] >> e & 1
                                 ]
                                 for s, sts in new_proj
                             },
@@ -1252,25 +1270,18 @@ class PTPMiner:
                         on_emit(pattern, weight)
                 dfs(new_proj, (sym, pocc))
                 # --- backtrack ------------------------------------------
-                if kind == START:
-                    del open_start_ps[(lab, pocc)]
-                    if pocc > 1:
-                        next_occ[lab] = pocc - 1
-                    else:
-                        del next_occ[lab]
-                    num_occurrences -= 1
-                elif kind == POINT:
-                    if pocc > 1:
-                        next_occ[lab] = pocc - 1
-                    else:
-                        del next_occ[lab]
-                    num_occurrences -= 1
+                if kind == FINISH:
+                    # Re-open the interval in its old slot, so binds of
+                    # the states at this node line up again.
+                    open_occs.insert(close_idx, closed)
                 else:
-                    # Re-open the interval: its start token is still in the
-                    # pattern (only the finish token is being retracted).
-                    open_start_ps[(lab, pocc)] = _find_start_ps(
-                        pointsets, lab * 3 + START, pocc
-                    )
+                    if pocc > 1:
+                        next_occ[lab] = pocc - 1
+                    else:
+                        del next_occ[lab]
+                    num_occurrences -= 1
+                    if kind == START:
+                        open_occs.pop()
                 num_tokens -= 1
                 if ext == _S_EXT:
                     pointsets.pop()
@@ -1348,16 +1359,6 @@ def _check_emitted_pattern(pattern: TemporalPattern, num_tokens: int) -> None:
         "emitted pattern is not in canonical form",
         details=lambda: str(pattern),
     )
-
-
-def _find_start_ps(
-    pointsets: list[list[tuple[int, int]]], start_sym: int, pocc: int
-) -> int:
-    """Locate the pattern pointset holding start token (start_sym, pocc)."""
-    for idx, ps in enumerate(pointsets):
-        if (start_sym, pocc) in ps:
-            return idx
-    raise AssertionError("start token missing from pattern state")
 
 
 def _tidy(weight: float) -> float:

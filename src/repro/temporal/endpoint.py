@@ -25,13 +25,14 @@ Two layers live here:
   :class:`EndpointSequence`) used by pattern objects, I/O and tests;
 * an integer-interned layer (:class:`EncodedDatabase`,
   :class:`EncodedSequence`) used by the miners' hot loops, where a token is
-  the pair ``(sym, occ)`` with ``sym = label_id * 3 + kind``.
+  the pair ``(sym, occ)`` with ``sym = label_id * 3 + kind``, and every
+  sequence carries a numbered index of its event occurrences.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
@@ -238,41 +239,129 @@ def endpoint_sequence_of(seq: ESequence) -> EndpointSequence:
 #: An encoded token is ``(sym, occ)`` with ``sym = label_id * 3 + kind``.
 Token = tuple[int, int]
 
+#: Interning pool: maps each token, key or pointset tuple to the first
+#: equal tuple seen, so a database stores each distinct value once.
+InternPool = dict[tuple[Any, ...], tuple[Any, ...]]
+
+
+def _pooled(pool: InternPool, tokens: tuple[Token, ...]) -> tuple[Token, ...]:
+    """The pooled copy of a tuple of tokens; a new one pools its tokens."""
+    pooled = pool.get(tokens)
+    if pooled is None:
+        pooled = tuple(pool.setdefault(tok, tok) for tok in tokens)
+        pool[pooled] = pooled
+    return pooled
+
 
 class EncodedSequence:
-    """One sequence in interned form, with precomputed position indices.
+    """One sequence in interned form, with an index of its occurrences.
+
+    The **occurrence index** numbers every event occurrence of the
+    sequence ``e = 0, 1, ...`` in the order its start (or point) token
+    appears: by pointset, then in canonical token order within one. The
+    projection core (:mod:`repro.core.projection`) holds states as plain
+    ints over these numbers, and uses the tables below to jump straight
+    to the positions an extension can reach instead of rescanning the
+    postfix.
 
     Attributes
     ----------
     pointsets:
         ``tuple`` of pointsets; each pointset is a sorted ``tuple`` of
         ``(sym, occ)`` tokens.
-    start_pos / finish_pos:
-        For every interval occurrence ``(label_id, occ)``, the pointset
-        index of its start/finish endpoint (for points, both equal the
-        point's position). The miner uses ``finish_pos`` to locate — in
-        O(1) — the unique pointset where a pending interval can close.
     times:
         The original timestamp of each pointset (same length as
         ``pointsets``); used by the time-constrained (``max_span``)
         mining mode, which bounds embeddings to a time window.
+    occ_keys:
+        ``occ_keys[e]`` is occurrence ``e``'s ``(label_id, occ)`` key.
+    occ_start / occ_finish:
+        Pointset index of occurrence ``e``'s start and finish endpoints
+        (both the point's position for a point event). A pending
+        interval can close at exactly one pointset, ``occ_finish[e]``.
+    occ_pointsets:
+        ``pointsets`` with each token's ``occ`` replaced by its
+        occurrence index: ``(sym, e)`` tokens.
+    sym_occs:
+        For every start or point symbol, its occurrence indices in
+        position order.
+    sym_last:
+        ``(last position, sym)`` for every start or point symbol, latest
+        first: the symbols that still occur after a frontier ``pos`` are
+        exactly the leading entries with ``last > pos``.
+
+    Token, key and pointset tuples come from the ``pool`` of the
+    :class:`EncodedDatabase` being built, when one is given.
     """
 
-    __slots__ = ("sid", "pointsets", "start_pos", "finish_pos", "times")
+    __slots__ = (
+        "sid",
+        "pointsets",
+        "times",
+        "occ_keys",
+        "occ_start",
+        "occ_finish",
+        "occ_pointsets",
+        "sym_occs",
+        "sym_last",
+    )
 
     def __init__(
         self,
         sid: int,
         pointsets: Sequence[Sequence[Token]],
-        start_pos: dict[tuple[int, int], int],
-        finish_pos: dict[tuple[int, int], int],
         times: Sequence[float] = (),
+        pool: Optional[InternPool] = None,
     ) -> None:
+        if pool is None:
+            pool = {}
+        intern = pool.setdefault
+        occ_of: dict[Token, int] = {}  # (start or point sym, occ) -> e
+        keys: list[tuple[int, int]] = []
+        starts: list[int] = []
+        finishes: list[int] = []
+        sym_occs: dict[int, list[int]] = {}
+        last: dict[int, int] = {}
+        sets: list[tuple[Token, ...]] = []
+        occ_sets: list[tuple[Token, ...]] = []
+        for pos, unsorted in enumerate(pointsets):
+            pointset = tuple(sorted(unsorted))
+            occ_tokens: list[Token] = []
+            for sym, occ in pointset:
+                if sym % 3 == FINISH:
+                    e = occ_of[sym - 1, occ]
+                    finishes[e] = pos
+                else:
+                    e = occ_of[sym, occ] = len(keys)
+                    key = (sym // 3, occ)
+                    keys.append(intern(key, key))
+                    starts.append(pos)
+                    finishes.append(pos)
+                    if sym in sym_occs:
+                        sym_occs[sym].append(e)
+                    else:
+                        sym_occs[sym] = [e]
+                    last[sym] = pos
+                occ_tokens.append((sym, e))
+            sets.append(_pooled(pool, pointset))
+            occ_sets.append(_pooled(pool, tuple(occ_tokens)))
         self.sid = sid
-        self.pointsets = tuple(tuple(sorted(ps)) for ps in pointsets)
-        self.start_pos = start_pos
-        self.finish_pos = finish_pos
+        self.pointsets = tuple(sets)
         self.times = tuple(times)
+        self.occ_keys = tuple(keys)
+        self.occ_start = tuple(starts)
+        self.occ_finish = tuple(finishes)
+        self.occ_pointsets = tuple(occ_sets)
+        self.sym_occs: dict[int, tuple[int, ...]] = {}
+        for sym, occs in sym_occs.items():
+            packed = tuple(occs)
+            self.sym_occs[sym] = intern(packed, packed)
+        self.sym_last = _pooled(
+            pool,
+            tuple(
+                sorted(((at, sym) for sym, at in last.items()), reverse=True)
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.pointsets)
@@ -285,6 +374,12 @@ class EncodedDatabase:
     token order coincides with the public canonical endpoint order — the
     miners and the string-level pattern objects therefore agree on pattern
     canonical form without any re-sorting.
+
+    Encoding shares one interning pool (:data:`InternPool`) across the
+    database's sequences, so equal token, key and pointset tuples —
+    most of them recur from sequence to sequence — are stored once. The
+    pool belongs to this database alone and is dropped once every
+    sequence is encoded.
     """
 
     __slots__ = ("labels", "label_ids", "sequences", "size")
@@ -295,20 +390,21 @@ class EncodedDatabase:
             label: i for i, label in enumerate(self.labels)
         }
         self.size = len(db)
+        pool: InternPool = {}
         self.sequences: list[EncodedSequence] = [
-            self._encode_sequence(seq) for seq in db
+            self._encode_sequence(seq, pool) for seq in db
         ]
 
-    def _encode_sequence(self, seq: ESequence) -> EncodedSequence:
+    def _encode_sequence(
+        self, seq: ESequence, pool: InternPool
+    ) -> EncodedSequence:
         by_time: dict[float, list[Token]] = {}
-        spans: list[tuple[int, int, float, float, bool]] = []
         for event, occ in seq.occurrence_indexed():
             label_id = self.label_ids[event.label]
             if event.is_point:
                 by_time.setdefault(event.start, []).append(
                     (label_id * 3 + POINT, occ)
                 )
-                spans.append((label_id, occ, event.start, event.start, True))
             else:
                 by_time.setdefault(event.start, []).append(
                     (label_id * 3 + START, occ)
@@ -316,18 +412,10 @@ class EncodedDatabase:
                 by_time.setdefault(event.finish, []).append(
                     (label_id * 3 + FINISH, occ)
                 )
-                spans.append((label_id, occ, event.start, event.finish, False))
         times = sorted(by_time)
-        time_index = {t: i for i, t in enumerate(times)}
-        start_pos: dict[tuple[int, int], int] = {}
-        finish_pos: dict[tuple[int, int], int] = {}
-        for label_id, occ, s, f, _is_point in spans:
-            start_pos[(label_id, occ)] = time_index[s]
-            finish_pos[(label_id, occ)] = time_index[f]
         assert seq.sid is not None
         return EncodedSequence(
-            seq.sid, [by_time[t] for t in times], start_pos, finish_pos,
-            times,
+            seq.sid, [by_time[t] for t in times], times, pool
         )
 
     # -- sym helpers -------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 
 from repro import contracts
 from repro.contracts import ContractViolation, check, contract
-from repro.core.projection import State, check_state
+from repro.core import ptpminer
+from repro.core.projection import EMPTY_STATE, NO_FINISH, State, check_state
 from repro.core.ptpminer import PTPMiner
 from repro.temporal.endpoint import EncodedSequence
 
@@ -109,50 +110,74 @@ def test_contract_forwards_when_disabled():
 # ---------------------------------------------------------------------------
 
 def _toy_sequence() -> EncodedSequence:
-    """Two pointsets; one interval occurrence (label_id 1, occ 0)."""
+    """Two pointsets; one interval occurrence (label_id 1, occ 0), e = 0."""
     return EncodedSequence(
         sid=0,
         pointsets=[[(4, 0)], [(5, 0)]],
-        start_pos={(1, 0): 0},
-        finish_pos={(1, 0): 1},
         times=(0.0, 1.0),
     )
 
 
 def test_check_state_accepts_consistent_state():
     seq = _toy_sequence()
-    check_state(State(-1, frozenset(), frozenset()), seq)
-    check_state(
-        State(0, frozenset({(1, 0, 0)}), frozenset({(1, 0)})), seq
-    )
+    check_state(EMPTY_STATE, seq)
+    check_state((0, (0,), 0b1, 1, None), seq)
+    check_state((1, (), 0b1, NO_FINISH, None), seq)
 
 
 @pytest.mark.parametrize(
     "state, match",
     [
-        (State(5, frozenset(), frozenset()), "frontier out of range"),
-        (State(-2, frozenset(), frozenset()), "frontier out of range"),
-        (
-            State(0, frozenset({(1, 0, 0)}), frozenset()),
-            "not marked used",
-        ),
-        (
-            State(
-                0,
-                frozenset({(1, 0, 0), (1, 1, 0)}),
-                frozenset({(1, 0)}),
-            ),
-            "sequence occurrence bound twice",
-        ),
-        (
-            State(0, frozenset(), frozenset({(2, 0)})),
-            "missing from the sequence",
-        ),
+        ((5, (), 0, NO_FINISH, None), "frontier out of range"),
+        ((-2, (), 0, NO_FINISH, None), "frontier out of range"),
+        ((0, (0,), 0, 1, None), "not marked used"),
+        ((0, (0, 0), 0b1, 1, None), "sequence occurrence bound twice"),
+        ((0, (), 0b10, NO_FINISH, None), "missing from the sequence"),
+        ((0, (1,), 0b1, 1, None), "bound occurrence missing"),
+        ((0, (0,), 0b1, NO_FINISH, None), "min_finish disagrees"),
     ],
 )
 def test_check_state_rejects_corrupted_states(state, match):
     with pytest.raises(ContractViolation, match=match):
         check_state(state, _toy_sequence())
+
+
+def _clear_bound_bits(state: State) -> State:
+    pos, binds, used, min_finish, window = state
+    for e in binds:
+        used &= ~(1 << e)
+    return (pos, binds, used, min_finish, window)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda st: (-2, *st[1:]), "frontier out of range"),
+        (_clear_bound_bits, "not marked used"),
+        (
+            lambda st: (st[0], st[1] + st[1][:1], *st[2:]),
+            "sequence occurrence bound twice",
+        ),
+        (
+            lambda st: (*st[:2], st[2] | 1 << 64, *st[3:]),
+            "missing from the sequence",
+        ),
+        (lambda st: (*st[:3], st[3] - 1, *st[4:]), "min_finish disagrees"),
+    ],
+    ids=["frontier", "used", "bound-twice", "missing", "min-finish"],
+)
+def test_miner_checks_every_projected_state(
+    monkeypatch, two_interval_db, corrupt, match
+):
+    """The search really calls check_state on what ``project`` builds."""
+    original = ptpminer.dedupe_states
+
+    def corrupting(states, stats=None):
+        return tuple(corrupt(st) for st in original(states, stats))
+
+    monkeypatch.setattr(ptpminer, "dedupe_states", corrupting)
+    with pytest.raises(ContractViolation, match=match):
+        PTPMiner(0.5).mine(two_interval_db)
 
 
 # ---------------------------------------------------------------------------

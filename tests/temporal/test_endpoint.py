@@ -188,17 +188,42 @@ class TestEncodedDatabase:
         encoded = enc.sequences[0]
         a_id = enc.label_ids["A"]
         b_id = enc.label_ids["B"]
-        assert encoded.start_pos[(a_id, 1)] == 0
-        assert encoded.finish_pos[(a_id, 1)] == 2
-        assert encoded.start_pos[(b_id, 1)] == 1
-        assert encoded.finish_pos[(b_id, 1)] == 3
+        assert _positions(encoded, (a_id, 1)) == (0, 2)
+        assert _positions(encoded, (b_id, 1)) == (1, 3)
 
     def test_point_positions_coincide(self):
         s = seq((3, 3, "P"))
         enc = EncodedDatabase(ESequenceDatabase([s]))
         encoded = enc.sequences[0]
         p_id = enc.label_ids["P"]
-        assert encoded.start_pos[(p_id, 1)] == encoded.finish_pos[(p_id, 1)]
+        start, finish = _positions(encoded, (p_id, 1))
+        assert start == finish
+
+    def test_occurrence_index(self):
+        # A+ at 0, {B+, C.} at 2, A#2+ at 3; occurrences are numbered in
+        # start order, by pointset then canonical token order.
+        s = seq((0, 4, "A"), (2, 6, "B"), (2, 2, "C"), (3, 5, "A"))
+        enc = EncodedDatabase(ESequenceDatabase([s]))
+        encoded = enc.sequences[0]
+        a, b, c = (enc.label_ids[label] for label in "ABC")
+        assert encoded.occ_keys == ((a, 1), (b, 1), (c, 1), (a, 2))
+        assert encoded.occ_start == (0, 1, 1, 2)
+        assert encoded.occ_finish == (3, 5, 1, 4)
+        for ps, occ_ps in zip(encoded.pointsets, encoded.occ_pointsets):
+            assert [sym for sym, _ in ps] == [sym for sym, _ in occ_ps]
+            for (sym, occ), (_, e) in zip(ps, occ_ps):
+                assert encoded.occ_keys[e] == (sym // 3, occ)
+        a_start, b_start = enc.sym("A", START), enc.sym("B", START)
+        c_point = enc.sym("C", POINT)
+        assert encoded.sym_occs == {a_start: (0, 3), b_start: (1,), c_point: (2,)}
+        assert encoded.sym_last == ((2, a_start), (1, c_point), (1, b_start))
+
+    def test_equal_tuples_are_pooled_per_database(self):
+        db = ESequenceDatabase([seq((0, 4, "A")), seq((10, 14, "A"))])
+        first, second = EncodedDatabase(db).sequences
+        assert first.pointsets[0] is second.pointsets[0]
+        assert first.occ_pointsets[1] is second.occ_pointsets[1]
+        assert first.occ_keys[0] is second.occ_keys[0]
 
     def test_size(self):
         db = make_random_db(0, num_sequences=5)
@@ -216,5 +241,12 @@ class TestEncodedTimes:
         enc = EncodedDatabase(ESequenceDatabase([s]))
         encoded = enc.sequences[0]
         a_id = enc.label_ids["A"]
-        assert encoded.times[encoded.start_pos[(a_id, 1)]] == 1
-        assert encoded.times[encoded.finish_pos[(a_id, 1)]] == 9
+        start, finish = _positions(encoded, (a_id, 1))
+        assert encoded.times[start] == 1
+        assert encoded.times[finish] == 9
+
+
+def _positions(encoded, key):
+    """Start and finish pointset of the occurrence ``(label_id, occ)``."""
+    e = encoded.occ_keys.index(key)
+    return encoded.occ_start[e], encoded.occ_finish[e]
