@@ -52,7 +52,7 @@ test-contracts:
 check: repro-lint lint-deep lint typecheck test-contracts
 
 bench:
-	$(PYTHON) -m pytest benches -q
+	$(PYTHON) -m pytest benchmarks --benchmark-only
 
 perf:
 	$(PYTHON) -m repro.perf update-baseline --matrix quick

@@ -321,47 +321,39 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    registry = None
     profiler = None
-    cost_collector = None
-    prov_collector = None
     # Ledger entries carry a cost digest when the miner can produce one.
     collect_cost = bool(args.cost_profile or args.ledger_dir) and (
         args.miner == "ptpminer"
     )
-    collect_provenance = bool(args.provenance)
     profile_base = args.profile_out or ("profile" if args.profile else None)
     with ExitStack() as stack:
-        if args.metrics_out or args.ledger_dir:
-            # The ledger reads phase timings off the metrics registry,
-            # so --ledger-dir installs one even without --metrics-out.
-            registry = obs.MetricsRegistry()
-            stack.enter_context(obs.metrics.use_registry(registry))
-        if collect_cost:
-            cost_collector = stack.enter_context(
-                obs.costmodel.use_collector()
+        handles = stack.enter_context(
+            obs.observe(
+                # The ledger reads phase timings off the metrics
+                # registry, so --ledger-dir installs one even without
+                # --metrics-out.
+                metrics=bool(args.metrics_out or args.ledger_dir) or None,
+                tracer=(
+                    stack.enter_context(obs.JsonlTraceWriter.open(args.trace))
+                    if args.trace
+                    else None
+                ),
+                reporter=(
+                    obs.ProgressReporter(stream=sys.stderr)
+                    if args.progress
+                    else None
+                ),
+                cost=collect_cost or None,
+                provenance=bool(args.provenance) or None,
             )
-        if collect_provenance:
-            from repro.obs import provenance as obs_provenance
-
-            prov_collector = stack.enter_context(
-                obs_provenance.use_collector()
-            )
-        if args.trace:
-            writer = stack.enter_context(obs.JsonlTraceWriter.open(args.trace))
-            stack.enter_context(obs.trace.use_tracer(writer))
+        )
         if profile_base is not None:
             # Installed after --trace so span events still reach the
             # JSONL writer (the profiler forwards downstream).
             from repro.obs.profile import profile_scope
 
             profiler = stack.enter_context(profile_scope(memory=True))
-        if args.progress:
-            stack.enter_context(
-                obs.progress.use_reporter(
-                    obs.ProgressReporter(stream=sys.stderr)
-                )
-            )
         if _live_requested(args):
             stack.enter_context(
                 obs.live.use_live(
@@ -377,8 +369,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         else:
             result = miner.mine(db)
     if args.metrics_out:
-        assert registry is not None
-        snapshot = result.metrics or registry.snapshot()
+        assert handles.registry is not None
+        snapshot = result.metrics or handles.registry.snapshot()
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -387,18 +379,19 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"wrote span trace to {args.trace}", file=sys.stderr)
     if args.cost_profile:
-        assert cost_collector is not None  # guarded above
+        assert handles.cost is not None  # guarded above
         with open(args.cost_profile, "w", encoding="utf-8") as handle:
             json.dump(
-                cost_collector.snapshot(), handle, indent=2, sort_keys=True
+                handles.cost.snapshot(), handle, indent=2, sort_keys=True
             )
             handle.write("\n")
         print(f"wrote cost profile to {args.cost_profile}", file=sys.stderr)
     if args.provenance:
-        assert prov_collector is not None  # guarded above
+        assert handles.provenance is not None  # guarded above
         with open(args.provenance, "w", encoding="utf-8") as handle:
             json.dump(
-                prov_collector.snapshot(), handle, indent=2, sort_keys=True
+                handles.provenance.snapshot(), handle, indent=2,
+                sort_keys=True,
             )
             handle.write("\n")
         print(
@@ -411,10 +404,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         from repro.obs import ledger as obs_ledger
         from repro.obs import provenance as obs_provenance
 
-        assert registry is not None
-        snapshot = result.metrics or registry.snapshot()
+        assert handles.registry is not None
+        snapshot = result.metrics or handles.registry.snapshot()
         cost_snapshot = (
-            cost_collector.snapshot() if cost_collector is not None else None
+            handles.cost.snapshot() if handles.cost is not None else None
         )
         plan_summary: dict[str, Any] | None = None
         calibration: dict[str, Any] | None = None

@@ -49,10 +49,8 @@ from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport, TemporalPattern
 from repro.model.sequence import ESequence
 from repro.obs import clock as obs_clock
-from repro.obs import costmodel as obs_costmodel
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
-from repro.obs import provenance as obs_provenance
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.temporal.endpoint import FINISH, START, EncodedDatabase
@@ -67,9 +65,6 @@ _Candidate = tuple[int, int, int]
 RootCandidates = dict[_Candidate, tuple[float, list[int]]]
 _I_EXT, _S_EXT = 0, 1
 _EPS = 1e-9
-
-#: Histogram bounds for candidates discovered per search node (obs only).
-_CANDIDATE_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
 
 
 def _run_snapshot(
@@ -282,6 +277,7 @@ class PTPMiner:
                     encoded, weights, [float(threshold)], pairs, counters
                 )
             patterns.sort(key=PatternWithSupport.sort_key)
+        obs_recorder.run_done(counters)
         if contracts.checking:
             counters.check_consistency()
             self._oracle_check(db, weights, float(threshold), patterns)
@@ -508,6 +504,7 @@ class PTPMiner:
                     encoded, weights, threshold_box, pairs, counters,
                     on_emit=on_emit,
                 )
+        obs_recorder.run_done(counters)
         qualifying = [
             item
             for item in patterns
@@ -643,19 +640,10 @@ class PTPMiner:
             + len(point_df)
             - len(keep_point)
         )
-        prov = obs_provenance.active_collector()
-        if prov is not None:
-            # Point pruning runs once, in the parent (shard workers are
-            # handed the already-pruned database), so these records are
-            # never duplicated across shard snapshots.
-            for label in sorted(set(interval_df) - keep_interval):
-                prov.record_pruned_label(
-                    label, "interval", interval_df[label], threshold
-                )
-            for label in sorted(set(point_df) - keep_point):
-                prov.record_pruned_label(
-                    label, "point", point_df[label], threshold
-                )
+        obs_recorder.labels_pruned(
+            "interval", interval_df, keep_interval, threshold
+        )
+        obs_recorder.labels_pruned("point", point_df, keep_point, threshold)
         if counters.pruned_point_labels == 0:
             return db
         filtered = [
@@ -711,26 +699,6 @@ class PTPMiner:
         max_weight = max(weights, default=0.0)
         results: list[PatternWithSupport] = []
 
-        # Observability: one lookup per search; every per-node recording
-        # site below is guarded by a single local check, so the disabled
-        # path costs one branch (same discipline as repro.contracts).
-        registry = obs_metrics.active_registry()
-        tracer = obs_trace.active_tracer()
-        progress = obs_progress.active_reporter()
-        cost = obs_costmodel.active_collector()
-        prov = obs_provenance.active_collector()
-        # The level-1 root token whose subtree the search is currently
-        # inside — the provenance records' attribution key. A one-cell
-        # list so the dfs closure can rebind it without ``nonlocal``.
-        prov_root = [""]
-        obs_on = registry is not None or tracer is not None
-        obs_span = obs_trace.span
-        states_by_depth: dict[int, int] = {}
-        patterns_by_length: dict[int, int] = {}
-        candidates_by_ext = [0, 0]
-        pruned_by_ext = [0, 0]
-        dedupe_stats: Optional[dict[str, int]] = {} if obs_on else None
-
         # Pattern state, mutated along the DFS and restored on backtrack.
         pointsets: list[list[tuple[int, int]]] = []
         next_occ: dict[int, int] = {}
@@ -740,6 +708,16 @@ class PTPMiner:
         open_occs: list[tuple[int, int, int]] = []
         num_tokens = 0
         num_occurrences = 0
+
+        # Observability: one recorder per search, ``None`` when no
+        # collector is installed; every event below is guarded by one
+        # local check, so the disabled path costs one branch (the
+        # repro.contracts discipline).
+        rec = obs_recorder.SearchRecorder.attach(
+            encoded, weights, counters, pointsets
+        )
+        dedupe_stats = rec.dedupe_stats if rec is not None else None
+        obs_span = obs_trace.span
 
         def make_pair_ok() -> Optional[Callable[[_Candidate], bool]]:
             """Pair pruning: sym-level upper bounds vs pattern symbols.
@@ -784,35 +762,6 @@ class PTPMiner:
                 validate=False,
             )
 
-        def decode_extended(cand: _Candidate) -> str:
-            """Canonical string of the pattern ``cand`` would extend to.
-
-            Provenance keys killed candidates by the pattern prefix they
-            would have reached, so ``why-not`` can look a queried
-            pattern's generation prefixes straight up in the snapshot.
-            """
-            ext, sym, pocc = cand
-            extended = [list(ps) for ps in pointsets]
-            if ext == _S_EXT or not extended:
-                extended.append([(sym, pocc)])
-            else:
-                extended[-1].append((sym, pocc))
-            return str(
-                TemporalPattern(
-                    (
-                        (encoded.decode_token(tok) for tok in ps)
-                        for ps in extended
-                    ),
-                    validate=False,
-                )
-            )
-
-        def cand_root(cand: _Candidate) -> str:
-            """Root attribution for a candidate killed at this node."""
-            if pointsets:
-                return prov_root[0]
-            return str(encoded.decode_token((cand[1], cand[2])))
-
         def gather_candidates(
             proj: list[tuple[int, tuple[State, ...]]],
             last_token: Optional[tuple[int, int]],
@@ -830,15 +779,9 @@ class PTPMiner:
                 if pair_ok is None or pair_ok(cand):
                     return True
                 counters.pruned_pair += 1
-                if obs_on:
-                    pruned_by_ext[cand[0]] += 1
-                if prov is not None:
-                    prov.record_pruned(
-                        decode_extended(cand),
-                        site="pair",
-                        level=num_tokens + 1,
-                        root=cand_root(cand),
-                        threshold=threshold_box[0],
+                if rec is not None:
+                    rec.pruned(
+                        "pair", num_tokens + 1, cand, threshold=threshold_box[0]
                     )
                 return False
 
@@ -846,11 +789,11 @@ class PTPMiner:
             # S-extension starts and points are collected per symbol.
             sids_of: dict[_Candidate, Optional[list[int]]] = {}
             start_sids: dict[int, list[int]] = {}
-            # Provenance: candidates rejected by the max_span window
-            # during the scan. Recorded after the scan, minus any that
-            # another state *did* discover (those were generated).
+            # Candidates rejected by the max_span window during the scan,
+            # reported after it, minus any that another state *did*
+            # discover (those were generated).
             span_skipped: Optional[set[_Candidate]] = (
-                set() if prov is not None and max_span is not None else None
+                set() if rec is not None and max_span is not None else None
             )
             # The open occurrences a finish may close, as (i, sym, pocc).
             # Canonical duplicate rule: of the same-label occurrences
@@ -950,17 +893,12 @@ class PTPMiner:
             for sym, sids in start_sids.items():
                 cand = (_S_EXT, sym, next_occ.get(sym // 3, 0) + 1)
                 sids_of[cand] = sids if admit(cand) else None
-            if prov is not None and span_skipped:
+            if rec is not None and span_skipped:
                 # Candidates no state discovered at all: window-rejected
                 # everywhere, so the search never generated them.
                 for cand in sorted(span_skipped):
                     if cand not in sids_of:
-                        prov.record_pruned(
-                            decode_extended(cand),
-                            site="max_span",
-                            level=num_tokens + 1,
-                            root=cand_root(cand),
-                        )
+                        rec.pruned("max_span", num_tokens + 1, cand)
             gathered: dict[_Candidate, tuple[float, list[int]]] = {}
             for cand, sids in sids_of.items():
                 if sids is not None:
@@ -1086,24 +1024,17 @@ class PTPMiner:
                 candidates = root_candidates
             else:
                 counters.nodes_expanded += 1
-                if progress is not None:
-                    progress.tick(
-                        depth=num_tokens,
-                        patterns=counters.patterns_emitted,
-                        candidates=counters.candidates_considered,
-                        pruned=counters.pruned_pair,
-                    )
+                if rec is not None:
+                    rec.expand(num_tokens)
                 if postfix_prune:
                     # O(1) branch bound: at most len(proj) sequences of at
                     # most max_weight each can support any descendant.
                     if len(proj) * max_weight + _EPS < threshold_box[0]:
                         counters.pruned_postfix_branches += 1
-                        if prov is not None and num_tokens > 0:
-                            prov.record_pruned(
-                                str(decode_pattern()),
-                                site="postfix_branch",
-                                level=num_tokens,
-                                root=prov_root[0],
+                        if rec is not None:
+                            rec.pruned(
+                                "postfix_branch",
+                                num_tokens,
                                 support=len(proj) * max_weight,
                                 threshold=threshold_box[0],
                             )
@@ -1112,32 +1043,13 @@ class PTPMiner:
                     self.max_tokens is not None
                     and num_tokens >= self.max_tokens
                 ):
-                    if prov is not None and num_tokens > 0:
-                        prov.record_pruned(
-                            str(decode_pattern()),
-                            site="max_tokens",
-                            level=num_tokens,
-                            root=prov_root[0],
-                        )
+                    if rec is not None:
+                        rec.pruned("max_tokens", num_tokens)
                     return
-                if obs_on:
-                    with obs_span("extend", depth=num_tokens):
-                        candidates = gather_candidates(proj, last_token)
-                    for obs_cand in candidates:
-                        candidates_by_ext[obs_cand[0]] += 1
-                    if registry is not None:
-                        registry.histogram(
-                            "search.candidates_per_node",
-                            buckets=_CANDIDATE_BUCKETS,
-                        ).observe(len(candidates))
-                else:
+                with obs_span("extend", depth=num_tokens):
                     candidates = gather_candidates(proj, last_token)
-                if cost is not None:
-                    # Funnel rows are keyed by *candidate* level (= the
-                    # pattern length an extension would reach), so a
-                    # node at depth d feeds row d+1 — the same row its
-                    # frequent survivors and emitted patterns land in.
-                    cost.record_node(num_tokens + 1, len(candidates))
+                if rec is not None:
+                    rec.gathered(num_tokens, candidates)
             if at_root and root_plan_out is not None:
                 root_plan_out.append(candidates)
                 return
@@ -1145,12 +1057,11 @@ class PTPMiner:
             for cand in sorted(candidates):
                 weight, sids = candidates[cand]
                 if weight + _EPS < threshold_box[0]:
-                    if prov is not None:
-                        prov.record_pruned(
-                            decode_extended(cand),
-                            site="support",
-                            level=num_tokens + 1,
-                            root=cand_root(cand),
+                    if rec is not None:
+                        rec.pruned(
+                            "support",
+                            num_tokens + 1,
+                            cand,
                             support=_tidy(weight),
                             threshold=threshold_box[0],
                         )
@@ -1163,43 +1074,25 @@ class PTPMiner:
                     and kind != FINISH
                     and num_occurrences >= self.max_size
                 ):
-                    if prov is not None:
-                        prov.record_pruned(
-                            decode_extended(cand),
-                            site="max_size",
-                            level=num_tokens + 1,
-                            root=cand_root(cand),
-                        )
+                    if rec is not None:
+                        rec.pruned("max_size", num_tokens + 1, cand)
                     continue
-                if prov is not None and at_root:
-                    prov_root[0] = str(encoded.decode_token((sym, pocc)))
-                if cost is not None:
-                    if at_root:
-                        # Root attribution brackets the whole subtree:
-                        # counter deltas and wall time from here to the
-                        # end of the backtrack. Each root is expanded
-                        # exactly once (in one shard, or serially), so
-                        # merged profiles are unions, never sums.
-                        root_wall_t0 = obs_clock.now()
-                        root_counters_t0 = counters.as_dict()
-                    cost.record_frequent(num_tokens + 1)
+                if rec is not None:
+                    # At the root this opens the subtree's cost bracket,
+                    # so it precedes the candidates_frequent increment.
+                    rec.frequent(num_tokens + 1, (sym, pocc) if at_root else None)
                 counters.candidates_frequent += 1
                 close_idx = -1  # the slot of the open occurrence a finish closes
                 if kind == FINISH:
                     close_idx = [occ[:2] for occ in open_occs].index((lab, pocc))
-                if obs_on:
-                    with obs_span(
-                        "project",
-                        ext="I" if ext == _I_EXT else "S",
-                        depth=num_tokens + 1,
-                    ):
-                        new_proj = project(proj_map, cand, sids, close_idx)
-                    depth = num_tokens + 1
-                    states_by_depth[depth] = states_by_depth.get(
-                        depth, 0
-                    ) + sum(len(states) for _sid, states in new_proj)
-                else:
+                with obs_span(
+                    "project",
+                    ext="I" if ext == _I_EXT else "S",
+                    depth=num_tokens + 1,
+                ):
                     new_proj = project(proj_map, cand, sids, close_idx)
+                if rec is not None:
+                    rec.projected(num_tokens + 1, new_proj)
                 # --- apply the extension to the pattern state ----------
                 if ext == _S_EXT:
                     pointsets.append([(sym, pocc)])
@@ -1215,56 +1108,14 @@ class PTPMiner:
                         open_occs.append((lab, pocc, len(pointsets) - 1))
                 if not open_occs:
                     counters.patterns_emitted += 1
-                    if cost is not None:
-                        cost.record_pattern(num_tokens)
-                    if obs_on:
-                        patterns_by_length[num_tokens] = (
-                            patterns_by_length.get(num_tokens, 0) + 1
-                        )
                     pattern = decode_pattern()
                     if contracts.checking:
                         _check_emitted_pattern(pattern, num_tokens)
-                    results.append(
-                        PatternWithSupport(pattern, _tidy(weight))
-                    )
-                    if prov is not None:
-                        # Every supporter survives projection of a
-                        # complete pattern (no pending occurrence, so
-                        # dead-state elimination never fires), hence
-                        # new_proj carries the full support set; the
-                        # first state's used-set is one concrete
-                        # embedding — the witness.
-                        supp_sids = [s for s, _sts in new_proj]
-                        if contracts.checking:
-                            contracts.check(
-                                abs(
-                                    sum(weights[s] for s in supp_sids)
-                                    - weight
-                                )
-                                <= 1e-6,
-                                "recorded support set disagrees with the "
-                                "reported support",
-                                details=lambda: (
-                                    f"{pattern}: sids={supp_sids}, "
-                                    f"support={weight}"
-                                ),
-                            )
-                        prov.record_emitted(
-                            str(pattern),
-                            _tidy(weight),
-                            supp_sids,
-                            {
-                                s: [
-                                    (encoded.labels[wlab], wocc)
-                                    for e, (wlab, wocc) in enumerate(
-                                        sequences[s].occ_keys
-                                    )
-                                    if sts[0][2] >> e & 1
-                                ]
-                                for s, sts in new_proj
-                            },
-                            root=prov_root[0],
-                            level=num_tokens,
+                    support = _tidy(weight)
+                    results.append(PatternWithSupport(pattern, support))
+                    if rec is not None:
+                        rec.emitted(
+                            pattern, support, weight, new_proj, num_tokens
                         )
                     if on_emit is not None:
                         on_emit(pattern, weight)
@@ -1287,13 +1138,8 @@ class PTPMiner:
                     pointsets.pop()
                 else:
                     pointsets[-1].pop()
-                if cost is not None and at_root:
-                    cost.record_root(
-                        str(encoded.decode_token((sym, pocc))),
-                        obs_clock.now() - root_wall_t0,
-                        root_counters_t0,
-                        counters.as_dict(),
-                    )
+                if rec is not None and at_root:
+                    rec.root_done()
 
         root = [
             (seq.sid, (EMPTY_STATE,))
@@ -1301,33 +1147,8 @@ class PTPMiner:
             if seq.pointsets and weights[seq.sid] > 0
         ]
         dfs(root, None)
-        if progress is not None:
-            progress.finish(
-                depth=0,
-                patterns=counters.patterns_emitted,
-                candidates=counters.candidates_considered,
-                pruned=counters.pruned_pair,
-            )
-        if registry is not None:
-            for depth, touched in sorted(states_by_depth.items()):
-                registry.counter(
-                    "search.states_by_depth", depth=depth
-                ).inc(touched)
-            for length, count in sorted(patterns_by_length.items()):
-                registry.counter(
-                    "search.patterns_by_length", tokens=length
-                ).inc(count)
-            for ext_kind, ext_name in ((_I_EXT, "I"), (_S_EXT, "S")):
-                registry.counter("search.candidates", ext=ext_name).inc(
-                    candidates_by_ext[ext_kind]
-                )
-                registry.counter("search.pruned_pair", ext=ext_name).inc(
-                    pruned_by_ext[ext_kind]
-                )
-            if dedupe_stats:
-                registry.counter("search.states_deduped").inc(
-                    dedupe_stats.get("states_deduped", 0)
-                )
+        if rec is not None:
+            rec.finish()
         return results
 
 

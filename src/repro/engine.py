@@ -35,20 +35,25 @@ Executors
 
 Observability merge semantics
 -----------------------------
-Workers run with private, freshly scoped tracers/registries (never the
-parent's — a forked child must not write to inherited handles). Each
-shard ships its trace events and metrics snapshot home, where the
-parent:
+The parent reads its collectors as one :class:`~repro.obs.ObsHandles`
+bundle and ships their kinds to the workers; every shard, on either
+executor, searches under ``obs.observe(**kinds)`` — fresh private
+collectors and no progress reporter, never the parent's — and ships
+them home as one snapshot (``ShardResult.obs``). The parent folds each
+in, in shard order, with one :meth:`~repro.obs.ObsHandles.absorb` call:
 
-* re-emits trace events with span ids rewritten to ``"shard<i>:<id>"``
-  and orphan parents re-hung under the engine's dispatching span, so
-  ``--trace`` files stay a single well-formed tree;
-* absorbs metrics snapshots under the ``shard.`` prefix
+* trace events are re-emitted with span ids rewritten to
+  ``"shard<i>:<id>"`` and orphan parents re-hung under the engine's
+  dispatching span, so ``--trace`` files stay a single well-formed tree;
+* metrics snapshots are absorbed under the ``shard.`` prefix
   (:meth:`~repro.obs.metrics.MetricsRegistry.absorb_snapshot`):
   counters add across shards, histograms merge bound-for-bound;
-* records one ``engine.shard_elapsed_s[shard=<i>]`` gauge per shard, so
-  metrics snapshots carry the load-balance picture (the harness's
-  ``shard_imbalance`` column derives from them).
+* cost and provenance snapshots merge as keyed unions over disjoint
+  roots, bit-for-bit equal to a serial run's.
+
+It also records one ``engine.shard_elapsed_s[shard=<i>]`` gauge per
+shard (the harness's ``shard_imbalance`` column derives from them) and
+sends the run's one final progress heartbeat from the merged counters.
 
 Live telemetry
 --------------
@@ -72,11 +77,10 @@ import multiprocessing
 import queue as _queue
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
-from repro import contracts
+from repro import contracts, obs
 from repro.core.config import SHARD_STRATEGIES, MinerConfig
 from repro.core.pruning import PruneCounters
 from repro.core.ptpminer import (
@@ -88,11 +92,8 @@ from repro.core.ptpminer import (
 from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport
 from repro.obs import clock as obs_clock
-from repro.obs import costmodel as obs_costmodel
 from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
-from repro.obs import provenance as obs_provenance
+from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.temporal.endpoint import token_name
 
@@ -145,16 +146,11 @@ class ShardResult:
     shard: int
     patterns: list[PatternWithSupport]
     counters: PruneCounters
-    metrics: dict[str, Any] = field(default_factory=dict)
-    trace_events: list[dict[str, Any]] = field(default_factory=list)
     elapsed: float = 0.0
-    #: Cost-profile snapshot (``CostCollector.snapshot()``), shipped
-    #: home exactly like ``metrics`` and absorbed by the parent.
-    cost: dict[str, Any] = field(default_factory=dict)
-    #: Provenance snapshot (``ProvenanceCollector.snapshot()``), same
-    #: channel: per-shard records cover disjoint subtrees, so the
-    #: parent's merge is a keyed union, order-independent.
-    provenance: dict[str, Any] = field(default_factory=dict)
+    #: The shard's collectors, one snapshot
+    #: (:meth:`repro.obs.ObsHandles.snapshot`), folded into the parent's
+    #: with :meth:`repro.obs.ObsHandles.absorb`.
+    obs: dict[str, Any] = field(default_factory=dict)
 
 
 def _candidate_name(
@@ -264,68 +260,33 @@ _WORKER_PAYLOAD: dict[str, Any] = {}
 def _init_worker(
     db: ESequenceDatabase,
     weights: Sequence[float],
-    collect_metrics: bool,
-    collect_trace: bool,
-    collect_cost: bool = False,
-    collect_provenance: bool = False,
+    kinds: dict[str, bool],
     live_queue: Optional[Any] = None,
     live_interval: float = 0.5,
 ) -> None:
-    """Pool initializer: receive the database once, silence inherited obs.
+    """Pool initializer: receive the database once, silence inherited live.
 
-    A forked child inherits the parent's installed tracer / registry /
-    progress reporter; writing to those copies would be lost at best and
-    interleave with the parent's output at worst, so the worker starts
-    observability from a clean slate and scopes its own per-shard
-    collectors in :func:`_run_shard`. ``live_queue`` (a manager-queue
-    proxy, present only in live mode) is where the worker's
-    :class:`~repro.obs.live.LiveSink` publishes heartbeat frames.
+    ``kinds`` (:meth:`repro.obs.ObsHandles.kinds`) is what every shard
+    installs around its search in :func:`_run_shard`; that scope also
+    shadows any collector a forked child inherited. ``live_queue`` (a
+    manager-queue proxy, present only in live mode) is where the
+    worker's :class:`~repro.obs.live.LiveSink` publishes heartbeat
+    frames.
     """
-    obs_trace.set_tracer(None)
-    obs_metrics.set_registry(None)
-    obs_progress.set_reporter(None)
     obs_live.set_live(None)
-    obs_costmodel.set_collector(None)
-    obs_provenance.set_collector(None)
-    _WORKER_PAYLOAD["db"] = db
-    _WORKER_PAYLOAD["weights"] = list(weights)
-    _WORKER_PAYLOAD["collect_metrics"] = collect_metrics
-    _WORKER_PAYLOAD["collect_trace"] = collect_trace
-    _WORKER_PAYLOAD["collect_cost"] = collect_cost
-    _WORKER_PAYLOAD["collect_provenance"] = collect_provenance
-    _WORKER_PAYLOAD["live_publish"] = (
-        None if live_queue is None else live_queue.put
+    _init_payload_inline(
+        db,
+        weights,
+        kinds,
+        live_publish=None if live_queue is None else live_queue.put,
+        live_interval=live_interval,
     )
-    _WORKER_PAYLOAD["live_interval"] = live_interval
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
     """Expand one shard (runs inside a worker process, or in-process)."""
     db: ESequenceDatabase = _WORKER_PAYLOAD["db"]
     weights: list[float] = _WORKER_PAYLOAD["weights"]
-    collector = (
-        obs_trace.TraceCollector()
-        if _WORKER_PAYLOAD["collect_trace"]
-        else None
-    )
-    registry = (
-        obs_metrics.MetricsRegistry()
-        if _WORKER_PAYLOAD["collect_metrics"]
-        else None
-    )
-    # A private collector even on the serial executor: the parent's
-    # collector stays shadowed during the search and the snapshot comes
-    # home through ShardResult, so both executors merge identically.
-    cost = (
-        obs_costmodel.CostCollector()
-        if _WORKER_PAYLOAD.get("collect_cost")
-        else None
-    )
-    prov = (
-        obs_provenance.ProvenanceCollector()
-        if _WORKER_PAYLOAD.get("collect_provenance")
-        else None
-    )
     publish = _WORKER_PAYLOAD.get("live_publish")
     sink = (
         None
@@ -339,15 +300,10 @@ def _run_shard(task: ShardTask) -> ShardResult:
     )
     miner = PTPMiner.from_config(task.config)
     started = obs_clock.now()
-    with ExitStack() as stack:
-        if registry is not None:
-            stack.enter_context(obs_metrics.use_registry(registry))
-        if collector is not None:
-            stack.enter_context(obs_trace.use_tracer(collector))
-        if cost is not None:
-            stack.enter_context(obs_costmodel.use_collector(cost))
-        if prov is not None:
-            stack.enter_context(obs_provenance.use_collector(prov))
+    # Private collectors even on the serial executor: the parent's stay
+    # shadowed during the search and the snapshot comes home through
+    # ShardResult, so both executors merge identically.
+    with obs.observe(**_WORKER_PAYLOAD["kinds"]) as handles:
         patterns, counters = miner.search_shard(
             db,
             weights,
@@ -365,11 +321,8 @@ def _run_shard(task: ShardTask) -> ShardResult:
         shard=task.shard,
         patterns=patterns,
         counters=counters,
-        metrics=registry.snapshot() if registry is not None else {},
-        trace_events=collector.events if collector is not None else [],
         elapsed=elapsed,
-        cost=cost.snapshot() if cost is not None else {},
-        provenance=prov.snapshot() if prov is not None else {},
+        obs=handles.snapshot(),
     )
 
 
@@ -386,10 +339,7 @@ def _run_process(
     db: ESequenceDatabase,
     weights: Sequence[float],
     workers: int,
-    collect_metrics: bool,
-    collect_trace: bool,
-    collect_cost: bool = False,
-    collect_provenance: bool = False,
+    kinds: dict[str, bool],
     live_queue: Optional[Any] = None,
     live_interval: float = 0.5,
     on_frame: Optional[Callable[[dict[str, Any]], None]] = None,
@@ -405,16 +355,7 @@ def _run_process(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(tasks)),
         initializer=_init_worker,
-        initargs=(
-            db,
-            weights,
-            collect_metrics,
-            collect_trace,
-            collect_cost,
-            collect_provenance,
-            live_queue,
-            live_interval,
-        ),
+        initargs=(db, weights, kinds, live_queue, live_interval),
     ) as pool:
         if live_queue is None or on_frame is None:
             return list(pool.map(_run_shard, tasks))
@@ -436,33 +377,6 @@ def _run_process(
                 break
             on_frame(payload)
         return [future.result() for future in futures]
-
-
-def _reemit_shard_trace(
-    tracer: obs_trace.Tracer,
-    result: ShardResult,
-    parent_span: Optional[int],
-) -> None:
-    """Replay a worker's span events into the parent trace.
-
-    Span ids are rewritten to ``"shard<i>:<id>"`` strings (unique across
-    shards); parent links pointing at spans the worker did not itself
-    open — ``None`` roots, or stale ids inherited through ``fork`` — are
-    re-hung under the engine's dispatching span.
-    """
-    own = {ev["span"] for ev in result.trace_events}
-
-    def remap(span_id: Any) -> Any:
-        if span_id in own:
-            return f"shard{result.shard}:{span_id}"
-        return parent_span
-
-    for event in result.trace_events:
-        rewritten = dict(event)
-        rewritten["span"] = f"shard{result.shard}:{event['span']}"
-        if "parent" in rewritten:
-            rewritten["parent"] = remap(event["parent"])
-        tracer.emit(rewritten)
 
 
 # ----------------------------------------------------------------------
@@ -546,10 +460,7 @@ def mine_sharded(
     miner = PTPMiner.from_config(config)
     threshold = float(db.absolute_support(config.min_sup))
     weights = [1.0] * len(db)
-    registry = obs_metrics.active_registry()
-    tracer = obs_trace.active_tracer()
-    cost = obs_costmodel.active_collector()
-    prov = obs_provenance.active_collector()
+    handles = obs.ObsHandles.active()
     started = obs_clock.now()
     with obs_trace.span(
         "mine",
@@ -612,10 +523,7 @@ def mine_sharded(
                     _init_payload_inline(
                         mining_db,
                         weights,
-                        collect_metrics=registry is not None,
-                        collect_trace=tracer is not None,
-                        collect_cost=cost is not None,
-                        collect_provenance=prov is not None,
+                        handles.kinds(),
                         live_publish=on_frame,
                         live_interval=(
                             collector.config.interval_s
@@ -639,10 +547,7 @@ def mine_sharded(
                         mining_db,
                         weights,
                         workers,
-                        collect_metrics=registry is not None,
-                        collect_trace=tracer is not None,
-                        collect_cost=cost is not None,
-                        collect_provenance=prov is not None,
+                        handles.kinds(),
                         live_queue=live_queue,
                         live_interval=(
                             collector.config.interval_s
@@ -656,20 +561,11 @@ def mine_sharded(
                 for result in sorted(shard_results, key=lambda r: r.shard):
                     patterns.extend(result.patterns)
                     counters.merge(result.counters)
-                    if tracer is not None:
-                        _reemit_shard_trace(tracer, result, parent_span)
-                    if registry is not None and result.metrics:
-                        registry.absorb_snapshot(
-                            result.metrics, prefix="shard."
-                        )
-                    if registry is not None:
-                        registry.gauge(
+                    handles.absorb(result.obs, result.shard, parent_span)
+                    if handles.registry is not None:
+                        handles.registry.gauge(
                             "engine.shard_elapsed_s", shard=result.shard
                         ).set(result.elapsed)
-                    if cost is not None and result.cost:
-                        cost.absorb(result.cost)
-                    if prov is not None and result.provenance:
-                        prov.absorb(result.provenance)
                 patterns.sort(key=PatternWithSupport.sort_key)
         finally:
             if manager is not None:
@@ -679,6 +575,7 @@ def mine_sharded(
                 aggregator.close_log()
                 if collector is not None:
                     collector.summary = aggregator.summary()
+    obs_recorder.run_done(counters)
     if contracts.checking:
         counters.check_consistency()
         miner._oracle_check(db, weights, threshold, patterns)
@@ -690,7 +587,7 @@ def mine_sharded(
         elapsed=elapsed,
         counters=counters,
         metrics=_run_snapshot(
-            registry,
+            handles.registry,
             counters,
             patterns=len(patterns),
             elapsed=elapsed,
@@ -711,25 +608,20 @@ def mine_sharded(
 def _init_payload_inline(
     db: ESequenceDatabase,
     weights: Sequence[float],
+    kinds: dict[str, bool],
     *,
-    collect_metrics: bool,
-    collect_trace: bool,
-    collect_cost: bool = False,
-    collect_provenance: bool = False,
     live_publish: Optional[Callable[[dict[str, Any]], None]] = None,
     live_interval: float = 0.5,
 ) -> None:
-    """Serial-executor payload setup (no obs silencing: same process).
+    """Payload setup; the serial executor's, and each pool worker's.
 
-    ``live_publish`` feeds frames straight to the parent aggregator —
-    the serial path has no queue; the callback is invoked inline.
+    ``live_publish`` feeds frames to the parent aggregator: inline on
+    the serial path, which has no queue; a manager-queue ``put`` in a
+    pool worker.
     """
     _WORKER_PAYLOAD["db"] = db
     _WORKER_PAYLOAD["weights"] = list(weights)
-    _WORKER_PAYLOAD["collect_metrics"] = collect_metrics
-    _WORKER_PAYLOAD["collect_trace"] = collect_trace
-    _WORKER_PAYLOAD["collect_cost"] = collect_cost
-    _WORKER_PAYLOAD["collect_provenance"] = collect_provenance
+    _WORKER_PAYLOAD["kinds"] = kinds
     _WORKER_PAYLOAD["live_publish"] = live_publish
     _WORKER_PAYLOAD["live_interval"] = live_interval
 

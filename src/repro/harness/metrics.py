@@ -5,22 +5,22 @@ tracking (``tracemalloc``), returning a flat :class:`RunMetrics` record
 the table/figure renderers consume. Peak memory is the *additional* bytes
 allocated during the call — the quantity the paper's memory figure plots
 (the candidate sets / projected databases), not the interpreter baseline.
-Timing flows through the injectable :mod:`repro.obs.clock`, and
-``collect_obs=True`` installs a fresh metrics registry for the call so
-sweeps can attach per-run observability snapshots to their rows.
+Timing flows through the injectable :mod:`repro.obs.clock`, and the
+``collect_*`` flags install fresh collectors for the call through one
+:func:`repro.obs.observe` scope so sweeps can attach per-run
+observability snapshots to their rows.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro import obs as _obs
 from repro.obs import clock as _obs_clock
-from repro.obs import costmodel as _obs_costmodel
 from repro.obs import live as _obs_live
-from repro.obs import metrics as _obs_metrics
-from repro.obs import provenance as _obs_provenance
 
 __all__ = ["RunMetrics", "measure"]
 
@@ -95,27 +95,23 @@ def measure(
 
     ``track_memory=False`` skips tracemalloc (which itself slows
     allocation-heavy code noticeably) for pure-runtime experiments;
-    ``peak_mem_bytes`` is then ``None``, not ``0``. ``collect_obs=True``
-    scopes a fresh :class:`~repro.obs.metrics.MetricsRegistry` around the
-    call and returns its snapshot in :attr:`RunMetrics.obs`.
-    ``collect_profile=True`` additionally scopes a per-phase
+    ``peak_mem_bytes`` is then ``None``, not ``0``. ``collect_obs``,
+    ``collect_cost`` and ``collect_provenance`` install a fresh
+    :class:`~repro.obs.metrics.MetricsRegistry`,
+    :class:`~repro.obs.costmodel.CostCollector` and
+    :class:`~repro.obs.provenance.ProvenanceCollector` around the call
+    in one :func:`repro.obs.observe` scope and return their snapshots in
+    :attr:`RunMetrics.obs`, :attr:`RunMetrics.cost_profile` and
+    :attr:`RunMetrics.provenance`; sharded callables merge worker
+    snapshots into them through the engine, bit-for-bit equal to a
+    serial run's. ``collect_profile=True`` scopes a per-phase
     :class:`~repro.obs.profile.PhaseProfiler` (memory attribution on iff
-    ``track_memory``) and returns its serialised report in
+    ``track_memory``) outside those and returns its serialised report in
     :attr:`RunMetrics.profile`. ``collect_live=True`` scopes a silent
-    (``render=False``) live telemetry collector around the call — if the
-    callable runs :func:`repro.engine.mine_sharded`, the engine streams
-    shard heartbeats into it and :attr:`RunMetrics.live_summary` carries
-    the final lane summary (shard imbalance, stragglers); callables that
-    never hit the engine leave it ``None``. ``collect_cost=True`` scopes
-    a fresh :class:`~repro.obs.costmodel.CostCollector` around the call
-    and returns its snapshot in :attr:`RunMetrics.cost_profile` —
-    sharded callables merge worker snapshots into it through the engine,
-    so the profile is identical to a serial run's.
-    ``collect_provenance=True`` scopes a fresh
-    :class:`~repro.obs.provenance.ProvenanceCollector` the same way and
-    returns its snapshot in :attr:`RunMetrics.provenance` — the engine
-    merges worker snapshots order-independently, so sharded provenance
-    is bit-for-bit equal to a serial run's.
+    (``render=False``) live telemetry collector — if the callable runs
+    :func:`repro.engine.mine_sharded`, :attr:`RunMetrics.live_summary`
+    carries the final lane summary (shard imbalance, stragglers), else
+    ``None``.
 
     Measurement hygiene — how the flags interact:
 
@@ -156,120 +152,56 @@ def measure(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if collect_profile:
-        from repro.obs.profile import profile_scope
+    profiler = None
+    live_collector = None
+    # Outermost first: the profiler wraps everything, the collectors
+    # wrap the live scope, and the tracemalloc window is innermost.
+    with ExitStack() as stack:
+        if collect_profile:
+            from repro.obs.profile import profile_scope
 
-        with profile_scope(memory=track_memory) as profiler:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_obs=collect_obs,
-                collect_live=collect_live,
-                collect_cost=collect_cost,
-                collect_provenance=collect_provenance,
-                fingerprint=fingerprint,
-                plan=plan,
+            profiler = stack.enter_context(profile_scope(memory=track_memory))
+        handles = stack.enter_context(
+            _obs.observe(
+                metrics=collect_obs or None,
+                cost=collect_cost or None,
+                provenance=collect_provenance or None,
             )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            inner.obs,
-            profiler.report().as_dict(),
-            workers,
-            inner.live_summary,
-            cost_profile=inner.cost_profile,
-            config_fingerprint=fingerprint,
-            provenance=inner.provenance,
-            plan=plan,
         )
-    if collect_obs:
-        with _obs_metrics.use_registry() as registry:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_live=collect_live,
-                collect_cost=collect_cost,
-                collect_provenance=collect_provenance,
-                fingerprint=fingerprint,
-                plan=plan,
+        if collect_live:
+            live_collector = stack.enter_context(
+                _obs_live.use_live(_obs_live.LiveConfig(render=False))
             )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            registry.snapshot(),
-            workers=workers,
-            live_summary=inner.live_summary,
-            cost_profile=inner.cost_profile,
-            config_fingerprint=fingerprint,
-            provenance=inner.provenance,
-            plan=plan,
-        )
-    if collect_cost:
-        with _obs_costmodel.use_collector() as cost_collector:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_live=collect_live,
-                collect_provenance=collect_provenance,
-                fingerprint=fingerprint,
-                plan=plan,
-            )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            workers=workers,
-            live_summary=inner.live_summary,
-            cost_profile=cost_collector.snapshot(),
-            config_fingerprint=fingerprint,
-            provenance=inner.provenance,
-            plan=plan,
-        )
-    if collect_provenance:
-        with _obs_provenance.use_collector() as prov_collector:
-            inner = measure(
-                fn,
-                track_memory=track_memory,
-                collect_live=collect_live,
-                fingerprint=fingerprint,
-                plan=plan,
-            )
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            workers=workers,
-            live_summary=inner.live_summary,
-            config_fingerprint=fingerprint,
-            provenance=prov_collector.snapshot(),
-            plan=plan,
-        )
-    if collect_live:
-        live_config = _obs_live.LiveConfig(render=False)
-        with _obs_live.use_live(live_config) as live_collector:
-            inner = measure(fn, track_memory=track_memory)
-        return RunMetrics(
-            inner.result,
-            inner.elapsed_s,
-            inner.peak_mem_bytes,
-            workers=workers,
-            live_summary=live_collector.summary,
-            config_fingerprint=fingerprint,
-            plan=plan,
-        )
+        result, elapsed, peak_mem = _run_measured(fn, track_memory)
+    return RunMetrics(
+        result,
+        elapsed,
+        peak_mem,
+        handles.registry.snapshot() if handles.registry is not None else None,
+        profiler.report().as_dict() if profiler is not None else None,
+        workers,
+        live_collector.summary if live_collector is not None else None,
+        cost_profile=(
+            handles.cost.snapshot() if handles.cost is not None else None
+        ),
+        config_fingerprint=fingerprint,
+        provenance=(
+            handles.provenance.snapshot()
+            if handles.provenance is not None
+            else None
+        ),
+        plan=plan,
+    )
+
+
+def _run_measured(
+    fn: Callable[[], Any], track_memory: bool
+) -> tuple[Any, float, Optional[int]]:
+    """Call ``fn``: its result, wall seconds and peak heap growth."""
     if not track_memory:
         started = _obs_clock.now()
         result = fn()
-        return RunMetrics(
-            result,
-            _obs_clock.now() - started,
-            None,
-            workers=workers,
-            config_fingerprint=fingerprint,
-            plan=plan,
-        )
+        return result, _obs_clock.now() - started, None
     already_tracing = tracemalloc.is_tracing()
     if not already_tracing:
         tracemalloc.start()
@@ -283,11 +215,4 @@ def measure(
     finally:
         if not already_tracing:
             tracemalloc.stop()
-    return RunMetrics(
-        result,
-        elapsed,
-        max(0, peak - base),
-        workers=workers,
-        config_fingerprint=fingerprint,
-        plan=plan,
-    )
+    return result, elapsed, max(0, peak - base)

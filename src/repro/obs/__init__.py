@@ -33,6 +33,9 @@ Submodules
     candidate the prune site/level/root, merged deterministically
     across shards (CLI ``mine --provenance``, ``ptpminer explain`` /
     ``why-not`` / ``diff --patterns``).
+:mod:`repro.obs.recorder`
+    The one path from P-TPMiner's search to every collector above: one
+    recorder per search, the only caller of ``record_*`` methods.
 :mod:`repro.obs.seam`
     The :class:`~repro.obs.seam.CollectorSeam` primitive behind every
     module-global sink (metrics, costmodel, provenance): ``active()``,
@@ -74,17 +77,17 @@ Enabling
 >>> sorted(handles.registry.snapshot())
 ['counters', 'gauges', 'histograms']
 
-or install pieces individually with ``metrics.use_registry(...)``,
-``trace.use_tracer(...)``, ``progress.use_reporter(...)``. The CLI flags
-``--trace``, ``--metrics-out`` and ``--progress`` wrap the same calls.
+:func:`observe` also takes ``tracer``, ``reporter``, ``cost`` and
+``provenance``; the CLI, ``harness.measure()`` and the engine's shard
+runner all install through it. Each module's ``use_*()`` installs one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from repro.obs import (
     clock,
@@ -152,11 +155,99 @@ def is_active() -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ObsHandles:
-    """What :func:`observe` installed for the duration of its scope."""
+    """A bundle of collectors: what :func:`observe` installed.
 
-    registry: Optional[MetricsRegistry]
-    tracer: Optional[trace.Tracer]
-    reporter: Optional[ProgressReporter]
+    A sharded run moves through one bundle: the parent reads
+    :meth:`active` and ships :meth:`kinds` to its workers, each shard
+    searches under ``observe(**kinds)`` and ships :meth:`snapshot` home,
+    and the parent folds each in with one :meth:`absorb` call.
+    """
+
+    registry: Optional[MetricsRegistry] = None
+    tracer: Optional[trace.Tracer] = None
+    reporter: Optional[ProgressReporter] = None
+    cost: Optional[CostCollector] = None
+    provenance: Optional[ProvenanceCollector] = None
+
+    @classmethod
+    def active(cls) -> "ObsHandles":
+        """The collectors installed right now."""
+        return cls(*(active() for _factory, _install, active in _KINDS))
+
+    def kinds(self) -> dict[str, bool]:
+        """:func:`observe` arguments for fresh collectors of these kinds.
+
+        Every other kind is turned off — progress always, since only the
+        parent reports it. Plain booleans, so a shard's scope pickles.
+        """
+        return {
+            "metrics": self.registry is not None,
+            "tracer": self.tracer is not None,
+            "reporter": False,
+            "cost": self.cost is not None,
+            "provenance": self.provenance is not None,
+        }
+
+    def snapshot(self) -> dict[str, Any]:
+        """Every held collector's snapshot, keyed by kind (JSON-able)."""
+        out: dict[str, Any] = {}
+        if self.registry is not None:
+            out["metrics"] = self.registry.snapshot()
+        if isinstance(self.tracer, TraceCollector):
+            out["trace"] = self.tracer.events
+        if self.cost is not None:
+            out["cost"] = self.cost.snapshot()
+        if self.provenance is not None:
+            out["provenance"] = self.provenance.snapshot()
+        return out
+
+    def absorb(
+        self,
+        snapshot: Mapping[str, Any],
+        shard: int,
+        parent_span: Optional[int],
+    ) -> None:
+        """Fold one shard's :meth:`snapshot` into these collectors.
+
+        Trace events are re-emitted with span ids rewritten to
+        ``"shard<i>:<id>"``, and parent links to spans the shard did not
+        open — ``None`` roots, or stale ids inherited through ``fork`` —
+        re-hung under ``parent_span``, so the trace stays one tree.
+        Metrics are absorbed under the ``shard.`` prefix; cost and
+        provenance merge as keyed unions over disjoint roots.
+        """
+        events = snapshot.get("trace", ())
+        if self.tracer is not None and events:
+            own = {event["span"] for event in events}
+            for event in events:
+                rewritten = dict(event)
+                rewritten["span"] = f"shard{shard}:{event['span']}"
+                if "parent" in rewritten:
+                    parent = event["parent"]
+                    rewritten["parent"] = (
+                        f"shard{shard}:{parent}" if parent in own
+                        else parent_span
+                    )
+                self.tracer.emit(rewritten)
+        if self.registry is not None and "metrics" in snapshot:
+            self.registry.absorb_snapshot(snapshot["metrics"], prefix="shard.")
+        if self.cost is not None and "cost" in snapshot:
+            self.cost.absorb(snapshot["cost"])
+        if self.provenance is not None and "provenance" in snapshot:
+            self.provenance.absorb(snapshot["provenance"])
+
+
+#: ``(factory, install, active)`` per kind, in :func:`observe`'s
+#: argument order (metrics, tracer, reporter, cost, provenance).
+_KINDS: tuple[
+    tuple[Callable[[], Any], Callable[[Any], None], Callable[[], Any]], ...
+] = (
+    (MetricsRegistry, metrics.set_registry, metrics.active_registry),
+    (TraceCollector, trace.set_tracer, trace.active_tracer),
+    (ProgressReporter, progress.set_reporter, progress.active_reporter),
+    (CostCollector, costmodel.set_collector, costmodel.active_collector),
+    (ProvenanceCollector, provenance.set_collector, provenance.active_collector),
+)
 
 
 @contextmanager
@@ -165,41 +256,35 @@ def observe(
     metrics: Union[MetricsRegistry, bool, None] = None,
     tracer: Union[trace.Tracer, bool, None] = None,
     reporter: Union[ProgressReporter, bool, None] = None,
+    cost: Union[CostCollector, bool, None] = None,
+    provenance: Union[ProvenanceCollector, bool, None] = None,
 ) -> Iterator[ObsHandles]:
     """Install any combination of observability sinks for a scope.
 
-    ``obs.observe(metrics=True)`` installs a fresh registry;
-    ``tracer=True`` installs an in-memory :class:`TraceCollector`;
-    ``reporter=True`` a default stderr :class:`ProgressReporter`.
-    Existing instances may be passed instead of ``True``. Everything is
-    uninstalled (previous sinks restored) on exit.
+    For each kind, ``True`` installs a fresh instance (a
+    :class:`MetricsRegistry`, an in-memory :class:`TraceCollector`, a
+    default stderr :class:`ProgressReporter`, a :class:`CostCollector`,
+    a :class:`ProvenanceCollector`), an instance installs that instance,
+    ``False`` turns the kind off for the scope (shadowing whatever is
+    installed around it), and ``None`` leaves it as it is. Everything is
+    restored on exit. The yielded :class:`ObsHandles` holds what this
+    call installed (``None`` for kinds it left alone or turned off).
     """
-    registry: Optional[MetricsRegistry]
-    if metrics is True:
-        registry = MetricsRegistry()
-    elif metrics is False or metrics is None:
-        registry = None
-    else:
-        registry = metrics
-    trace_sink: Optional[trace.Tracer]
-    if tracer is True:
-        trace_sink = TraceCollector()
-    elif tracer is False or tracer is None:
-        trace_sink = None
-    else:
-        trace_sink = tracer
-    progress_sink: Optional[ProgressReporter]
-    if reporter is True:
-        progress_sink = ProgressReporter()
-    elif reporter is False or reporter is None:
-        progress_sink = None
-    else:
-        progress_sink = reporter
-    with ExitStack() as stack:
-        if registry is not None:
-            stack.enter_context(use_registry(registry))
-        if trace_sink is not None:
-            stack.enter_context(use_tracer(trace_sink))
-        if progress_sink is not None:
-            stack.enter_context(use_reporter(progress_sink))
-        yield ObsHandles(registry, trace_sink, progress_sink)
+    sinks: list[Any] = [
+        factory() if value is True else value
+        for value, (factory, _install, _active) in zip(
+            (metrics, tracer, reporter, cost, provenance), _KINDS
+        )
+    ]
+    previous = [active() for _factory, _install, active in _KINDS]
+    try:
+        for sink, (_factory, install, _active) in zip(sinks, _KINDS):
+            if sink is not None:
+                install(None if sink is False else sink)
+        yield ObsHandles(*(None if sink is False else sink for sink in sinks))
+    finally:
+        for sink, before, (_factory, install, _active) in zip(
+            sinks, previous, _KINDS
+        ):
+            if sink is not None:
+                install(before)

@@ -16,14 +16,16 @@ attributes cost to the two axes the next performance arcs need:
 
 Collection follows the repo's zero-cost-when-disabled discipline
 (`docs/observability.md`): :func:`active_collector` is ``None`` unless a
-:class:`CostCollector` is installed, the search hoists one local, and
-every recording site is guarded by a single ``is not None`` branch.
+:class:`CostCollector` is installed, and the search reaches it only
+through its :mod:`repro.obs.recorder`, which tallies the level funnel
+once per search and folds it in with :meth:`CostCollector.absorb`, and
+records each root subtree with :meth:`CostCollector.record_root`.
 
 Sharding: the parent's ``plan_root`` records the root-level funnel once;
 each worker records the subtrees of its disjoint root subset into a
 private collector, ships :meth:`CostCollector.snapshot` home inside
-``ShardResult`` (the same channel as metrics snapshots), and the parent
-merges with :meth:`CostCollector.absorb`. Because every root lives in
+``ShardResult.obs`` (one snapshot with the shard's other collectors),
+and the parent merges with :meth:`CostCollector.absorb`. Because every root lives in
 exactly one shard and level tallies are plain integer sums, the merged
 profile is bit-for-bit identical to a serial run's for any worker count
 and any shard arrival order (wall times compare equal under a frozen
@@ -44,6 +46,7 @@ from repro.obs.seam import CollectorSeam
 __all__ = [
     "COST_SCHEMA_VERSION",
     "CostCollector",
+    "LEVEL_FIELDS",
     "active_collector",
     "profile_digest",
     "set_collector",
@@ -68,14 +71,14 @@ _ROOT_FIELDS = (
 )
 
 #: Per-level funnel fields, in emission order.
-_LEVEL_FIELDS = ("nodes", "candidates", "frequent", "patterns")
+LEVEL_FIELDS = ("nodes", "candidates", "frequent", "patterns")
 
 
 class CostCollector:
     """Accumulates per-root and per-level search cost.
 
-    The recording methods (``record_*``) are the hot-path surface: plain
-    dict updates, no allocation beyond first touch of a key. Snapshots
+    :meth:`record_root` is the per-root recording surface; the level
+    funnel arrives already tallied, through :meth:`absorb`. Snapshots
     are plain JSON-able dicts so they cross the engine's process
     boundary unchanged.
     """
@@ -85,33 +88,8 @@ class CostCollector:
         self._levels: dict[int, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
-    # hot-path recording
+    # recording
     # ------------------------------------------------------------------
-    def record_node(self, level: int, num_candidates: int) -> None:
-        """One search node at ``level`` gathered ``num_candidates``."""
-        row = self._levels.get(level)
-        if row is None:
-            row = dict.fromkeys(_LEVEL_FIELDS, 0)
-            self._levels[level] = row
-        row["nodes"] += 1
-        row["candidates"] += num_candidates
-
-    def record_frequent(self, level: int) -> None:
-        """One frequent candidate survived the support check at ``level``."""
-        row = self._levels.get(level)
-        if row is None:
-            row = dict.fromkeys(_LEVEL_FIELDS, 0)
-            self._levels[level] = row
-        row["frequent"] += 1
-
-    def record_pattern(self, length: int) -> None:
-        """One pattern of ``length`` tokens was emitted."""
-        row = self._levels.get(length)
-        if row is None:
-            row = dict.fromkeys(_LEVEL_FIELDS, 0)
-            self._levels[length] = row
-        row["patterns"] += 1
-
     def record_root(
         self,
         root: str,
@@ -151,15 +129,17 @@ class CostCollector:
                 for root, entry in sorted(self._roots.items())
             },
             "levels": {
-                str(level): {fld: row[fld] for fld in _LEVEL_FIELDS}
+                str(level): {fld: row[fld] for fld in LEVEL_FIELDS}
                 for level, row in sorted(self._levels.items())
             },
         }
 
     def absorb(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a shipped snapshot in, order-independently.
+        """Fold a snapshot in, order-independently.
 
-        Shard snapshots cover disjoint root subsets, so root entries
+        Takes shard snapshots and the recorder's per-search level funnel
+        (a snapshot with ``levels`` only). Shard snapshots cover
+        disjoint root subsets, so root entries
         are a keyed union (a shared key — e.g. the parent's root-level
         funnel vs. a worker's — accumulates field-wise) and the merged
         result is identical for any arrival order. Iteration is sorted
@@ -182,9 +162,9 @@ class CostCollector:
             level = int(level_key)
             mine_row = self._levels.get(level)
             if mine_row is None:
-                mine_row = dict.fromkeys(_LEVEL_FIELDS, 0)
+                mine_row = dict.fromkeys(LEVEL_FIELDS, 0)
                 self._levels[level] = mine_row
-            for fld in _LEVEL_FIELDS:
+            for fld in LEVEL_FIELDS:
                 mine_row[fld] += int(row.get(fld, 0))
 
 

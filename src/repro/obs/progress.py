@@ -1,9 +1,9 @@
 """Throttled search-progress heartbeats.
 
 A long mining run is a silent depth-first search; this module gives it a
-pulse. The miner calls :meth:`ProgressReporter.tick` once per expanded
-search node (a no-op unless a reporter is installed — the usual
-zero-cost-when-off discipline), and the reporter emits a
+pulse. The search calls :meth:`ProgressReporter.tick` once per expanded
+node and the run calls :meth:`ProgressReporter.finish` once (nothing
+runs unless a reporter is installed), and the reporter emits a
 :class:`ProgressEvent` every ``every_nodes`` nodes *or* every
 ``min_interval_s`` seconds, whichever comes first. Events carry
 ETA-free *rate* statistics (nodes/s, prune rate, patterns found, current
@@ -19,12 +19,13 @@ single stderr lines (what the CLI's ``--progress`` flag does)::
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from repro.obs import clock as _clock
+from repro.obs.seam import CollectorSeam
 
 __all__ = [
     "ProgressEvent",
@@ -118,6 +119,7 @@ class ProgressReporter:
         if due_nodes or due_time:
             self._emit(
                 now,
+                nodes=self._nodes,
                 depth=depth,
                 patterns=patterns,
                 candidates=candidates,
@@ -126,13 +128,19 @@ class ProgressReporter:
             )
 
     def finish(
-        self, *, depth: int, patterns: int, candidates: int, pruned: int
+        self, *, nodes: int, depth: int, patterns: int, candidates: int,
+        pruned: int,
     ) -> None:
-        """Emit the final heartbeat (always fires if any node ticked)."""
+        """Emit the final heartbeat (always fires if any node ticked).
+
+        ``nodes`` is the run's total, not the ticks this reporter saw: a
+        sharded run's workers never tick the parent's reporter.
+        """
         if self._started is None:
             return
         self._emit(
             _clock.now(),
+            nodes=nodes,
             depth=depth,
             patterns=patterns,
             candidates=candidates,
@@ -144,6 +152,7 @@ class ProgressReporter:
         self,
         now: float,
         *,
+        nodes: int,
         depth: int,
         patterns: int,
         candidates: int,
@@ -153,9 +162,9 @@ class ProgressReporter:
         assert self._started is not None
         elapsed = now - self._started
         event = ProgressEvent(
-            nodes=self._nodes,
+            nodes=nodes,
             elapsed_s=elapsed,
-            nodes_per_s=self._nodes / elapsed if elapsed > 0 else 0.0,
+            nodes_per_s=nodes / elapsed if elapsed > 0 else 0.0,
             depth=depth,
             patterns=patterns,
             candidates=candidates,
@@ -172,26 +181,24 @@ class ProgressReporter:
             print(format_event(event), file=stream)
 
 
-_active: Optional[ProgressReporter] = None
+# Installation seam: one shared implementation (repro.obs.seam) behind
+# the module's established public names.
+_seam: CollectorSeam[ProgressReporter] = CollectorSeam(ProgressReporter)
 
 
 def active_reporter() -> Optional[ProgressReporter]:
     """The installed reporter, or ``None`` when progress is off."""
-    return _active
+    return _seam.active()
 
 
 def set_reporter(reporter: Optional[ProgressReporter]) -> None:
     """Install ``reporter`` process-wide (``None`` turns progress off)."""
-    global _active
-    _active = reporter
+    _seam.install(reporter)
 
 
-@contextmanager
-def use_reporter(reporter: ProgressReporter) -> Iterator[ProgressReporter]:
-    """Scope-install a reporter; restores the previous one on exit."""
-    previous = _active
-    set_reporter(reporter)
-    try:
-        yield reporter
-    finally:
-        set_reporter(previous)
+def use_reporter(
+    reporter: Optional[ProgressReporter] = None,
+) -> AbstractContextManager[ProgressReporter]:
+    """Scope-install a reporter (a default stderr one when omitted);
+    restores the previous one on exit."""
+    return _seam.scope(reporter)

@@ -1,13 +1,14 @@
 """The shared collector-installation seam.
 
 Every opt-in observability collector in this package — the metrics
-registry, the cost collector, the provenance collector — hangs off the
-same three-function surface: ``active_*()`` returns the installed
-instance or ``None``, ``set_*()`` installs one process-wide, and
-``use_*()`` scope-installs a fresh (or given) instance and restores the
-previous one on exit. Instrumented code hoists one local per run and
-guards every recording site with a single ``is not None`` branch, so
-the disabled path costs one branch (the :mod:`repro.contracts`
+registry, the progress reporter, the cost collector, the provenance
+collector — hangs off the same three-function surface: ``active_*()``
+returns the installed instance or ``None``, ``set_*()`` installs one
+process-wide, and ``use_*()`` scope-installs a fresh (or given)
+instance and restores the previous one on exit. P-TPMiner's search
+reads them once per search, through :mod:`repro.obs.recorder`, and
+guards every event with a single ``is not None`` branch, so the
+disabled path costs one branch (the :mod:`repro.contracts`
 discipline).
 
 This module is that surface, written once: each collector module owns a
@@ -17,8 +18,8 @@ established public names (``active_registry``/``active_collector``,
 APIs stay exactly as they were.
 
 Workers never inherit a seam's state usefully across a ``fork`` — the
-engine silences inherited collectors in its pool initializer and scopes
-private ones per shard; see :mod:`repro.engine`.
+engine scopes private collectors per shard, shadowing inherited ones;
+see :mod:`repro.engine`.
 """
 
 from __future__ import annotations

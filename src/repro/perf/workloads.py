@@ -24,8 +24,7 @@ Matrices:
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -37,43 +36,10 @@ from repro.model.database import ESequenceDatabase
 
 __all__ = [
     "MATRICES",
-    "MINER_FACTORIES",
     "WorkloadCell",
     "build_database",
     "matrix_cells",
 ]
-
-
-class _DeprecatedFactories(Mapping[str, Callable[[float], Any]]):
-    """Deprecation shim for the old ``MINER_FACTORIES`` dict.
-
-    Miner construction now goes through the :mod:`repro.miners`
-    registry; this keeps old ``MINER_FACTORIES["ptpminer"](0.1)`` call
-    sites working (with a :class:`DeprecationWarning`) until they
-    migrate to ``miners.build(name, min_sup=...)``.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[float], Any]:
-        factory = miners.get(name)  # raises the canonical error
-        warnings.warn(
-            "MINER_FACTORIES is deprecated; use repro.miners.build() "
-            "or repro.miners.get() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return lambda min_sup: factory(MinerConfig(min_sup=min_sup))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(miners.available())
-
-    def __len__(self) -> int:
-        return len(miners.available())
-
-
-#: Deprecated: miner key -> factory taking the cell's min_sup.
-MINER_FACTORIES: Mapping[str, Callable[[float], Any]] = (
-    _DeprecatedFactories()
-)
 
 
 @dataclass(frozen=True, slots=True)

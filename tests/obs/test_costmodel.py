@@ -21,11 +21,17 @@ def canonical(snapshot):
     return json.dumps(snapshot, sort_keys=True)
 
 
+def funnel(level, **row):
+    """A snapshot carrying one level-funnel row, as the search's
+    recorder folds its per-level tally in."""
+    return {"schema": costmodel.COST_SCHEMA_VERSION, "levels": {str(level): row}}
+
+
 def make_snapshot(root, *, wall_s=0.5, states=3, patterns=1, level=1):
     collector = costmodel.CostCollector()
-    collector.record_node(level, 4)
-    collector.record_frequent(level)
-    collector.record_pattern(level)
+    collector.absorb(
+        funnel(level, nodes=1, candidates=4, frequent=1, patterns=1)
+    )
     before = {"states_created": 0, "patterns_emitted": 0}
     after = {"states_created": states, "patterns_emitted": patterns}
     collector.record_root(root, wall_s, before, after)
@@ -94,8 +100,7 @@ class TestCostCollector:
 
     def test_absorb_matches_direct_recording(self):
         direct = costmodel.CostCollector()
-        direct.record_node(1, 3)
-        direct.record_frequent(1)
+        direct.absorb(funnel(1, nodes=1, candidates=3, frequent=1))
         direct.record_root("x+", 0.5, {}, {"states_created": 2})
 
         shipped = costmodel.CostCollector()

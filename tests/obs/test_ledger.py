@@ -64,8 +64,12 @@ def entry(
 
 def cost_snapshot(states=3):
     collector = costmodel.CostCollector()
-    collector.record_node(1, 2)
-    collector.record_frequent(1)
+    collector.absorb(
+        {
+            "schema": costmodel.COST_SCHEMA_VERSION,
+            "levels": {"1": {"nodes": 1, "candidates": 2, "frequent": 1}},
+        }
+    )
     collector.record_root("e0+", 0.1, {}, {"states_created": states})
     return collector.snapshot()
 

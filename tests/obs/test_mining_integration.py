@@ -178,3 +178,56 @@ class TestObserveHelper:
             assert handles.tracer is None
             assert handles.reporter is None
             assert not obs.is_active()
+
+    def test_observe_installs_cost_and_provenance(self, db):
+        with obs.observe(cost=True, provenance=True) as handles:
+            assert obs.costmodel.active_collector() is handles.cost
+            assert obs.provenance.active_collector() is handles.provenance
+            PTPMiner(0.3).mine(db)
+        assert obs.costmodel.active_collector() is None
+        assert obs.provenance.active_collector() is None
+        assert handles.cost.snapshot()["levels"]
+        assert handles.provenance.snapshot()["patterns"]
+
+    def test_false_shadows_an_enclosing_sink_for_the_scope(self):
+        with obs.observe(metrics=True, reporter=True) as outer:
+            with obs.observe(metrics=False, reporter=False) as inner:
+                assert inner.registry is None and inner.reporter is None
+                assert obs.metrics.active_registry() is None
+                assert obs.progress.active_reporter() is None
+            assert obs.metrics.active_registry() is outer.registry
+            assert obs.progress.active_reporter() is outer.reporter
+
+
+class TestObsHandles:
+    def test_active_reads_every_installed_kind(self):
+        with obs.observe(
+            metrics=True, tracer=True, reporter=True, cost=True,
+            provenance=True,
+        ) as handles:
+            assert obs.ObsHandles.active() == handles
+        assert obs.ObsHandles.active() == obs.ObsHandles()
+
+    def test_kinds_turn_progress_off_and_round_trip_a_shard(self, db):
+        with obs.observe(metrics=True, tracer=True, cost=True) as parent:
+            kinds = parent.kinds()
+            assert kinds == {
+                "metrics": True, "tracer": True, "reporter": False,
+                "cost": True, "provenance": False,
+            }
+            with obs.observe(**kinds) as shard:
+                assert shard.registry is not parent.registry
+                PTPMiner(0.3).mine(db)
+            snapshot = shard.snapshot()
+            assert set(snapshot) == {"metrics", "trace", "cost"}
+            parent.absorb(snapshot, 3, parent_span=None)
+        counters = parent.registry.snapshot()["counters"]
+        assert any(key.startswith("shard.search.") for key in counters)
+        assert parent.cost.snapshot() == shard.cost.snapshot()
+        spans = [event["span"] for event in parent.tracer.events]
+        assert spans and all(str(span).startswith("shard3:") for span in spans)
+        roots = [
+            event for event in parent.tracer.events
+            if event["ev"] == "B" and event["parent"] is None
+        ]
+        assert roots  # the shard's own root spans hang under parent_span

@@ -49,15 +49,18 @@ class TestThrottling:
         )
         with clock_scope(ManualClock()):
             tick_n(reporter, 3)
-            reporter.finish(depth=0, patterns=2, candidates=10, pruned=4)
+            reporter.finish(
+                nodes=3, depth=0, patterns=2, candidates=10, pruned=4
+            )
         assert len(events) == 1
         assert events[0].final is True
+        assert events[0].nodes == 3
         assert reporter.events_emitted == 1
 
     def test_finish_without_ticks_is_silent(self):
         events = []
         reporter = ProgressReporter(events.append)
-        reporter.finish(depth=0, patterns=0, candidates=0, pruned=0)
+        reporter.finish(nodes=0, depth=0, patterns=0, candidates=0, pruned=0)
         assert events == []
 
     def test_rejects_bad_configuration(self):

@@ -337,29 +337,6 @@ class TestParallelCells:
         assert parallel_row["cell"].endswith("/w2")
 
 
-class TestDeprecatedFactories:
-    def test_lookup_warns_but_still_builds(self):
-        from repro.perf.workloads import MINER_FACTORIES
-
-        with pytest.warns(DeprecationWarning, match="MINER_FACTORIES"):
-            factory = MINER_FACTORIES["ptpminer"]
-        miner = factory(0.4)
-        assert miner.config.min_sup == 0.4
-
-    def test_mapping_surface_matches_registry(self):
-        from repro import miners
-        from repro.perf.workloads import MINER_FACTORIES
-
-        assert set(MINER_FACTORIES) == set(miners.available())
-        assert len(MINER_FACTORIES) == len(miners.available())
-
-    def test_unknown_name_raises_canonical_error(self):
-        from repro.perf.workloads import MINER_FACTORIES
-
-        with pytest.raises(ValueError, match="unknown miner"):
-            MINER_FACTORIES["nope"]
-
-
 class TestLedgerGlue:
     def test_append_report_to_ledger_one_entry_per_cell(
         self, tiny_report, tmp_path

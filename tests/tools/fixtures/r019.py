@@ -1,15 +1,12 @@
-"""R019 fixture: provenance records flow only through the seam.
+"""R019 fixture: collector records flow only through the search recorder.
 
 Linted under the synthetic path ``src/repro/core/demo19.py`` so the
-production pass scoping (every non-test repro module except
-``repro.obs.provenance`` itself) applies directly.
+production pass scoping (every non-test repro module outside
+``repro.obs.recorder``) applies directly.
 """
 
-from repro.obs.provenance import (
-    ProvenanceCollector,
-    active_collector,
-    use_collector,
-)
+from repro.obs import costmodel
+from repro.obs.provenance import ProvenanceCollector, active_collector
 
 
 def bad_inline_construction(pattern):
@@ -18,12 +15,12 @@ def bad_inline_construction(pattern):
     )
 
 
-def bad_ad_hoc_instance(pattern, sids):
-    collector = ProvenanceCollector()
-    collector.record_emitted(  # expect: R019
-        pattern, 3.0, sids, {}, root="A+", level=2
-    )
-    return collector.snapshot()
+def bad_hoisted_seam_local(pattern, sids):
+    prov = active_collector()
+    if prov is not None:
+        prov.record_emitted(  # expect: R019
+            pattern, 3.0, sids, {}, root="A+", level=2
+        )
 
 
 def bad_attribute_receiver(self_like, label):
@@ -32,13 +29,18 @@ def bad_attribute_receiver(self_like, label):
     )
 
 
-def ok_hoisted_active(pattern):
-    prov = active_collector()
-    if prov is not None:
-        prov.record_pruned(pattern, site="pair", level=2, root="A+")
+def bad_cost_root(before, after):
+    cost = costmodel.active_collector()
+    if cost is not None:
+        cost.record_root("A+", 0.0, before, after)  # expect: R019
 
 
-def ok_scoped_use(pattern, sids):
-    with use_collector() as prov:
-        prov.record_emitted(pattern, 3.0, sids, {}, root="A+", level=2)
-        return prov.snapshot()
+def ok_recorder_event(rec, cand):
+    if rec is not None:
+        rec.pruned("pair", 2, cand, threshold=3.0)
+
+
+def ok_snapshot_and_merge(shard_snapshot):
+    collector = ProvenanceCollector()
+    collector.absorb(shard_snapshot)
+    return collector.snapshot()

@@ -87,6 +87,13 @@ class TestFixtures:
         got = {(v.line, v.code) for v in found if v.code == "R017"}
         assert got == expected_markers(source)
 
+    def test_r019_exempts_the_recorder_module(self):
+        # The same record_* calls are the recorder's job: linted as
+        # repro.obs.recorder, the R019 fixture raises nothing.
+        source = (FIXTURE_DIR / "r019.py").read_text()
+        found = deep_findings("src/repro/obs/recorder.py", source)
+        assert [v for v in found if v.code == "R019"] == []
+
     def test_fixture_files_lint_clean_in_shallow_repo_gate(self):
         # The physical fixture files live under tests/ and are swept by
         # `make repro-lint`; their deliberate violations must be either

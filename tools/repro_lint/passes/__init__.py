@@ -18,8 +18,8 @@ from tools.repro_lint.passes.boundary import BoundaryPass
 from tools.repro_lint.passes.coverage import CoveragePass
 from tools.repro_lint.passes.determinism import DeterminismPass
 from tools.repro_lint.passes.ledger import LedgerPass
-from tools.repro_lint.passes.provenance import ProvenancePass
 from tools.repro_lint.passes.purity import PurityPass
+from tools.repro_lint.passes.recorder import RecorderPass
 from tools.repro_lint.passes.suppressions import SUPPRESSION_RULES, audit
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
     "CoveragePass",
     "DeterminismPass",
     "LedgerPass",
-    "ProvenancePass",
     "PurityPass",
+    "RecorderPass",
 ]
 
 #: Graph passes in execution order. R017 (suppression audit) is not in
@@ -42,7 +42,7 @@ ALL_PASSES = (
     PurityPass(),
     CoveragePass(),
     LedgerPass(),
-    ProvenancePass(),
+    RecorderPass(),
 )
 
 #: code -> one-line summary for every deep rule, R017 included. The

@@ -42,7 +42,7 @@ __all__ = ["DeterminismPass", "MERGE_MODULES", "MERGE_SEEDS"]
 #: these (within :data:`MERGE_MODULES`) is held to order-insensitivity.
 MERGE_SEEDS = (
     "repro.engine.mine_sharded",
-    "repro.engine._reemit_shard_trace",
+    "repro.obs.ObsHandles.absorb",
     "repro.core.pruning.PruneCounters.merge",
     "repro.core.pruning.PruneCounters.publish",
     "repro.obs.metrics.MetricsRegistry.absorb",
@@ -62,6 +62,7 @@ MERGE_SEEDS = (
 #: bit-for-bit equivalence tests directly.
 MERGE_MODULES = (
     "repro.engine",
+    "repro.obs",
     "repro.core.pruning",
     "repro.obs.metrics",
     "repro.obs.live",
