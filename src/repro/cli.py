@@ -148,6 +148,7 @@ from repro.io import (
     write_patterns,
     write_spmf,
 )
+from repro.model.database import ESequenceDatabase
 
 __all__ = ["build_parser", "main"]
 
@@ -252,10 +253,16 @@ def _live_requested(args: argparse.Namespace) -> bool:
     return bool(getattr(args, "live", False) or getattr(args, "live_log", None))
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
-    fmt = _infer_format(args.input, args.format)
-    db = _READERS[fmt](args.input)
-    if args.mode == "tp":
+def _read_input(args: argparse.Namespace) -> ESequenceDatabase | None:
+    """The database ``args.input`` holds, or ``None`` after printing
+    ``error: ...`` when it cannot be read. With ``--mode tp``, point
+    events are stripped (with a note)."""
+    try:
+        db = _READERS[_infer_format(args.input, args.format)](args.input)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if getattr(args, "mode", None) == "tp":
         stripped = db.without_point_events()
         if len(stripped) != len(db) or any(
             seq.has_point_events for seq in db
@@ -263,6 +270,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print("note: point events stripped for tp mode "
                   "(use --mode htp to keep them)", file=sys.stderr)
             db = stripped
+    return db
+
+
+def _cmd_mine(args: argparse.Namespace) -> int:
+    db = _read_input(args)
+    if db is None:
+        return 2
     if args.top_k and args.miner != "ptpminer":
         print("--top-k requires the ptpminer miner", file=sys.stderr)
         return 2
@@ -344,6 +358,16 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                     if args.progress
                     else None
                 ),
+                live=(
+                    obs.LiveCollector(
+                        obs.LiveConfig(
+                            interval_s=args.live_interval,
+                            log_path=args.live_log,
+                        )
+                    )
+                    if _live_requested(args)
+                    else None
+                ),
                 cost=collect_cost or None,
                 provenance=bool(args.provenance) or None,
             )
@@ -354,15 +378,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             from repro.obs.profile import profile_scope
 
             profiler = stack.enter_context(profile_scope(memory=True))
-        if _live_requested(args):
-            stack.enter_context(
-                obs.live.use_live(
-                    obs.LiveConfig(
-                        interval_s=args.live_interval,
-                        log_path=args.live_log,
-                    )
-                )
-            )
         if args.top_k:
             assert isinstance(miner, PTPMiner)  # guarded above
             result = miner.mine_top_k(db, args.top_k)
@@ -492,16 +507,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.obs import planner as obs_planner
 
-    fmt = _infer_format(args.input, args.format)
-    db = _READERS[fmt](args.input)
-    if args.mode == "tp":
-        stripped = db.without_point_events()
-        if len(stripped) != len(db) or any(
-            seq.has_point_events for seq in db
-        ):
-            print("note: point events stripped for tp mode "
-                  "(use --mode htp to keep them)", file=sys.stderr)
-            db = stripped
+    db = _read_input(args)
+    if db is None:
+        return 2
     config = MinerConfig(min_sup=args.min_sup, mode=args.mode)
     try:
         plan = obs_planner.build_plan(
@@ -796,8 +804,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    fmt = _infer_format(args.input, args.format)
-    db = _READERS[fmt](args.input)
+    db = _read_input(args)
+    if db is None:
+        return 2
     row = {"dataset": db.name or args.input}
     row.update(db.stats().as_row())
     print(render_table([row]))

@@ -394,62 +394,33 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
         candidates: RootCandidates,
-        *,
-        on_root: Optional[
-            Callable[[int, int, int, dict[str, int]], None]
-        ] = None,
     ) -> tuple[list[PatternWithSupport], PruneCounters]:
         """Expand a shard of root candidates: the worker half of sharding.
 
         ``mining_db`` must be the (already point-pruned) database
         returned by :meth:`plan_root` and ``candidates`` a subset of its
-        root candidate map. Re-encodes locally (cheap, and avoids
-        shipping encoded structures across process boundaries), skips
-        point pruning and root-node accounting — both already accounted
-        by the parent — and returns this shard's unsorted patterns plus
-        its share of the counters.
+        root candidate map. Skips point pruning and root-node accounting
+        — both already accounted by the parent — and returns this
+        shard's unsorted patterns plus its share of the counters.
 
-        ``on_root`` is the live-telemetry hook
-        (:mod:`repro.obs.live`): when given, it is invoked after each
-        root candidate's subtree completes with ``(roots_done,
-        roots_total, patterns_found, cumulative_counter_totals)``. The
-        candidates are then expanded one :meth:`_search` call each — in
-        the same canonical sorted order the single-call search uses, and
-        subtree accounting is independent across root candidates, so
-        patterns and counters stay bit-for-bit identical to the
-        ``on_root=None`` fast path (which itself is byte-identical to
-        the pre-live code: one branch on a ``None``).
+        Every call re-encodes the database and rebuilds the pair tables,
+        work the parent has already done: on the benchmark's
+        hybrid-sharded workload that is about 30% of a serial mine, paid
+        again in each worker.
         """
         counters = PruneCounters()
         _, encoded, pairs = self._prepare(
             mining_db, weights, threshold, counters, point_prune=False
         )
         with obs_trace.span("search", shard_candidates=len(candidates)):
-            if on_root is None:
-                patterns = self._search(
-                    encoded,
-                    weights,
-                    [float(threshold)],
-                    pairs,
-                    counters,
-                    root_candidates=candidates,
-                )
-            else:
-                patterns = []
-                ordered = sorted(candidates)
-                total = len(ordered)
-                for done, cand in enumerate(ordered, start=1):
-                    patterns.extend(
-                        self._search(
-                            encoded,
-                            weights,
-                            [float(threshold)],
-                            pairs,
-                            counters,
-                            root_candidates={cand: candidates[cand]},
-                        )
-                    )
-                    on_root(done, total, len(patterns), counters.as_dict())
+            patterns = self._search(
+                encoded,
+                weights,
+                [float(threshold)],
+                pairs,
+                counters,
+                root_candidates=candidates,
+            )
         return patterns, counters
 
     def mine_top_k(
@@ -1065,6 +1036,8 @@ class PTPMiner:
                             support=_tidy(weight),
                             threshold=threshold_box[0],
                         )
+                        if at_root:
+                            rec.root_done()
                     continue
                 ext, sym, pocc = cand
                 kind = sym % 3

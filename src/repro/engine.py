@@ -57,17 +57,23 @@ sends the run's one final progress heartbeat from the merged counters.
 
 Live telemetry
 --------------
-``mine_sharded(live=...)`` (or an installed
-:func:`repro.obs.live.use_live` scope — what the CLI's ``--live`` and
-the harness's ``collect_live=True`` use) streams worker heartbeats to
-the parent **during** the run over the :mod:`repro.obs.live` bus:
-workers publish throttled frames from a per-root-candidate hook, the
-parent drains them from its result-collection loop (a ``multiprocessing``
-manager queue for the process executor, a direct callback for the
-serial one), and a :class:`~repro.obs.live.LiveAggregator` merges them
-into per-shard lanes with a global ETA and straggler callouts. The bus
-is never constructed unless live mode is requested — the disabled path
-costs one ``None`` check per run.
+With a :class:`~repro.obs.live.LiveCollector` installed
+(``obs.observe(live=...)`` — what the CLI's ``--live`` and the
+harness's ``collect_live=True`` use), worker heartbeats stream to the
+parent **during** the run over the :mod:`repro.obs.live` bus: each
+shard searches with a :class:`~repro.obs.live.LiveSink` installed, the
+search recorder reports every finished root candidate to it, the sink
+publishes throttled frames, and the parent feeds them to
+:func:`repro.obs.live.aggregate` from its result-collection loop (a
+``multiprocessing`` manager queue for the process executor, a direct
+callback for the serial one). The bus is never constructed unless a
+collector is installed.
+
+Shard failures
+--------------
+A shard that raises, or whose worker process dies, fails the whole run
+with a :class:`RuntimeError` naming the shard index and its root
+candidates, chained from the original exception.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ import multiprocessing
 import queue as _queue
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from repro import contracts, obs
 from repro.core.config import SHARD_STRATEGIES, MinerConfig
@@ -253,41 +260,18 @@ def plan_shards(
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: Per-worker-process payload installed by :func:`_init_worker`.
+#: Per-worker-process payload installed by :func:`_init_payload_inline`.
 _WORKER_PAYLOAD: dict[str, Any] = {}
 
-
-def _init_worker(
-    db: ESequenceDatabase,
-    weights: Sequence[float],
-    kinds: dict[str, bool],
-    live_queue: Optional[Any] = None,
-    live_interval: float = 0.5,
-) -> None:
-    """Pool initializer: receive the database once, silence inherited live.
-
-    ``kinds`` (:meth:`repro.obs.ObsHandles.kinds`) is what every shard
-    installs around its search in :func:`_run_shard`; that scope also
-    shadows any collector a forked child inherited. ``live_queue`` (a
-    manager-queue proxy, present only in live mode) is where the
-    worker's :class:`~repro.obs.live.LiveSink` publishes heartbeat
-    frames.
-    """
-    obs_live.set_live(None)
-    _init_payload_inline(
-        db,
-        weights,
-        kinds,
-        live_publish=None if live_queue is None else live_queue.put,
-        live_interval=live_interval,
-    )
+#: Receives one live frame (a :meth:`repro.obs.live.LiveFrame.as_dict`).
+_OnFrame = Callable[[dict[str, Any]], None]
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
     """Expand one shard (runs inside a worker process, or in-process)."""
     db: ESequenceDatabase = _WORKER_PAYLOAD["db"]
     weights: list[float] = _WORKER_PAYLOAD["weights"]
-    publish = _WORKER_PAYLOAD.get("live_publish")
+    publish: Optional[_OnFrame] = _WORKER_PAYLOAD["live_publish"]
     sink = (
         None
         if publish is None
@@ -295,7 +279,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
             task.shard,
             len(task.candidates),
             publish,
-            min_interval_s=_WORKER_PAYLOAD.get("live_interval", 0.5),
+            min_interval_s=_WORKER_PAYLOAD["live_interval"],
         )
     )
     miner = PTPMiner.from_config(task.config)
@@ -303,18 +287,10 @@ def _run_shard(task: ShardTask) -> ShardResult:
     # Private collectors even on the serial executor: the parent's stay
     # shadowed during the search and the snapshot comes home through
     # ShardResult, so both executors merge identically.
-    with obs.observe(**_WORKER_PAYLOAD["kinds"]) as handles:
+    kinds = _WORKER_PAYLOAD["kinds"]
+    with obs.observe(**kinds) as handles, obs_live.use_sink(sink):
         patterns, counters = miner.search_shard(
-            db,
-            weights,
-            task.threshold,
-            task.candidate_map(),
-            on_root=None if sink is None else sink.on_root,
-        )
-    if sink is not None:
-        sink.finish(
-            len(patterns),
-            {k: float(v) for k, v in counters.as_dict().items()},
+            db, weights, task.threshold, task.candidate_map()
         )
     elapsed = obs_clock.now() - started
     return ShardResult(
@@ -329,9 +305,48 @@ def _run_shard(task: ShardTask) -> ShardResult:
 # ----------------------------------------------------------------------
 # executors
 # ----------------------------------------------------------------------
-def _run_serial(tasks: list[ShardTask]) -> list[ShardResult]:
+def _collect(
+    tasks: list[ShardTask],
+    result_of: Callable[[ShardTask], ShardResult],
+    db: ESequenceDatabase,
+) -> list[ShardResult]:
+    """Each task's result, in task order; a failing shard is named.
+
+    Its error becomes a :class:`RuntimeError` naming the shard index
+    and root candidates, chained from the original — a shard's own
+    exception, or the pool's ``BrokenProcessPool`` when a worker died.
+    """
+    results: list[ShardResult] = []
+    for task in tasks:
+        try:
+            results.append(result_of(task))
+        except Exception as exc:
+            labels = sorted(db.alphabet)
+            roots = ", ".join(
+                _candidate_name(cand, labels) for cand, _ in task.candidates
+            )
+            raise RuntimeError(
+                f"shard {task.shard} (roots {roots}) failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+    return results
+
+
+def _run_serial(
+    tasks: list[ShardTask],
+    db: ESequenceDatabase,
+    weights: Sequence[float],
+    kinds: dict[str, bool],
+    on_frame: Optional[_OnFrame],
+    live_interval: float,
+) -> list[ShardResult]:
     """Run every shard in-process, sequentially."""
-    return [_run_shard(task) for task in tasks]
+    _init_payload_inline(db, weights, kinds, on_frame, live_interval)
+    try:
+        return _collect(tasks, _run_shard, db)
+    finally:
+        # Drop the payload so stale databases are not kept alive.
+        _WORKER_PAYLOAD.clear()
 
 
 def _run_process(
@@ -340,83 +355,63 @@ def _run_process(
     weights: Sequence[float],
     workers: int,
     kinds: dict[str, bool],
-    live_queue: Optional[Any] = None,
-    live_interval: float = 0.5,
-    on_frame: Optional[Callable[[dict[str, Any]], None]] = None,
+    on_frame: Optional[_OnFrame],
+    live_interval: float,
 ) -> list[ShardResult]:
     """Run shards on a process pool, shipping the database once per worker.
 
-    In live mode (``live_queue`` + ``on_frame`` given) the shards are
-    submitted individually and the parent drains heartbeat frames off
-    the queue *while* waiting for results — the telemetry bus needs no
-    extra thread, just this loop's blocking ``get(timeout=...)``.
+    Every task is submitted up front. In live mode the parent drains
+    heartbeat frames off a manager queue *while* the shards run — the
+    telemetry bus needs no extra thread, just this loop's blocking
+    ``get(timeout=...)``.
     """
-    # The one sanctioned process-pool construction site (lint rule R008).
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)),
-        initializer=_init_worker,
-        initargs=(db, weights, kinds, live_queue, live_interval),
-    ) as pool:
-        if live_queue is None or on_frame is None:
-            return list(pool.map(_run_shard, tasks))
-        futures = [pool.submit(_run_shard, task) for task in tasks]
-        pending = set(futures)
+    with ExitStack() as stack:
+        frames: Any = None
+        if on_frame is not None:
+            # Manager-queue proxies survive the executor's pickling
+            # initargs; plain mp.Queue does not.
+            frames = stack.enter_context(multiprocessing.Manager()).Queue()
+        # The one sanctioned process-pool construction site (lint rule R008).
+        pool = stack.enter_context(
+            ProcessPoolExecutor(
+                max_workers=min(workers, len(tasks)),
+                initializer=_init_payload_inline,
+                initargs=(
+                    db,
+                    weights,
+                    kinds,
+                    None if frames is None else frames.put,
+                    live_interval,
+                ),
+            )
+        )
+        futures = {task.shard: pool.submit(_run_shard, task) for task in tasks}
+        # In live mode, drain until every shard is done and the queue is
+        # empty: a finished shard has queued all its frames.
         poll_s = max(0.05, live_interval / 2)
-        while pending:
+        while on_frame is not None:
+            finished = all(future.done() for future in futures.values())
             try:
-                payload = live_queue.get(timeout=poll_s)
+                payload = frames.get_nowait() if finished else frames.get(
+                    timeout=poll_s
+                )
             except _queue.Empty:
-                pass
-            else:
-                on_frame(payload)
-            pending = {f for f in pending if not f.done()}
-        while True:  # drain whatever arrived after the last result
-            try:
-                payload = live_queue.get_nowait()
-            except _queue.Empty:
-                break
+                if finished:
+                    break
+                continue
             on_frame(payload)
-        return [future.result() for future in futures]
+        return _collect(tasks, lambda task: futures[task.shard].result(), db)
 
 
 # ----------------------------------------------------------------------
 # the engine entry points
 # ----------------------------------------------------------------------
-def _resolve_live(
-    live: Union[None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"],
-) -> Optional[obs_live.LiveCollector]:
-    """Normalize ``mine_sharded``'s ``live=`` argument to a collector.
-
-    ``None`` defers to the installed :func:`repro.obs.live.use_live`
-    scope (so the CLI and harness can enable live mode without plumbing
-    an argument through every layer); ``False`` forces it off even with
-    a scope installed; ``True`` / a config / a collector turn it on.
-    """
-    if live is None:
-        return obs_live.active_live()
-    if live is False:
-        return None
-    if live is True:
-        return obs_live.LiveCollector()
-    if isinstance(live, obs_live.LiveConfig):
-        return obs_live.LiveCollector(config=live)
-    if isinstance(live, obs_live.LiveCollector):
-        return live
-    raise TypeError(
-        "live must be None, a bool, a LiveConfig, or a LiveCollector; "
-        f"got {type(live).__name__}"
-    )
-
-
 def mine_sharded(
     db: ESequenceDatabase,
     config: MinerConfig,
     *,
     workers: int = 1,
     executor: str = "auto",
-    live: Union[
-        None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"
-    ] = None,
     shard_strategy: str = "roundrobin",
     plan: Optional[dict[str, Any]] = None,
 ) -> MiningResult:
@@ -426,10 +421,10 @@ def mine_sharded(
     identical to ``PTPMiner.from_config(config).mine(db)`` for every
     ``workers`` value (see the module docstring for why). ``executor``
     is one of :data:`EXECUTORS`; ``"auto"`` picks ``serial`` for one
-    worker and ``process`` otherwise. ``live`` streams shard telemetry
-    during the run (see the module docstring); the determinism guarantee
-    is unaffected — live mode only changes *when* progress is visible,
-    never what is mined.
+    worker and ``process`` otherwise. An installed live collector
+    streams shard telemetry during the run (see the module docstring);
+    the determinism guarantee is unaffected — live mode only changes
+    *when* progress is visible, never what is mined.
 
     ``shard_strategy`` picks the deal (:data:`SHARD_STRATEGIES`):
     ``"predicted"`` places root candidates by forecast cost (LPT),
@@ -456,7 +451,6 @@ def mine_sharded(
         if executor == "auto"
         else executor
     )
-    collector = _resolve_live(live)
     miner = PTPMiner.from_config(config)
     threshold = float(db.absolute_support(config.min_sup))
     weights = [1.0] * len(db)
@@ -492,69 +486,33 @@ def mine_sharded(
             costs=plan_costs,
             labels=plan_labels,
         )
-        aggregator: Optional[obs_live.LiveAggregator] = None
-        on_frame: Optional[Callable[[dict[str, Any]], None]] = None
-        if collector is not None:
-            aggregator = obs_live.LiveAggregator(
-                collector.config,
-                shard_totals={
-                    task.shard: len(task.candidates) for task in tasks
-                },
-            )
-            collector.aggregator = aggregator
-            aggregator.open_log()
-
-            def _on_frame(
-                payload: dict[str, Any],
-                _agg: obs_live.LiveAggregator = aggregator,
-            ) -> None:
-                _agg.ingest(payload)
-                _agg.maybe_render()
-
-            on_frame = _on_frame
-        manager: Optional[Any] = None
-        try:
-            parent_span = obs_trace.current_span_id()
+        live = handles.live
+        parent_span = obs_trace.current_span_id()
+        with obs_live.aggregate(
+            live, {task.shard: len(task.candidates) for task in tasks}
+        ) as on_frame:
+            interval = 0.5 if live is None else live.config.interval_s
             with obs_trace.span("shards", count=len(tasks)):
                 if not tasks:
                     shard_results: list[ShardResult] = []
                 elif resolved == "serial":
-                    # In-process: point the payload at this run's data.
-                    _init_payload_inline(
+                    shard_results = _run_serial(
+                        tasks,
                         mining_db,
                         weights,
                         handles.kinds(),
-                        live_publish=on_frame,
-                        live_interval=(
-                            collector.config.interval_s
-                            if collector is not None
-                            else 0.5
-                        ),
+                        on_frame,
+                        interval,
                     )
-                    try:
-                        shard_results = _run_serial(tasks)
-                    finally:
-                        _clear_payload()
                 else:
-                    live_queue: Optional[Any] = None
-                    if on_frame is not None:
-                        # Manager-queue proxies survive the executor's
-                        # pickling initargs; plain mp.Queue does not.
-                        manager = multiprocessing.Manager()
-                        live_queue = manager.Queue()
                     shard_results = _run_process(
                         tasks,
                         mining_db,
                         weights,
                         workers,
                         handles.kinds(),
-                        live_queue=live_queue,
-                        live_interval=(
-                            collector.config.interval_s
-                            if collector is not None
-                            else 0.5
-                        ),
-                        on_frame=on_frame,
+                        on_frame,
+                        interval,
                     )
             with obs_trace.span("merge", shards=len(shard_results)):
                 patterns: list[PatternWithSupport] = []
@@ -567,14 +525,6 @@ def mine_sharded(
                             "engine.shard_elapsed_s", shard=result.shard
                         ).set(result.elapsed)
                 patterns.sort(key=PatternWithSupport.sort_key)
-        finally:
-            if manager is not None:
-                manager.shutdown()
-            if aggregator is not None:
-                aggregator.maybe_render(force=True)
-                aggregator.close_log()
-                if collector is not None:
-                    collector.summary = aggregator.summary()
     obs_recorder.run_done(counters)
     if contracts.checking:
         counters.check_consistency()
@@ -609,26 +559,23 @@ def _init_payload_inline(
     db: ESequenceDatabase,
     weights: Sequence[float],
     kinds: dict[str, bool],
-    *,
-    live_publish: Optional[Callable[[dict[str, Any]], None]] = None,
-    live_interval: float = 0.5,
+    live_publish: Optional[_OnFrame],
+    live_interval: float,
 ) -> None:
     """Payload setup; the serial executor's, and each pool worker's.
 
-    ``live_publish`` feeds frames to the parent aggregator: inline on
-    the serial path, which has no queue; a manager-queue ``put`` in a
-    pool worker.
+    ``kinds`` (:meth:`repro.obs.ObsHandles.kinds`) is what every shard
+    installs around its search in :func:`_run_shard`; that scope also
+    shadows any collector a forked child inherited. ``live_publish``
+    (live mode only) feeds the shard's frames to the parent aggregator:
+    inline on the serial path, which has no queue; a manager-queue
+    ``put`` in a pool worker.
     """
     _WORKER_PAYLOAD["db"] = db
     _WORKER_PAYLOAD["weights"] = list(weights)
     _WORKER_PAYLOAD["kinds"] = kinds
     _WORKER_PAYLOAD["live_publish"] = live_publish
     _WORKER_PAYLOAD["live_interval"] = live_interval
-
-
-def _clear_payload() -> None:
-    """Drop the inline payload so stale databases are not kept alive."""
-    _WORKER_PAYLOAD.clear()
 
 
 class ShardedMiner:
@@ -645,9 +592,6 @@ class ShardedMiner:
         *,
         workers: int = 1,
         executor: str = "auto",
-        live: Union[
-            None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"
-        ] = None,
         shard_strategy: str = "roundrobin",
         plan: Optional[dict[str, Any]] = None,
         config: Optional[MinerConfig] = None,
@@ -675,7 +619,6 @@ class ShardedMiner:
             )
         self.workers = workers
         self.executor = executor
-        self.live = live
         self.shard_strategy = shard_strategy
         self.plan = plan
 
@@ -686,9 +629,6 @@ class ShardedMiner:
         *,
         workers: int = 1,
         executor: str = "auto",
-        live: Union[
-            None, bool, "obs_live.LiveConfig", "obs_live.LiveCollector"
-        ] = None,
         shard_strategy: str = "roundrobin",
         plan: Optional[dict[str, Any]] = None,
     ) -> "ShardedMiner":
@@ -697,7 +637,6 @@ class ShardedMiner:
             config=config,
             workers=workers,
             executor=executor,
-            live=live,
             shard_strategy=shard_strategy,
             plan=plan,
         )
@@ -709,7 +648,6 @@ class ShardedMiner:
             self.config,
             workers=self.workers,
             executor=self.executor,
-            live=self.live,
             shard_strategy=self.shard_strategy,
             plan=self.plan,
         )

@@ -20,7 +20,6 @@ from typing import Any, Callable, Optional
 
 from repro import obs as _obs
 from repro.obs import clock as _obs_clock
-from repro.obs import live as _obs_live
 
 __all__ = ["RunMetrics", "measure"]
 
@@ -107,8 +106,9 @@ def measure(
     serial run's. ``collect_profile=True`` scopes a per-phase
     :class:`~repro.obs.profile.PhaseProfiler` (memory attribution on iff
     ``track_memory``) outside those and returns its serialised report in
-    :attr:`RunMetrics.profile`. ``collect_live=True`` scopes a silent
-    (``render=False``) live telemetry collector — if the callable runs
+    :attr:`RunMetrics.profile`. ``collect_live=True`` adds a silent
+    (``render=False``) live telemetry collector to the same
+    :func:`repro.obs.observe` scope — if the callable runs
     :func:`repro.engine.mine_sharded`, :attr:`RunMetrics.live_summary`
     carries the final lane summary (shard imbalance, stragglers), else
     ``None``.
@@ -153,9 +153,8 @@ def measure(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     profiler = None
-    live_collector = None
-    # Outermost first: the profiler wraps everything, the collectors
-    # wrap the live scope, and the tracemalloc window is innermost.
+    # Outermost first: the profiler wraps the collectors, and the
+    # tracemalloc window is innermost.
     with ExitStack() as stack:
         if collect_profile:
             from repro.obs.profile import profile_scope
@@ -164,14 +163,15 @@ def measure(
         handles = stack.enter_context(
             _obs.observe(
                 metrics=collect_obs or None,
+                live=(
+                    _obs.LiveCollector(_obs.LiveConfig(render=False))
+                    if collect_live
+                    else None
+                ),
                 cost=collect_cost or None,
                 provenance=collect_provenance or None,
             )
         )
-        if collect_live:
-            live_collector = stack.enter_context(
-                _obs_live.use_live(_obs_live.LiveConfig(render=False))
-            )
         result, elapsed, peak_mem = _run_measured(fn, track_memory)
     return RunMetrics(
         result,
@@ -180,7 +180,7 @@ def measure(
         handles.registry.snapshot() if handles.registry is not None else None,
         profiler.report().as_dict() if profiler is not None else None,
         workers,
-        live_collector.summary if live_collector is not None else None,
+        handles.live.summary if handles.live is not None else None,
         cost_profile=(
             handles.cost.snapshot() if handles.cost is not None else None
         ),

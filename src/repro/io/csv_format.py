@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import os
 
+from repro.io._utf8 import open_utf8
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
 from repro.model.sequence import ESequence
@@ -49,7 +50,7 @@ def read_csv(path: str | os.PathLike, name: str = "") -> ESequenceDatabase:
     same ``sid,label,start,finish`` header)."""
     rows: dict[int, list[IntervalEvent]] = {}
     max_sid = -1
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != _HEADER:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 
+from repro.io._utf8 import open_utf8
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
 from repro.model.sequence import ESequence
@@ -42,7 +43,7 @@ def read_jsonl(path: str | os.PathLike) -> ESequenceDatabase:
     """Read a database written by :func:`write_jsonl`."""
     name = ""
     sequences: list[ESequence] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:

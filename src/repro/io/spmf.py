@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 
+from repro.io._utf8 import open_utf8
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
 from repro.model.sequence import ESequence
@@ -59,7 +60,7 @@ def read_spmf(path: str | os.PathLike) -> ESequenceDatabase:
     labels: dict[int, str] = {}
     name = ""
     sequences: list[ESequence] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:

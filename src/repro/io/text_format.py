@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 
+from repro.io._utf8 import open_utf8
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
 from repro.model.pattern import PatternWithSupport, TemporalPattern
@@ -73,7 +74,7 @@ def read_database(path: str | os.PathLike) -> ESequenceDatabase:
     """Read a database written by :func:`write_database`."""
     name = ""
     sequences: list[ESequence] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -115,7 +116,7 @@ def write_patterns(
 def read_patterns(path: str | os.PathLike) -> list[PatternWithSupport]:
     """Read a pattern list written by :func:`write_patterns`."""
     out: list[PatternWithSupport] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

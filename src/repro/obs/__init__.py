@@ -20,9 +20,9 @@ Submodules
     Throttled search heartbeats (every N nodes or T seconds).
 :mod:`repro.obs.live`
     Live shard telemetry bus for sharded runs: worker-side
-    :class:`~repro.obs.live.LiveSink` heartbeats, parent-side
-    :class:`~repro.obs.live.LiveAggregator` lanes/ETA/stragglers
-    (CLI ``mine --live``).
+    :class:`~repro.obs.live.LiveSink` heartbeats fed by the search
+    recorder, parent-side :class:`~repro.obs.live.LiveAggregator`
+    lanes/ETA/stragglers (CLI ``mine --live``).
 :mod:`repro.obs.costmodel`
     Per-root / per-level search cost attribution: which search-tree
     roots the time, states, and prune work go to, merged
@@ -38,8 +38,9 @@ Submodules
     recorder per search, the only caller of ``record_*`` methods.
 :mod:`repro.obs.seam`
     The :class:`~repro.obs.seam.CollectorSeam` primitive behind every
-    module-global sink (metrics, costmodel, provenance): ``active()``,
-    ``install()``, and scoped ``scope()`` defined exactly once.
+    module-global sink (metrics, progress, live, costmodel,
+    provenance): ``active()``, ``install()``, and scoped ``scope()``
+    defined exactly once.
 :mod:`repro.obs.ledger`
     Persistent append-only run ledger with config/environment
     fingerprints and cross-run regression diffing (imported on
@@ -77,9 +78,10 @@ Enabling
 >>> sorted(handles.registry.snapshot())
 ['counters', 'gauges', 'histograms']
 
-:func:`observe` also takes ``tracer``, ``reporter``, ``cost`` and
-``provenance``; the CLI, ``harness.measure()`` and the engine's shard
-runner all install through it. Each module's ``use_*()`` installs one.
+:func:`observe` also takes ``tracer``, ``reporter``, ``live``,
+``cost`` and ``provenance``; the CLI, ``harness.measure()`` and the
+engine's shard runner all install through it. Each module's ``use_*()``
+installs one.
 """
 
 from __future__ import annotations
@@ -126,7 +128,6 @@ __all__ = [
     "TraceCollector",
     "clock",
     "costmodel",
-    "is_active",
     "live",
     "metrics",
     "observe",
@@ -144,15 +145,6 @@ __all__ = [
 ]
 
 
-def is_active() -> bool:
-    """True when any observability sink (tracer/registry/progress) is on."""
-    return (
-        trace.active_tracer() is not None
-        or metrics.active_registry() is not None
-        or progress.active_reporter() is not None
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class ObsHandles:
     """A bundle of collectors: what :func:`observe` installed.
@@ -166,6 +158,7 @@ class ObsHandles:
     registry: Optional[MetricsRegistry] = None
     tracer: Optional[trace.Tracer] = None
     reporter: Optional[ProgressReporter] = None
+    live: Optional[LiveCollector] = None
     cost: Optional[CostCollector] = None
     provenance: Optional[ProvenanceCollector] = None
 
@@ -177,13 +170,15 @@ class ObsHandles:
     def kinds(self) -> dict[str, bool]:
         """:func:`observe` arguments for fresh collectors of these kinds.
 
-        Every other kind is turned off — progress always, since only the
-        parent reports it. Plain booleans, so a shard's scope pickles.
+        Every other kind is turned off — progress and live always, since
+        only the parent reports them. Plain booleans, so a shard's scope
+        pickles.
         """
         return {
             "metrics": self.registry is not None,
             "tracer": self.tracer is not None,
             "reporter": False,
+            "live": False,
             "cost": self.cost is not None,
             "provenance": self.provenance is not None,
         }
@@ -238,13 +233,14 @@ class ObsHandles:
 
 
 #: ``(factory, install, active)`` per kind, in :func:`observe`'s
-#: argument order (metrics, tracer, reporter, cost, provenance).
+#: argument order (metrics, tracer, reporter, live, cost, provenance).
 _KINDS: tuple[
     tuple[Callable[[], Any], Callable[[Any], None], Callable[[], Any]], ...
 ] = (
     (MetricsRegistry, metrics.set_registry, metrics.active_registry),
     (TraceCollector, trace.set_tracer, trace.active_tracer),
     (ProgressReporter, progress.set_reporter, progress.active_reporter),
+    (LiveCollector, live.set_live, live.active_live),
     (CostCollector, costmodel.set_collector, costmodel.active_collector),
     (ProvenanceCollector, provenance.set_collector, provenance.active_collector),
 )
@@ -256,6 +252,7 @@ def observe(
     metrics: Union[MetricsRegistry, bool, None] = None,
     tracer: Union[trace.Tracer, bool, None] = None,
     reporter: Union[ProgressReporter, bool, None] = None,
+    live: Union[LiveCollector, bool, None] = None,
     cost: Union[CostCollector, bool, None] = None,
     provenance: Union[ProvenanceCollector, bool, None] = None,
 ) -> Iterator[ObsHandles]:
@@ -263,8 +260,9 @@ def observe(
 
     For each kind, ``True`` installs a fresh instance (a
     :class:`MetricsRegistry`, an in-memory :class:`TraceCollector`, a
-    default stderr :class:`ProgressReporter`, a :class:`CostCollector`,
-    a :class:`ProvenanceCollector`), an instance installs that instance,
+    default stderr :class:`ProgressReporter`, a :class:`LiveCollector`
+    rendering to stderr, a :class:`CostCollector`, a
+    :class:`ProvenanceCollector`), an instance installs that instance,
     ``False`` turns the kind off for the scope (shadowing whatever is
     installed around it), and ``None`` leaves it as it is. Everything is
     restored on exit. The yielded :class:`ObsHandles` holds what this
@@ -273,7 +271,7 @@ def observe(
     sinks: list[Any] = [
         factory() if value is True else value
         for value, (factory, _install, _active) in zip(
-            (metrics, tracer, reporter, cost, provenance), _KINDS
+            (metrics, tracer, reporter, live, cost, provenance), _KINDS
         )
     ]
     previous = [active() for _factory, _install, active in _KINDS]

@@ -47,7 +47,7 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.model.database import ESequenceDatabase
 from repro.obs import costmodel
-from repro.obs.warnonce import warn_once
+from repro.obs.warnonce import json_lines, warn_once
 from repro.perf.compare import Tolerance
 
 __all__ = [
@@ -319,24 +319,15 @@ class RunLedger:
             return []
         out: list[dict[str, Any]] = []
         skipped = 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    skipped += 1
-                    continue
-                if (
-                    not isinstance(entry, dict)
-                    or entry.get("schema") not in SUPPORTED_SCHEMAS
-                    or entry.get("kind") != "repro-run"
-                ):
-                    skipped += 1
-                    continue
+        for entry in json_lines(self.path):
+            if (
+                isinstance(entry, dict)
+                and entry.get("schema") in SUPPORTED_SCHEMAS
+                and entry.get("kind") == "repro-run"
+            ):
                 out.append(entry)
+            else:
+                skipped += 1
         if skipped:
             warn_once(
                 self.path,

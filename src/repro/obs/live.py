@@ -7,28 +7,29 @@ until the whole pool drained. This module is the fix — a lightweight
 telemetry bus that streams worker heartbeats to the parent **during**
 the run:
 
-* :class:`LiveSink` lives worker-side. The engine hands it one
-  per-root-candidate callback (:meth:`LiveSink.on_root`); the sink
-  throttles those callbacks through the injectable
-  :mod:`repro.obs.clock` and publishes compact :class:`LiveFrame`
-  payloads (shard id, roots expanded / total, patterns found, cumulative
-  prune-counter totals, rss) onto whatever ``publish`` callable it was
-  built with — a direct function for the serial executor, a
-  ``multiprocessing`` manager queue's ``put`` for the process executor.
+* :class:`LiveSink` lives worker-side. The engine installs one around
+  each shard's search (:func:`use_sink`), and the search recorder
+  (:mod:`repro.obs.recorder`) reports each finished root candidate to
+  it (:meth:`LiveSink.root_done`). The sink throttles those events
+  through the injectable :mod:`repro.obs.clock` and publishes compact
+  :class:`LiveFrame` payloads (shard id, roots done / total, patterns
+  found, cumulative prune-counter totals, rss) onto whatever
+  ``publish`` callable it was built with — a direct function for the
+  serial executor, a ``multiprocessing`` manager queue's ``put`` for
+  the process executor.
 * :class:`LiveAggregator` lives parent-side and is drained from the
-  engine's result-collection loop (no extra thread). It merges frames
-  into per-shard *lanes*, enforces monotonic progress, computes a global
-  ETA from per-root expansion rates, and flags **stragglers** — shards
-  whose throughput falls below ``straggler_factor`` × the median lane
-  throughput.
+  engine's result-collection loop (no extra thread) through
+  :func:`aggregate`. It merges frames into per-shard *lanes*, enforces
+  monotonic progress, computes a global ETA from per-root expansion
+  rates, and flags **stragglers** — shards whose throughput falls below
+  ``straggler_factor`` × the median lane throughput.
 
 The bus keeps the repository's zero-cost-when-disabled discipline: it
-is never constructed unless live mode is explicitly requested
-(``mine_sharded(live=...)``, CLI ``--live``, or
-``measure(collect_live=True)``), workers receive no sink otherwise, and
-the miner's per-root callback stays ``None`` — one pointer check on an
-already-cold path. All throttling reads :func:`repro.obs.clock.now`,
-so :class:`~repro.obs.clock.ManualClock` tests can drive heartbeats
+is never constructed unless a :class:`LiveCollector` is installed
+(``obs.observe(live=...)``, which CLI ``--live`` and
+``measure(collect_live=True)`` use), and workers install no sink
+otherwise. All throttling reads :func:`repro.obs.clock.now`, so
+:class:`~repro.obs.clock.ManualClock` tests can drive heartbeats
 deterministically (lint rule R006 bans raw ``time`` imports here).
 
 Frame logs (CLI ``--live-log``) are JSONL, one frame per line, and are
@@ -41,13 +42,14 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Callable, Iterator, Mapping
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, TextIO, Union
 
 from repro.obs import clock as _clock
-from repro.obs.warnonce import warn_once
+from repro.obs.seam import CollectorSeam
+from repro.obs.warnonce import json_lines, warn_once
 
 __all__ = [
     "LiveAggregator",
@@ -57,9 +59,12 @@ __all__ = [
     "LiveSink",
     "ShardLane",
     "active_live",
+    "active_sink",
+    "aggregate",
     "read_live_log",
     "set_live",
     "use_live",
+    "use_sink",
 ]
 
 
@@ -162,7 +167,7 @@ class LiveConfig:
 
 
 class LiveSink:
-    """Worker-side publisher: throttle per-root callbacks into frames.
+    """Worker-side publisher: throttle finished roots into frames.
 
     Built by the engine in the worker (or inline for the serial
     executor) with the shard's identity and a ``publish`` callable that
@@ -185,68 +190,53 @@ class LiveSink:
             raise ValueError("min_interval_s must be >= 0")
         self.shard = shard
         self.roots_total = roots_total
+        self.roots_done = 0
         self.min_interval_s = min_interval_s
         self.frames_published = 0
         self._publish = publish
         self._last_emit: Optional[float] = None
 
-    def on_root(
-        self,
-        done: int,
-        total: int,
-        patterns: int,
-        counters: Mapping[str, float],
+    def root_done(
+        self, patterns: int, counters: Mapping[str, float]
     ) -> None:
-        """Per-root-candidate callback from ``search_shard``.
+        """One more root candidate of the shard is finished.
 
-        Emits a frame for the first completed root and then at most once
+        ``patterns`` and ``counters`` are the shard's totals so far.
+        Emits a frame for the first finished root and then at most once
         per ``min_interval_s`` (injectable-clock) seconds; the final
         frame is :meth:`finish`'s job, so a fast shard publishes exactly
         two frames.
         """
+        self.roots_done += 1
         now = _clock.now()
         if (
             self._last_emit is not None
             and now - self._last_emit < self.min_interval_s
         ):
             return
-        self._emit(
-            now,
-            roots_done=done,
-            roots_total=total,
-            patterns=patterns,
-            counters=counters,
-            final=False,
-        )
+        self._emit(now, patterns, counters, final=False)
 
     def finish(
         self, patterns: int, counters: Mapping[str, float]
     ) -> None:
-        """Publish the shard's final frame (always emitted, never throttled)."""
-        self._emit(
-            _clock.now(),
-            roots_done=self.roots_total,
-            roots_total=self.roots_total,
-            patterns=patterns,
-            counters=counters,
-            final=True,
-        )
+        """Publish the shard's final frame, every root done (always
+        emitted, never throttled)."""
+        self.roots_done = self.roots_total
+        self._emit(_clock.now(), patterns, counters, final=True)
 
     def _emit(
         self,
         now: float,
-        *,
-        roots_done: int,
-        roots_total: int,
         patterns: int,
         counters: Mapping[str, float],
+        *,
         final: bool,
     ) -> None:
         frame = LiveFrame(
             shard=self.shard,
             ts=now,
-            roots_done=roots_done,
-            roots_total=roots_total,
+            roots_done=self.roots_done,
+            roots_total=self.roots_total,
             patterns=patterns,
             counters=dict(counters),
             rss_mb=_read_rss_mb(),
@@ -594,15 +584,11 @@ def read_live_log(path: Union[str, Path]) -> list[LiveFrame]:
     """
     frames: list[LiveFrame] = []
     bad = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                frames.append(LiveFrame.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
-                bad += 1
+    for payload in json_lines(path):
+        try:
+            frames.append(LiveFrame.from_dict(payload))
+        except (ValueError, KeyError, TypeError):
+            bad += 1
     if bad:
         warn_once(
             path,
@@ -617,50 +603,83 @@ def read_live_log(path: Union[str, Path]) -> list[LiveFrame]:
 class LiveCollector:
     """The installable handle live mode hangs off.
 
-    Holds the :class:`LiveConfig` before the run and receives the
-    :class:`LiveAggregator` (while running) and its final
-    :meth:`~LiveAggregator.summary` dict (after) from the engine —
+    Holds the :class:`LiveConfig` before the run and receives the final
+    :meth:`~LiveAggregator.summary` dict after it (:func:`aggregate`) —
     what :func:`repro.harness.metrics.measure` returns as
     ``RunMetrics.live_summary``.
     """
 
     config: LiveConfig = field(default_factory=LiveConfig)
-    aggregator: Optional[LiveAggregator] = None
     summary: Optional[dict[str, Any]] = None
 
 
-_active: Optional[LiveCollector] = None
+@contextmanager
+def aggregate(
+    collector: Optional[LiveCollector], shard_totals: Mapping[int, int]
+) -> Iterator[Optional[Callable[[dict[str, Any]], None]]]:
+    """Aggregate one sharded run's frames for ``collector``.
+
+    Yields the ``on_frame`` callable the engine feeds each shard's
+    frames to (``None`` when ``collector`` is ``None``: live mode off).
+    Opens the frame log, ingests and renders each frame, and on exit
+    forces the final render, closes the log and stores the run's
+    summary on ``collector``.
+    """
+    if collector is None:
+        yield None
+        return
+    aggregator = LiveAggregator(collector.config, shard_totals=shard_totals)
+    aggregator.open_log()
+
+    def on_frame(payload: dict[str, Any]) -> None:
+        aggregator.ingest(payload)
+        aggregator.maybe_render()
+
+    try:
+        yield on_frame
+    finally:
+        aggregator.maybe_render(force=True)
+        aggregator.close_log()
+        collector.summary = aggregator.summary()
+
+
+_seam: CollectorSeam[LiveCollector] = CollectorSeam(LiveCollector)
 
 
 def active_live() -> Optional[LiveCollector]:
     """The installed live collector, or ``None`` when live mode is off."""
-    return _active
+    return _seam.active()
 
 
 def set_live(collector: Optional[LiveCollector]) -> None:
     """Install ``collector`` process-wide (``None`` turns live mode off)."""
-    global _active
-    _active = collector
+    _seam.install(collector)
 
 
-@contextmanager
 def use_live(
     collector: Union[LiveCollector, LiveConfig, None] = None,
-) -> Iterator[LiveCollector]:
-    """Scope-install a live collector; restores the previous one on exit.
+) -> AbstractContextManager[LiveCollector]:
+    """Scope-install a live collector (a fresh one by default).
 
-    Accepts a ready :class:`LiveCollector`, a bare :class:`LiveConfig`
-    (wrapped in a fresh collector), or nothing (all defaults).
+    A bare :class:`LiveConfig` is wrapped in a fresh collector.
     """
-    if collector is None:
-        resolved = LiveCollector()
-    elif isinstance(collector, LiveConfig):
-        resolved = LiveCollector(config=collector)
-    else:
-        resolved = collector
-    previous = _active
-    set_live(resolved)
-    try:
-        yield resolved
-    finally:
-        set_live(previous)
+    if isinstance(collector, LiveConfig):
+        collector = LiveCollector(config=collector)
+    return _seam.scope(collector)
+
+
+#: The sink of the shard searching now (none by default); the search
+#: recorder reads it.
+_sink_seam: CollectorSeam[Optional[LiveSink]] = CollectorSeam(lambda: None)
+
+
+def active_sink() -> Optional[LiveSink]:
+    """The sink of the shard searching right now, or ``None``."""
+    return _sink_seam.active()
+
+
+def use_sink(
+    sink: Optional[LiveSink],
+) -> AbstractContextManager[Optional[LiveSink]]:
+    """Scope-install a shard's sink (``None``: no sink) around its search."""
+    return _sink_seam.scope(sink)

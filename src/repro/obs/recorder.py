@@ -3,10 +3,10 @@
 The search reports its events — node expanded, candidates gathered,
 candidate frequent / projected / pruned, pattern emitted, root done —
 to one :class:`SearchRecorder`, which fans each out to whichever of the
-metrics registry, progress reporter, cost collector and provenance
-collector is installed. This module is the only caller of a
-collector's ``record_*`` methods (lint rule R019), so the miner never
-knows which collectors exist. :meth:`SearchRecorder.attach` returns
+metrics registry, progress reporter, cost collector, provenance
+collector and a shard's live sink is installed. This module is the
+only caller of a collector's ``record_*`` methods (lint rule R019), so
+the miner never knows which collectors exist. :meth:`SearchRecorder.attach` returns
 ``None`` when none is installed; the search hoists that one local and
 guards every event with one ``is not None`` branch. Spans are not
 events: :func:`repro.obs.trace.span` already does nothing unheard.
@@ -30,6 +30,7 @@ from repro import contracts
 from repro.model.pattern import TemporalPattern
 from repro.obs import clock as obs_clock
 from repro.obs import costmodel as obs_costmodel
+from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
@@ -76,13 +77,15 @@ class SearchRecorder:
         self._reporter = obs_progress.active_reporter()
         self._cost = obs_costmodel.active_collector()
         self._prov = obs_provenance.active_collector()
+        self._sink = obs_live.active_sink()
         self._levels: dict[int, list[int]] = {}
         # [candidates, pair-pruned] per extension kind (registry only).
         self._by_ext = [[0, 0], [0, 0]]
         # The level-1 token whose subtree the search is inside: the
         # provenance attribution key and the cost profile's root name.
         self._root = ""
-        self._root_t0 = 0.0
+        # Start of the open root's cost bracket; None when none is open.
+        self._root_t0: Optional[float] = None
         self._root_counters: dict[str, int] = {}
         #: Duplicate-state tally the projection step feeds
         #: (:func:`repro.core.projection.dedupe_states`); registry only.
@@ -104,6 +107,7 @@ class SearchRecorder:
             and obs_progress.active_reporter() is None
             and obs_costmodel.active_collector() is None
             and obs_provenance.active_collector() is None
+            and obs_live.active_sink() is None
         ):
             return None
         return cls(encoded, weights, counters, pointsets)
@@ -231,8 +235,9 @@ class SearchRecorder:
         )
 
     def root_done(self) -> None:
-        """The current root's subtree is fully expanded."""
-        if self._cost is not None:
+        """One root candidate is finished: its subtree was expanded, or
+        the support check killed it (then it opened no cost bracket)."""
+        if self._cost is not None and self._root_t0 is not None:
             # Each root is expanded exactly once (in one shard, or
             # serially), so merged profiles are unions, never sums.
             self._cost.record_root(
@@ -241,9 +246,14 @@ class SearchRecorder:
                 self._root_counters,
                 self._counters.as_dict(),
             )
+            self._root_t0 = None
+        if self._sink is not None:
+            counters = self._counters
+            self._sink.root_done(counters.patterns_emitted, counters.as_dict())
 
     def finish(self) -> None:
-        """Flush the per-level tally and per-search totals."""
+        """Flush the per-level tally and per-search totals, and publish
+        the live sink's final frame."""
         levels = sorted(self._levels.items())
         registry = self._registry
         if registry is not None:
@@ -269,6 +279,12 @@ class SearchRecorder:
                 "schema": obs_costmodel.COST_SCHEMA_VERSION,
                 "levels": {str(lv): dict(zip(fields, row)) for lv, row in levels},
             })
+        if self._sink is not None:
+            counters = self._counters
+            self._sink.finish(
+                counters.patterns_emitted,
+                {k: float(v) for k, v in counters.as_dict().items()},
+            )
 
     def _row(self, level: int) -> list[int]:
         row = self._levels.get(level)

@@ -1,8 +1,9 @@
 """The shared collector-installation seam.
 
 Every opt-in observability collector in this package — the metrics
-registry, the progress reporter, the cost collector, the provenance
-collector — hangs off the same three-function surface: ``active_*()``
+registry, the progress reporter, the live collector and a shard's live
+sink, the cost collector, the provenance collector — hangs off the same
+three-function surface: ``active_*()``
 returns the installed instance or ``None``, ``set_*()`` installs one
 process-wide, and ``use_*()`` scope-installs a fresh (or given)
 instance and restores the previous one on exit. P-TPMiner's search

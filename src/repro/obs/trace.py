@@ -40,7 +40,7 @@ from typing import Any, Optional, Protocol, TextIO, TypeVar, Union, overload
 
 from repro.obs import clock as _clock
 from repro.obs import metrics as _metrics
-from repro.obs.warnonce import warn_once
+from repro.obs.warnonce import json_lines, warn_once
 
 __all__ = [
     "JsonlTraceWriter",
@@ -147,20 +147,11 @@ def read_trace(path: Union[str, Path]) -> list[dict[str, Any]]:
     """
     events: list[dict[str, Any]] = []
     bad = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                bad += 1
-                continue
-            if not isinstance(event, dict):
-                bad += 1
-                continue
+    for event in json_lines(path):
+        if isinstance(event, dict):
             events.append(event)
+        else:
+            bad += 1
     if bad:
         warn_once(
             path,

@@ -1,10 +1,10 @@
-"""Per-file warning dedup for the tolerant JSONL readers.
+"""Line decoding and per-file warning dedup for the tolerant JSONL readers.
 
 The observability stack has three append-only JSONL readers that skip
 undecodable lines and warn about it: :func:`repro.obs.trace.read_trace`,
 :func:`repro.obs.live.read_live_log`, and
-:meth:`repro.obs.ledger.RunLedger.entries`. Each used to warn on every
-call, so joining sources — ``build_run_report`` reads the same live log
+:meth:`repro.obs.ledger.RunLedger.entries`. All three decode lines
+through :func:`json_lines`. Each used to warn on every call, so joining sources — ``build_run_report`` reads the same live log
 once for the summary and once for the shard lanes, ``history`` iterates
 a ledger repeatedly — repeated the identical warning for the identical
 file. The readers now route through :func:`warn_once`, which keys on
@@ -19,10 +19,13 @@ call it to re-arm after log rotation).
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
+from collections.abc import Iterator
+from typing import Any
 
-__all__ = ["reset", "warn_once"]
+__all__ = ["json_lines", "reset", "warn_once"]
 
 #: Files already warned about: ``(resolved path, category name)``.
 _seen: set[tuple[str, str]] = set()
@@ -58,3 +61,20 @@ def warn_once(
 def reset() -> None:
     """Forget every warned file (test isolation; log rotation re-arm)."""
     _seen.clear()
+
+
+def json_lines(path: os.PathLike[str] | str) -> Iterator[Any]:
+    """Each non-blank line of a JSONL file, parsed.
+
+    A line that is not UTF-8 JSON comes back as ``None``, which no
+    reader accepts, so it counts as one undecodable line. That includes
+    bad UTF-8: a truncated tail can split a multi-byte character.
+    """
+    with open(path, "rb") as handle:
+        for raw in handle:
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    yield json.loads(line)
+            except ValueError:  # UnicodeDecodeError is a ValueError
+                yield None

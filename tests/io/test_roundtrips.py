@@ -156,6 +156,30 @@ class TestCsvErrors:
         assert len(db[1]) == 0
 
 
+class TestBadUtf8:
+    """Bytes that are not UTF-8 fail like other malformed input: a
+    ValueError naming the file and line, not a bare codec error."""
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_database_readers_name_the_line(self, fmt, tmp_path):
+        write, read = FORMATS[fmt]
+        path = tmp_path / f"db.{fmt}"
+        write(sample_db(), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(2, b"\xff\n")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=r"db\.\w+:3: not valid UTF-8") as info:
+            read(path)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_pattern_reader_names_the_line(self, tmp_path):
+        path = tmp_path / "patterns.txt"
+        # A truncated tail that splits a multi-byte character.
+        path.write_bytes(b"12\t(A+) (A-)\n" + "3\t(\u00e9+)".encode()[:-3])
+        with pytest.raises(ValueError, match="patterns.txt:2: not valid UTF-8"):
+            read_patterns(path)
+
+
 class TestPatternIO:
     def test_pattern_round_trip(self, tmp_path):
         patterns = [

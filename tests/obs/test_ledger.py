@@ -193,6 +193,20 @@ class TestRunLedger:
             got = ledger.entries()
         assert [e["run_id"] for e in got] == ["r1"]
 
+    def test_entries_counts_bad_utf8_lines_as_unreadable(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append(entry(run_id="r1"))
+        ledger.append(entry(run_id="r2"))
+        first, second = ledger.path.read_bytes().splitlines(keepends=True)
+        # A bad byte mid-file, and a torn tail splitting a character.
+        ledger.path.write_bytes(
+            first + b'{"run_id": "\xff"}\n' + second
+            + '{"run_id": "\u00e9'.encode()[:-1]
+        )
+        with pytest.warns(RuntimeWarning, match="skipped 2"):
+            got = ledger.entries()
+        assert [e["run_id"] for e in got] == ["r1", "r2"]
+
     def test_missing_file_reads_empty(self, tmp_path):
         assert RunLedger(tmp_path / "nowhere").entries() == []
 

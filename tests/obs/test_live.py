@@ -73,13 +73,15 @@ class TestLiveSink:
         published = []
         with clock_scope(clock):
             sink = LiveSink(0, 10, published.append, min_interval_s=1.0)
-            sink.on_root(1, 10, 0, {})     # first emit: always
-            sink.on_root(2, 10, 0, {})     # same instant: throttled
+            sink.root_done(0, {})     # first emit: always
+            sink.root_done(0, {})     # same instant: throttled
             clock.advance(0.5)
-            sink.on_root(3, 10, 1, {})     # 0.5s < 1.0s: throttled
+            sink.root_done(1, {})     # 0.5s < 1.0s: throttled
             clock.advance(0.6)
-            sink.on_root(4, 10, 2, {})     # 1.1s since emit: emits
+            sink.root_done(2, {})     # 1.1s since emit: emits
         assert [p["roots_done"] for p in published] == [1, 4]
+        assert [p["patterns"] for p in published] == [0, 2]
+        assert sink.roots_done == 4
         assert sink.frames_published == 2
 
     def test_finish_always_emits_final_frame(self):
@@ -87,7 +89,7 @@ class TestLiveSink:
         published = []
         with clock_scope(clock):
             sink = LiveSink(3, 5, published.append, min_interval_s=60.0)
-            sink.on_root(1, 5, 0, {})
+            sink.root_done(0, {})
             sink.finish(9, {"nodes_expanded": 4.0})
         assert len(published) == 2
         final = published[-1]
@@ -277,6 +279,17 @@ class TestFrameLog:
         with pytest.warns(UserWarning, match="skipped 3 undecodable"):
             frames = read_live_log(path)
         assert len(frames) == 1
+
+    def test_read_live_log_counts_bad_utf8_lines(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        good = (json.dumps(frame(0, ts=0.5, done=1).as_dict()) + "\n").encode()
+        # A bad byte mid-file, and a torn tail splitting a character.
+        path.write_bytes(
+            good + b"\xff\xfe\n" + good + '{"shard": "\u00e9'.encode()[:-1]
+        )
+        with pytest.warns(UserWarning, match="skipped 2 undecodable"):
+            frames = read_live_log(path)
+        assert len(frames) == 2
 
     def test_read_live_log_clean_file_no_warning(self, tmp_path):
         path = tmp_path / "frames.jsonl"

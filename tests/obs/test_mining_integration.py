@@ -169,15 +169,16 @@ class TestObserveHelper:
             assert obs_metrics.active_registry() is handles.registry
             assert obs_trace.active_tracer() is handles.tracer
             assert obs_progress.active_reporter() is handles.reporter
-            assert obs.is_active()
-        assert not obs.is_active()
+        assert obs_metrics.active_registry() is None
+        assert obs_trace.active_tracer() is None
+        assert obs_progress.active_reporter() is None
 
     def test_observe_nothing_by_default(self):
         with obs.observe() as handles:
             assert handles.registry is None
             assert handles.tracer is None
             assert handles.reporter is None
-            assert not obs.is_active()
+            assert obs.ObsHandles.active() == obs.ObsHandles()
 
     def test_observe_installs_cost_and_provenance(self, db):
         with obs.observe(cost=True, provenance=True) as handles:
@@ -202,7 +203,7 @@ class TestObserveHelper:
 class TestObsHandles:
     def test_active_reads_every_installed_kind(self):
         with obs.observe(
-            metrics=True, tracer=True, reporter=True, cost=True,
+            metrics=True, tracer=True, reporter=True, live=True, cost=True,
             provenance=True,
         ) as handles:
             assert obs.ObsHandles.active() == handles
@@ -213,7 +214,7 @@ class TestObsHandles:
             kinds = parent.kinds()
             assert kinds == {
                 "metrics": True, "tracer": True, "reporter": False,
-                "cost": True, "provenance": False,
+                "live": False, "cost": True, "provenance": False,
             }
             with obs.observe(**kinds) as shard:
                 assert shard.registry is not parent.registry

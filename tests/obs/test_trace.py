@@ -170,6 +170,17 @@ class TestJsonlRoundTrip:
         assert len(events) == 1
         assert events[0]["name"] == "mine"
 
+    def test_read_trace_counts_bad_utf8_lines_as_undecodable(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        good = b'{"ev":"B","span":1,"name":"mine","ts":0.0}\n'
+        # A bad byte mid-file, and a torn tail splitting a character.
+        path.write_bytes(
+            good + b'{"ev":"\xff"}\n' + good + '{"name":"\u00e9'.encode()[:-1]
+        )
+        with pytest.warns(UserWarning, match="skipped 2 undecodable"):
+            events = read_trace(path)
+        assert [e["ev"] for e in events] == ["B", "B"]
+
     def test_read_trace_clean_file_emits_no_warning(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"ev":"B","span":1,"name":"mine","ts":0.0}\n')

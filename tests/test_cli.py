@@ -224,6 +224,29 @@ class TestStats:
         assert "60" in out
 
 
+class TestUnreadableInput:
+    """mine, plan and stats report an input they cannot read the way
+    report/explain/diff do: one ``error:`` line and exit 2."""
+
+    CASES = {
+        "missing": (None, "No such file"),
+        "malformed": (b"A,1\n", "db.txt:1: malformed event"),
+        "bad-utf8": (b"A,0,1\n\xff,0,1\n", "db.txt:2: not valid UTF-8"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["mine", "plan", "stats"])
+    def test_error_line_and_exit_two(self, command, case, tmp_path, capsys):
+        content, expected = self.CASES[case]
+        path = tmp_path / "db.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert expected in err
+
+
 class TestMineExtensions:
     def test_top_k_flag(self, tiny_file, capsys):
         assert main(["mine", str(tiny_file), "--top-k", "3"]) == 0

@@ -9,17 +9,21 @@ to make that guarantee hold across process boundaries.
 
 import io
 import json
+import os
 import pickle
+import time
 
 import pytest
 
-from repro.core.config import MinerConfig
+from repro import engine, obs
+from repro.core.config import MinerConfig, PruningConfig
 from repro.core.ptpminer import PTPMiner, mine
 from repro.datagen import standard_dataset
 from repro.engine import (
     EXECUTORS,
     ShardTask,
     ShardedMiner,
+    _candidate_name,
     mine_sharded,
     plan_shards,
 )
@@ -451,31 +455,70 @@ class TestProcessExecutorIsolation:
 class TestLiveMode:
     """Streaming telemetry must observe the run without changing it."""
 
+    @staticmethod
+    def silent(**config):
+        return obs_live.LiveCollector(
+            obs_live.LiveConfig(render=False, **config)
+        )
+
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_live_result_is_bit_for_bit_identical(self, tiny_db, executor):
         config = MinerConfig(min_sup=0.3)
         serial = PTPMiner.from_config(config).mine(tiny_db)
-        collector = obs_live.LiveCollector(obs_live.LiveConfig(render=False))
-        sharded = mine_sharded(
-            tiny_db, config, workers=2, executor=executor, live=collector
-        )
+        with obs.observe(live=self.silent()):
+            sharded = mine_sharded(
+                tiny_db, config, workers=2, executor=executor
+            )
         assert_identical(sharded, serial)
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_collector_summary_covers_every_root(self, tiny_db, executor):
-        collector = obs_live.LiveCollector(obs_live.LiveConfig(render=False))
-        mine_sharded(
-            tiny_db,
-            MinerConfig(min_sup=0.3),
-            workers=2,
-            executor=executor,
-            live=collector,
-        )
-        summary = collector.summary
+        with obs.observe(live=self.silent()) as handles:
+            mine_sharded(
+                tiny_db,
+                MinerConfig(min_sup=0.3),
+                workers=2,
+                executor=executor,
+            )
+        summary = handles.live.summary
         assert summary is not None
         assert summary["roots_done"] == summary["roots_total"] > 0
         assert summary["frames"] >= len(summary["shards"]) == 2
         assert all(lane["final"] for lane in summary["shards"].values())
+
+    @pytest.mark.parametrize(
+        ("executor", "workers"),
+        [("serial", 1), ("serial", 2), ("serial", 3), ("process", 2)],
+    )
+    def test_frames_count_every_root_candidate(
+        self, tiny_db, tmp_path, executor, workers
+    ):
+        """Roots the support check kills count as done, like expanded
+        ones: with point pruning off, infrequent roots reach the shards."""
+        config = MinerConfig(min_sup=0.3, pruning=PruningConfig(point=False))
+        threshold = float(tiny_db.absolute_support(config.min_sup))
+        _db, _counters, root = PTPMiner.from_config(config).plan_root(
+            tiny_db, [1.0] * len(tiny_db), threshold
+        )
+        assert any(weight < threshold for weight, _sids in root.values())
+        tasks = plan_shards(root, config, threshold, workers)
+        log = tmp_path / "frames.jsonl"
+        with obs.observe(live=self.silent(interval_s=0, log_path=str(log))):
+            result = mine_sharded(
+                tiny_db, config, workers=workers, executor=executor
+            )
+        frames = obs_live.read_live_log(log)
+        finals = []
+        for task in tasks:
+            lane = [frame for frame in frames if frame.shard == task.shard]
+            total = len(task.candidates)
+            assert [f.roots_done for f in lane if not f.final] == list(
+                range(1, total + 1)
+            )
+            (final,) = [f for f in lane if f.final]
+            assert final.roots_done == final.roots_total == total
+            finals.append(final)
+        assert sum(f.patterns for f in finals) == len(result.patterns)
 
     def test_scoped_collector_is_picked_up_by_default(self, tiny_db):
         config = obs_live.LiveConfig(render=False)
@@ -488,23 +531,24 @@ class TestLiveMode:
         assert collector.summary["roots_done"] > 0
 
     def test_live_false_overrides_installed_scope(self, tiny_db):
-        with obs_live.use_live(obs_live.LiveConfig(render=False)) as scoped:
-            mine_sharded(
-                tiny_db, MinerConfig(min_sup=0.3), workers=2,
-                executor="serial", live=False,
-            )
-        assert scoped.summary is None
+        with obs.observe(live=self.silent()) as outer:
+            with obs.observe(live=False):
+                mine_sharded(
+                    tiny_db, MinerConfig(min_sup=0.3), workers=2,
+                    executor="serial",
+                )
+        assert outer.live.summary is None
 
     def test_rendered_progress_is_monotonic(self, tiny_db):
         stream = io.StringIO()
         config = obs_live.LiveConfig(interval_s=0.0, stream=stream)
-        mine_sharded(
-            tiny_db,
-            MinerConfig(min_sup=0.3),
-            workers=3,
-            executor="serial",
-            live=obs_live.LiveCollector(config),
-        )
+        with obs.observe(live=obs_live.LiveCollector(config)):
+            mine_sharded(
+                tiny_db,
+                MinerConfig(min_sup=0.3),
+                workers=3,
+                executor="serial",
+            )
         lines = [
             line for line in stream.getvalue().splitlines()
             if line.startswith("[live] roots ")
@@ -515,35 +559,90 @@ class TestLiveMode:
         assert "eta" in lines[-1]
 
     def test_shard_elapsed_gauges_recorded(self, tiny_db):
-        with obs_metrics.use_registry() as registry:
+        with obs.observe(metrics=True, live=self.silent()) as handles:
             mine_sharded(
                 tiny_db,
                 MinerConfig(min_sup=0.3),
                 workers=2,
                 executor="serial",
-                live=obs_live.LiveCollector(
-                    obs_live.LiveConfig(render=False)
-                ),
             )
-        gauges = registry.snapshot()["gauges"]
+        gauges = handles.registry.snapshot()["gauges"]
         assert "engine.shard_elapsed_s[shard=0]" in gauges
         assert "engine.shard_elapsed_s[shard=1]" in gauges
 
-    def test_rejects_unknown_live_value(self, tiny_db):
-        with pytest.raises(TypeError, match="live"):
-            mine_sharded(
-                tiny_db, MinerConfig(min_sup=0.3), workers=2,
-                executor="serial", live="yes",
-            )
-
     def test_sharded_miner_threads_live_through(self, tiny_db):
-        collector = obs_live.LiveCollector(obs_live.LiveConfig(render=False))
-        miner = ShardedMiner(
-            min_sup=0.3, workers=2, executor="serial", live=collector
-        )
-        result = miner.mine(tiny_db)
-        assert collector.summary is not None
+        miner = ShardedMiner(min_sup=0.3, workers=2, executor="serial")
+        with obs.observe(live=self.silent()) as handles:
+            result = miner.mine(tiny_db)
+        assert handles.live.summary is not None
         assert result.patterns == PTPMiner(min_sup=0.3).mine(tiny_db).patterns
+
+
+#: The engine's own shard runner; the fault-injection tests patch it.
+_real_run_shard = engine._run_shard
+#: Where shard 0 marks itself finished (set per test).
+_shard_0_done = None
+
+
+def _raise_in_shard_1(task):
+    if task.shard == 1:
+        raise ValueError("boom")
+    return _real_run_shard(task)
+
+
+def _exit_in_shard_1(task):
+    """Kill shard 1's worker once shard 0's result is on its way home."""
+    if task.shard != 1:
+        result = _real_run_shard(task)
+        _shard_0_done.touch()
+        return result
+    deadline = time.monotonic() + 60
+    while not _shard_0_done.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)
+    os._exit(1)
+
+
+class TestShardFailures:
+    """A failing shard fails the run with an error naming it and its
+    roots, on either executor, never a partial result."""
+
+    @staticmethod
+    def shard_1_roots(db, config):
+        threshold = float(db.absolute_support(config.min_sup))
+        mining_db, _counters, root = PTPMiner.from_config(config).plan_root(
+            db, [1.0] * len(db), threshold
+        )
+        task = plan_shards(root, config, threshold, 2)[1]
+        labels = sorted(mining_db.alphabet)
+        return [_candidate_name(cand, labels) for cand, _ in task.candidates]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_raising_shard_is_named(self, tiny_db, monkeypatch, executor):
+        config = MinerConfig(min_sup=0.3)
+        monkeypatch.setattr(engine, "_run_shard", _raise_in_shard_1)
+        with pytest.raises(RuntimeError, match="shard 1 ") as info:
+            mine_sharded(tiny_db, config, workers=2, executor=executor)
+        message = str(info.value)
+        assert "ValueError: boom" in message
+        assert all(
+            name in message for name in self.shard_1_roots(tiny_db, config)
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_killed_worker_is_named(self, tiny_db, monkeypatch, tmp_path):
+        config = MinerConfig(min_sup=0.3)
+        monkeypatch.setattr(engine, "_run_shard", _exit_in_shard_1)
+        monkeypatch.setattr(
+            f"{__name__}._shard_0_done", tmp_path / "shard0.done"
+        )
+        with pytest.raises(RuntimeError, match="shard 1 ") as info:
+            mine_sharded(tiny_db, config, workers=2, executor="process")
+        message = str(info.value)
+        assert "BrokenProcessPool" in message
+        assert all(
+            name in message for name in self.shard_1_roots(tiny_db, config)
+        )
 
 
 class TestPredictedStrategy:

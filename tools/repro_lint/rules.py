@@ -512,7 +512,7 @@ class ProcessPoolRule:
     """R008 — process pools may only be built by :mod:`repro.engine`.
 
     The sharded engine is the single owner of worker-process lifecycle:
-    it silences inherited observability handles in the pool initializer,
+    it shadows inherited observability handles in each shard's scope,
     ships the database once per worker, and merges per-shard results so
     the determinism guarantee (and the exact-counter perf gate) holds.
     A ``ProcessPoolExecutor`` constructed anywhere else would bypass all
@@ -554,7 +554,7 @@ class MultiprocessingPrimitiveRule:
     unmanaged channel — outside the engine's worker lifecycle, invisible
     to the zero-cost-when-disabled A/B gate, and a deadlock hazard at
     interpreter shutdown. Route streaming through the bus
-    (:func:`repro.engine.mine_sharded` ``live=``) instead. Tests are
+    (:func:`repro.obs.observe` ``live=``) instead. Tests are
     exempt; a deliberate exception is declared inline with
     ``# repro-lint: ignore[R009]``.
     """
@@ -608,7 +608,7 @@ class MultiprocessingPrimitiveRule:
                     self.code,
                     f"multiprocessing.{primitive}(...) outside "
                     "repro.obs.live/repro.engine; stream through the "
-                    "live telemetry bus (mine_sharded(live=...)) instead",
+                    "live telemetry bus (obs.observe(live=...)) instead",
                 )
 
 
