@@ -47,6 +47,7 @@ from repro.engine import mine_sharded
 from repro.obs import costmodel
 from repro.obs import ledger as obs_ledger
 from repro.obs import planner
+from repro.obs.live import imbalance
 
 # A dozen moderately skewed labels at three workers puts two heavy
 # roots three positions apart in the canonical deal order, so the
@@ -107,7 +108,7 @@ def realized_imbalance(db, config, plan, strategy) -> float:
         sum(walls.get(name, 0.0) for name in shard)
         for shard in plan["assignments"][strategy]["shards"]
     ]
-    return planner.imbalance(loads)
+    return imbalance(loads)
 
 
 def _time_mine(db, config, *, plan) -> float:

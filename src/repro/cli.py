@@ -657,21 +657,16 @@ _PARSE_HINT = (
 
 
 def _load_provenance(path: str) -> dict[str, Any]:
-    """Load and sanity-check a provenance snapshot file."""
+    """Load a provenance snapshot file (``mine --provenance`` output)."""
+    from repro.io._utf8 import load_json_object
     from repro.obs import provenance as obs_provenance
 
-    with open(path, encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    if (
-        not isinstance(snapshot, dict)
-        or snapshot.get("kind") != "repro-provenance"
-        or snapshot.get("schema") != obs_provenance.PROVENANCE_SCHEMA_VERSION
-    ):
-        raise ValueError(
-            f"{path} is not a provenance snapshot "
-            "(expected 'mine --provenance' output)"
-        )
-    return snapshot
+    return load_json_object(
+        path,
+        "provenance snapshot",
+        kind="repro-provenance",
+        schema=obs_provenance.PROVENANCE_SCHEMA_VERSION,
+    )
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import contracts
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["PRUNE_SITES", "PruningConfig", "PruneCounters"]
 
@@ -151,21 +150,6 @@ class PruneCounters:
         self.patterns_emitted += other.patterns_emitted
         for key, value in other.extras.items():
             self.extras[key] = self.extras.get(key, 0) + value
-
-    def publish(
-        self, registry: MetricsRegistry, *, prefix: str = "search."
-    ) -> None:
-        """Absorb the totals into a metrics registry as ``search.*`` counters.
-
-        The ``counters`` field on :class:`~repro.core.ptpminer.MiningResult`
-        stays the source of truth; this mirrors the same totals into the
-        observability snapshot so metrics JSON, trace attributes, and
-        harness rows all agree with it by construction.
-        """
-        registry.absorb(
-            {name: float(value) for name, value in self.as_dict().items()},
-            prefix=prefix,
-        )
 
     def check_consistency(self) -> None:
         """Contract: the counters form a coherent account of one search.

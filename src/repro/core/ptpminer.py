@@ -85,7 +85,10 @@ def _run_snapshot(
     """
     if registry is None:
         return {}
-    counters.publish(registry)
+    registry.absorb(
+        {name: float(value) for name, value in counters.as_dict().items()},
+        prefix="search.",
+    )
     registry.gauge("run.patterns").set(patterns)
     registry.gauge("run.elapsed_s").set(elapsed)
     registry.gauge("run.db_size").set(db_size)

@@ -52,18 +52,18 @@ in, in shard order, with one :meth:`~repro.obs.ObsHandles.absorb` call:
   roots, bit-for-bit equal to a serial run's.
 
 It also records one ``engine.shard_elapsed_s[shard=<i>]`` gauge per
-shard (the harness's ``shard_imbalance`` column derives from them) and
-sends the run's one final progress heartbeat from the merged counters.
+shard and sends the run's one final progress heartbeat from the merged
+counters.
 
 Live telemetry
 --------------
 With a :class:`~repro.obs.live.LiveCollector` installed
-(``obs.observe(live=...)`` — what the CLI's ``--live`` and the
-harness's ``collect_live=True`` use), worker heartbeats stream to the
-parent **during** the run over the :mod:`repro.obs.live` bus: each
-shard searches with a :class:`~repro.obs.live.LiveSink` installed, the
-search recorder reports every finished root candidate to it, the sink
-publishes throttled frames, and the parent feeds them to
+(``obs.observe(live=...)`` — what the CLI's ``--live`` uses), worker
+heartbeats stream to the parent **during** the run over the
+:mod:`repro.obs.live` bus: each shard searches with a
+:class:`~repro.obs.live.LiveSink` installed, the search recorder
+reports every finished root candidate to it, the sink publishes
+throttled frames, and the parent feeds them to
 :func:`repro.obs.live.aggregate` from its result-collection loop (a
 ``multiprocessing`` manager queue for the process executor, a direct
 callback for the serial one). The bus is never constructed unless a

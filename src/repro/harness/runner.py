@@ -49,18 +49,7 @@ class SweepResult:
         return out
 
     def table(self, columns: Sequence[str] | None = None) -> str:
-        """Render the rows as an ASCII table.
-
-        Nested dict columns (the ``"obs"`` snapshots attached by
-        ``collect_obs``) are skipped unless requested explicitly.
-        """
-        if columns is None:
-            seen: dict[str, None] = {}
-            for row in self.rows:
-                for key, value in row.items():
-                    if not isinstance(value, dict):
-                        seen.setdefault(key)
-            columns = list(seen)
+        """Render the rows as an ASCII table (all columns by default)."""
         return render_table(self.rows, columns, title=self.experiment)
 
     def chart(self, y_name: str, *, log_y: bool = True, **kwargs: Any) -> str:
@@ -90,133 +79,41 @@ class ExperimentRunner:
         miners: Iterable[MinerSpec],
         *,
         track_memory: bool = False,
-        collect_obs: bool = False,
-        collect_profile: bool = False,
-        collect_live: bool = False,
-        collect_cost: bool = False,
-        collect_provenance: bool = False,
-        workers: int = 1,
-        shard_strategy: str = "roundrobin",
-        ledger_dir: str | Path | None = None,
-        extra: dict | None = None,
     ) -> list[dict]:
         """Run every miner at one sweep point, appending result rows.
 
-        ``collect_obs=True`` scopes a metrics registry around each run,
-        flattens its per-phase timings into ``phase_<name>_s`` columns,
-        and attaches the full snapshot under the row's ``"obs"`` key
-        (excluded from tables, JSON-encoded in CSV exports).
-        ``collect_profile=True`` attaches each run's per-phase profile
-        under ``"profile"`` plus its hottest self-time function as the
-        ``"profile_top"`` column — note profiling inflates ``runtime_s``
-        (see :func:`repro.harness.metrics.measure`).
-        ``workers`` routes each built miner through the sharded engine
-        when > 1 (the spec's miner must be a
-        :class:`~repro.core.ptpminer.PTPMiner`) and is emitted as a
-        ``workers`` row column either way, so speedup sweeps can plot
-        runtime against worker count without conflating rows.
-        ``collect_live=True`` scopes a silent live telemetry collector
-        around each run; sharded-engine runs then emit a
-        ``shard_imbalance`` column (max/mean lane busy time, 1.0 =
-        perfectly balanced, ``None`` below two reporting shards) and
-        attach the lane summary under the row's ``"live"`` key.
-        ``collect_cost=True`` scopes a search cost collector around
-        each run and attaches its snapshot under the row's ``"cost"``
-        key (JSON-encoded in CSV exports).
-        ``collect_provenance=True`` scopes a pattern provenance
-        collector around each run and attaches its snapshot under the
-        row's ``"provenance"`` key, same encoding rules as ``"cost"``.
-        ``shard_strategy="predicted"`` (with ``workers > 1``) builds a
-        shard plan via :func:`repro.obs.planner.build_plan` —
-        ledger-calibrated when ``ledger_dir`` names a run ledger with
-        matching history, static-features otherwise — deals roots by
-        LPT over the forecasts, and emits ``shard_strategy`` and
-        ``predicted_imbalance`` row columns (the latter ``None`` for
-        round-robin rows). Results are bit-for-bit identical either
-        way; only load balance changes.
-
-        Every row also carries a ``config_fingerprint`` column — the
+        Every row carries a ``config_fingerprint`` column — the
         :func:`repro.obs.ledger.config_fingerprint` over the database's
-        content digest, the spec name, its built config, and the worker
-        count — so sweep rows are directly joinable against run-ledger
-        entries for the same configuration.
+        content digest, the spec name, its built config, and the built
+        miner's worker count — so sweep rows are directly joinable
+        against run-ledger entries for the same configuration. A sharded
+        sweep point is a spec whose ``build`` returns a sharded miner,
+        e.g. ``miners.build("ptpminer", min_sup=s, workers=2)``.
         """
-        from repro.core.config import SHARD_STRATEGIES
         from repro.obs.ledger import config_fingerprint, dataset_digest
 
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard_strategy {shard_strategy!r}; "
-                f"known: {list(SHARD_STRATEGIES)}"
-            )
         db_digest = dataset_digest(db)
         new_rows = []
         for spec in miners:
             miner = spec.build(x_value)
-            plan = None
-            plan_brief = None
-            if workers != 1 or shard_strategy != "roundrobin":
-                from repro.core.ptpminer import PTPMiner
-                from repro.engine import ShardedMiner
-
-                if not isinstance(miner, PTPMiner):
-                    raise ValueError(
-                        "workers > 1 (or shard_strategy) requires a "
-                        f"PTPMiner spec; {spec.name!r} built "
-                        f"{type(miner).__name__}"
-                    )
-                if shard_strategy == "predicted":
-                    from repro.obs import planner as _planner
-
-                    plan = _planner.build_plan(
-                        db,
-                        miner.config,
-                        workers=workers,
-                        ledger_dir=ledger_dir,
-                    )
-                    plan_brief = _planner.plan_summary(plan)
-                miner = ShardedMiner.from_config(
-                    miner.config,
-                    workers=workers,
-                    shard_strategy=shard_strategy,
-                    plan=plan,
-                )
             built_config = getattr(miner, "config", None)
-            fingerprint = config_fingerprint(
-                dataset_digest=db_digest,
-                miner=spec.name,
-                min_sup=getattr(built_config, "min_sup", x_value),
-                mode=getattr(built_config, "mode", None),
-                workers=workers,
-            )
             metrics = measure(
-                lambda m=miner: m.mine(db),
-                track_memory=track_memory,
-                collect_obs=collect_obs,
-                collect_profile=collect_profile,
-                collect_live=collect_live,
-                collect_cost=collect_cost,
-                collect_provenance=collect_provenance,
-                workers=workers,
-                fingerprint=fingerprint,
-                plan=plan_brief,
+                lambda m=miner: m.mine(db), track_memory=track_memory
             )
             mining = metrics.result
             row = {
                 "miner": spec.name,
                 self.x_name: x_value,
                 "dataset": db.name,
-                "workers": metrics.workers,
-                "shard_strategy": shard_strategy,
-                "config_fingerprint": metrics.config_fingerprint,
+                "config_fingerprint": config_fingerprint(
+                    dataset_digest=db_digest,
+                    miner=spec.name,
+                    min_sup=getattr(built_config, "min_sup", x_value),
+                    mode=getattr(built_config, "mode", None),
+                    workers=getattr(miner, "workers", 1),
+                ),
                 "runtime_s": round(metrics.elapsed_s, 4),
                 "patterns": len(mining.patterns),
-                "predicted_imbalance": (
-                    None if plan_brief is None
-                    else plan_brief["predicted_imbalance"].get(
-                        shard_strategy
-                    )
-                ),
             }
             if track_memory:
                 peak = metrics.peak_mem_mb
@@ -224,31 +121,6 @@ class ExperimentRunner:
                     None if peak is None else round(peak, 3)
                 )
             row.update(mining.counters.as_dict())
-            if metrics.obs is not None:
-                for key, seconds in metrics.obs["counters"].items():
-                    if key.startswith("phase_seconds[phase="):
-                        phase = key[len("phase_seconds[phase="):-1]
-                        row[f"phase_{phase}_s"] = round(seconds, 4)
-                row["obs"] = metrics.obs
-            if metrics.profile is not None:
-                from repro.obs.profile import hottest_function
-
-                row["profile_top"] = hottest_function(metrics.profile)
-                row["profile"] = metrics.profile
-            if collect_cost and metrics.cost_profile is not None:
-                row["cost"] = metrics.cost_profile
-            if collect_provenance and metrics.provenance is not None:
-                row["provenance"] = metrics.provenance
-            if collect_live:
-                summary = metrics.live_summary
-                row["shard_imbalance"] = (
-                    None if summary is None
-                    else summary["shard_imbalance"]
-                )
-                if summary is not None:
-                    row["live"] = summary
-            if extra:
-                row.update(extra)
             self.result.rows.append(row)
             new_rows.append(row)
         return new_rows
@@ -270,11 +142,9 @@ def write_rows_csv(result: SweepResult, path: str | Path) -> None:
     """Export a sweep's rows as CSV (for external plotting tools).
 
     Columns are the union of all row keys in first-seen order; missing
-    cells are left empty. Nested dict values (attached ``"obs"``
-    snapshots) are JSON-encoded into their cell.
+    cells are left empty.
     """
     import csv
-    import json
 
     columns: dict[str, None] = {}
     for row in result.rows:
@@ -283,12 +153,4 @@ def write_rows_csv(result: SweepResult, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(columns))
         writer.writeheader()
-        for row in result.rows:
-            writer.writerow(
-                {
-                    key: json.dumps(value, sort_keys=True)
-                    if isinstance(value, dict)
-                    else value
-                    for key, value in row.items()
-                }
-            )
+        writer.writerows(result.rows)

@@ -79,9 +79,10 @@ Enabling
 ['counters', 'gauges', 'histograms']
 
 :func:`observe` also takes ``tracer``, ``reporter``, ``live``,
-``cost`` and ``provenance``; the CLI, ``harness.measure()`` and the
-engine's shard runner all install through it. Each module's ``use_*()``
-installs one.
+``cost`` and ``provenance``; the CLI and the engine's shard runner
+install through it, and so does any caller of the harness's
+``measure()``, which only measures. Each module's ``use_*()`` installs
+one.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from typing import Any, Mapping, Optional, Union
 from repro.model.database import ESequenceDatabase
 from repro.obs import costmodel
 from repro.obs.warnonce import json_lines, warn_once
-from repro.perf.compare import Tolerance
+from repro.perf.compare import Tolerance, classify
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -361,14 +361,12 @@ class RunLedger:
 def _wall_verdict(
     base: float, fresh: float, tolerance: Tolerance, env_match: bool
 ) -> str:
-    """Classify a wall-time change: same rule as ``repro.perf.compare``."""
-    delta = fresh - base
-    rel = abs(delta) / base if base > 0 else (0.0 if delta == 0 else 1.0)
-    if delta > tolerance.time_abs_s and rel > tolerance.time_rtol:
-        return "regression" if env_match else "warning"
-    if -delta > tolerance.time_abs_s and rel > tolerance.time_rtol:
-        return "improvement"
-    return "ok"
+    """Classify a wall-time change by ``repro.perf.compare``'s rule.
+
+    A regression across differing environments downgrades to a warning.
+    """
+    verdict = classify(base, fresh, tolerance.time_rtol, tolerance.time_abs_s)
+    return "warning" if verdict == "regression" and not env_match else verdict
 
 
 def _pair_flags(

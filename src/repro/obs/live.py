@@ -26,8 +26,8 @@ the run:
 
 The bus keeps the repository's zero-cost-when-disabled discipline: it
 is never constructed unless a :class:`LiveCollector` is installed
-(``obs.observe(live=...)``, which CLI ``--live`` and
-``measure(collect_live=True)`` use), and workers install no sink
+(``obs.observe(live=...)``, which CLI ``--live`` uses and harness
+callers wrap around ``measure()``), and workers install no sink
 otherwise. All throttling reads :func:`repro.obs.clock.now`, so
 :class:`~repro.obs.clock.ManualClock` tests can drive heartbeats
 deterministically (lint rule R006 bans raw ``time`` imports here).
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +61,7 @@ __all__ = [
     "active_live",
     "active_sink",
     "aggregate",
+    "imbalance",
     "read_live_log",
     "set_live",
     "use_live",
@@ -147,7 +148,7 @@ class LiveConfig:
     rendering (injectable-clock seconds). ``straggler_factor`` is the
     ``k`` in the straggler rule *throughput < k · median lane
     throughput*. ``render=False`` keeps the bus silent (frames are still
-    aggregated — what ``measure(collect_live=True)`` uses);
+    aggregated into the collector's summary);
     ``stream=None`` renders to stderr. ``log_path`` appends every
     ingested frame to a JSONL log for ``ptpminer report``.
     """
@@ -297,6 +298,23 @@ class ShardLane:
             "frames": self.frames,
             "final": self.final,
         }
+
+
+def imbalance(loads: Sequence[float]) -> Optional[float]:
+    """Max/mean over positive loads (``None`` below two positive).
+
+    The one shard-imbalance figure, for live lanes' busy time, trace
+    shard spans and shard plans' predicted loads alike: 1.0 means
+    perfectly balanced, 2.0 means the slowest shard carries twice the
+    mean.
+    """
+    positive = [load for load in loads if load > 0]
+    if len(positive) < 2:
+        return None
+    mean = sum(positive) / len(positive)
+    if mean <= 0:
+        return None
+    return round(max(positive) / mean, 6)
 
 
 def _median(values: list[float]) -> float:
@@ -453,20 +471,9 @@ class LiveAggregator:
         """JSON-ready run summary: global progress, lanes, imbalance.
 
         ``shard_imbalance`` is max/mean lane busy-time (1.0 = perfectly
-        balanced; ``None`` until two lanes have busy time) — the number
-        the harness surfaces as the ``shard_imbalance`` sweep column.
+        balanced; ``None`` until two lanes have busy time).
         """
         stragglers = self.stragglers()
-        busies = [
-            lane.busy_s
-            for lane in self._lanes_in_shard_order()
-            if lane.busy_s > 0
-        ]
-        imbalance: Optional[float] = None
-        if len(busies) >= 2:
-            mean = sum(busies) / len(busies)
-            if mean > 0:
-                imbalance = max(busies) / mean
         shards = {
             str(shard): {
                 **lane.as_dict(),
@@ -482,8 +489,8 @@ class LiveAggregator:
             "frames": self.frames_ingested,
             "eta_s": None if eta is None else round(eta, 6),
             "stragglers": stragglers,
-            "shard_imbalance": (
-                None if imbalance is None else round(imbalance, 6)
+            "shard_imbalance": imbalance(
+                [lane.busy_s for lane in self._lanes_in_shard_order()]
             ),
             "shards": shards,
         }
@@ -604,9 +611,8 @@ class LiveCollector:
     """The installable handle live mode hangs off.
 
     Holds the :class:`LiveConfig` before the run and receives the final
-    :meth:`~LiveAggregator.summary` dict after it (:func:`aggregate`) —
-    what :func:`repro.harness.metrics.measure` returns as
-    ``RunMetrics.live_summary``.
+    :meth:`~LiveAggregator.summary` dict after it (:func:`aggregate`);
+    ``summary`` stays ``None`` when no sharded run happened in scope.
     """
 
     config: LiveConfig = field(default_factory=LiveConfig)

@@ -4,9 +4,10 @@ Dependency-free (no prometheus client) and **zero-cost when off**: no
 registry is installed by default, :func:`active_registry` returns ``None``
 and instrumented code skips all recording behind a single local check —
 the same discipline as :mod:`repro.contracts`. Install one per run with
-:func:`use_registry` (the CLI's ``--metrics-out`` and the harness's
-``collect_obs=True`` do exactly that), then serialise
-:meth:`MetricsRegistry.snapshot` as JSON.
+:func:`use_registry` or ``obs.observe(metrics=True)`` (the CLI's
+``--metrics-out`` does exactly that, and so do callers of the harness's
+``measure()``), then serialise :meth:`MetricsRegistry.snapshot` as
+JSON.
 
 Naming
 ------

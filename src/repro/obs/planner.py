@@ -48,13 +48,15 @@ wrong were the loads".
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.config import SHARD_STRATEGIES, MinerConfig
 from repro.core.counting import PairTables, symbol_document_frequency
-from repro.core.ptpminer import PTPMiner, _EPS
+from repro.core.ptpminer import PTPMiner, RootCandidates, _EPS
+from repro.engine import _candidate_name, plan_shards
+from repro.io._utf8 import load_json_object
 from repro.model.database import ESequenceDatabase
+from repro.obs.live import imbalance
 from repro.temporal.endpoint import EncodedDatabase
 
 __all__ = [
@@ -62,14 +64,11 @@ __all__ = [
     "build_plan",
     "calibration_record",
     "history_root_costs",
-    "imbalance",
     "load_plan",
-    "lpt_assign",
     "plan_summary",
     "predict_costs",
     "profile_workload",
     "render_plan_markdown",
-    "roundrobin_assign",
 ]
 
 #: Schema stamp on plans and calibration records; bumped on breaking
@@ -123,6 +122,16 @@ def profile_workload(
     distribution, and pair-table density (occupied fraction of the
     possible S-/I-pair cells).
     """
+    return _profile(db, config, weights)[0]
+
+
+def _profile(
+    db: ESequenceDatabase,
+    config: MinerConfig,
+    weights: Optional[Sequence[float]],
+) -> tuple[dict[str, Any], RootCandidates, tuple[str, ...]]:
+    """:func:`profile_workload`, plus the root candidates and the labels
+    the engine's deal (:func:`repro.engine.plan_shards`) consumes."""
     miner = PTPMiner.from_config(config)
     threshold = float(db.absolute_support(config.min_sup))
     run_weights = (
@@ -186,13 +195,14 @@ def profile_workload(
             ),
         },
     }
-    return {
+    profile = {
         "schema": PLAN_SCHEMA_VERSION,
         "kind": "repro-plan-profile",
         "threshold": threshold,
         "dataset": dataset,
         "roots": roots,
     }
+    return profile, root, encoded.labels
 
 
 def _distribution(values: Sequence[int]) -> dict[str, float]:
@@ -319,83 +329,8 @@ def predict_costs(
 
 
 # ----------------------------------------------------------------------
-# assignment: round-robin vs LPT, with predicted imbalance
+# assignment: the engine's deals, with predicted imbalance
 # ----------------------------------------------------------------------
-def lpt_assign(
-    costs: Mapping[str, float],
-    num_shards: int,
-    *,
-    order: Optional[Mapping[str, int]] = None,
-) -> list[list[str]]:
-    """Longest-processing-time-first assignment of roots to shards.
-
-    Items are placed heaviest-first onto the currently least-loaded
-    shard — the classic 4/3-approximation to makespan. Ties break on
-    root name (items) and lowest shard index (bins), so the assignment
-    is deterministic. At most ``min(num_shards, len(costs))`` shards
-    are produced and none is empty, mirroring the engine's round-robin
-    deal. ``order`` only affects how each shard's list is sorted for
-    display (canonical candidate order when given, name order
-    otherwise) — membership is unaffected.
-    """
-    import heapq
-
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    count = min(num_shards, len(costs))
-    if count == 0:
-        return []
-    heap: list[tuple[float, int]] = [(0.0, shard) for shard in range(count)]
-    shards: list[list[str]] = [[] for _ in range(count)]
-    ranked = sorted(costs, key=lambda name: (-costs[name], name))
-    for name in ranked:
-        load, shard = heapq.heappop(heap)
-        shards[shard].append(name)
-        heapq.heappush(heap, (load + max(costs[name], 0.0), shard))
-    key = (
-        (lambda name: order.get(name, 0))
-        if order is not None
-        else (lambda name: name)  # type: ignore[arg-type,return-value]
-    )
-    return [sorted(shard, key=key) for shard in shards]
-
-
-def roundrobin_assign(
-    names: Sequence[str], num_shards: int
-) -> list[list[str]]:
-    """The engine's round-robin deal over canonically ordered roots.
-
-    ``names`` must already be in canonical candidate order (the
-    profile's ``order`` field); the deal then reproduces
-    :func:`repro.engine.plan_shards` exactly.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    count = min(num_shards, len(names))
-    if count == 0:
-        return []
-    shards: list[list[str]] = [[] for _ in range(count)]
-    for index, name in enumerate(names):
-        shards[index % count].append(name)
-    return shards
-
-
-def imbalance(loads: Sequence[float]) -> Optional[float]:
-    """Max/mean over positive loads (``None`` below two positive).
-
-    The same figure the live telemetry and run reports use: 1.0 means
-    perfectly balanced, 2.0 means the slowest shard carries twice the
-    mean.
-    """
-    positive = [load for load in loads if load > 0]
-    if len(positive) < 2:
-        return None
-    mean = sum(positive) / len(positive)
-    if mean <= 0:
-        return None
-    return round(max(positive) / mean, 6)
-
-
 def _assignment_entry(
     shards: list[list[str]], costs: Mapping[str, float]
 ) -> dict[str, Any]:
@@ -429,15 +364,16 @@ def build_plan(
     (:func:`profile_workload`), calibrates the forecast from the run
     ledger when ``ledger_dir`` has matching history
     (:func:`history_root_costs` / :func:`predict_costs`), and emits the
-    PlanReport dict with both assignments — the engine's round-robin
-    deal and the recommended LPT (``"predicted"``) assignment — plus
-    their predicted per-shard loads and imbalance.
+    PlanReport dict with both of the engine's deals
+    (:func:`repro.engine.plan_shards` over the plan's forecasts) — the
+    round-robin deal and the recommended LPT (``"predicted"``)
+    assignment — plus their predicted per-shard loads and imbalance.
     """
     from repro.obs.ledger import dataset_digest as _dataset_digest
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    profile = profile_workload(db, config)
+    profile, root, labels = _profile(db, config, None)
     digest = _dataset_digest(db)
     history: list[dict[str, float]] = []
     if ledger_dir is not None:
@@ -454,15 +390,27 @@ def build_plan(
         name: {**dict(entry), "predicted_cost": round(costs[name], 6)}
         for name, entry in profile["roots"].items()
     }
-    order = {name: entry["order"] for name, entry in roots.items()}
-    canonical = sorted(order, key=lambda name: order[name])
+    # The engine deals by the plan's rounded forecasts; so does the plan.
+    forecasts = {name: entry["predicted_cost"] for name, entry in roots.items()}
+
+    def deal(strategy: str) -> list[list[str]]:
+        tasks = plan_shards(
+            root,
+            config,
+            profile["threshold"],
+            workers,
+            strategy=strategy,
+            costs=forecasts,
+            labels=labels,
+        )
+        return [
+            [_candidate_name(cand, labels) for cand, _ in task.candidates]
+            for task in tasks
+        ]
+
     assignments = {
-        "roundrobin": _assignment_entry(
-            roundrobin_assign(canonical, workers), costs
-        ),
-        "predicted": _assignment_entry(
-            lpt_assign(costs, workers, order=order), costs
-        ),
+        strategy: _assignment_entry(deal(strategy), costs)
+        for strategy in SHARD_STRATEGIES
     }
     return {
         "schema": PLAN_SCHEMA_VERSION,
@@ -733,16 +681,8 @@ def calibration_record(
 
 
 def load_plan(path: str) -> dict[str, Any]:
-    """Load and sanity-check a PlanReport JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        plan = json.load(handle)
-    if (
-        not isinstance(plan, dict)
-        or plan.get("kind") != "repro-plan"
-        or plan.get("schema") != PLAN_SCHEMA_VERSION
-    ):
-        raise ValueError(
-            f"{path} is not a shard plan (expected 'ptpminer plan' "
-            "or 'mine --plan-out' output)"
-        )
-    return plan
+    """Load a PlanReport JSON file (``ptpminer plan`` or ``mine
+    --plan-out`` output)."""
+    return load_json_object(
+        path, "shard plan", kind="repro-plan", schema=PLAN_SCHEMA_VERSION
+    )

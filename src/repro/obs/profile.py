@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union, cast
 
+from repro.io._utf8 import load_json_object
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "PhaseProfiler",
     "ProfileReport",
     "SCHEMA_VERSION",
-    "hottest_function",
     "main",
     "profile_scope",
     "render_profile",
@@ -405,23 +405,6 @@ def write_profile(
         handle.write("\n")
 
 
-def hottest_function(report: Mapping[str, Any]) -> Optional[str]:
-    """The top self-time function label across all phases (or ``None``).
-
-    Accepts a serialised report dict (``ProfileReport.as_dict()``);
-    tolerant of empty/degenerate reports.
-    """
-    best: Optional[str] = None
-    best_tottime = -1.0
-    for phase in report.get("phases", ()):
-        for row in phase.get("functions", ()):
-            tottime = float(row.get("tottime", 0.0) or 0.0)
-            if tottime > best_tottime:
-                best_tottime = tottime
-                best = str(row.get("func"))
-    return best
-
-
 def render_profile(report: Mapping[str, Any], *, top: int = 10) -> str:
     """Render a serialised profile report as aligned plain-text tables.
 
@@ -500,7 +483,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    report = json.loads(Path(args[0]).read_text(encoding="utf-8"))
+    try:
+        report = load_json_object(args[0], "profile")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_profile(report, top=top))
     return 0
 

@@ -1,7 +1,7 @@
 """Human-readable rendering of a metrics snapshot.
 
 Turns the JSON snapshot a :class:`~repro.obs.metrics.MetricsRegistry`
-produces (CLI ``--metrics-out``, harness ``collect_obs=True``) into the
+produces (CLI ``--metrics-out``, ``obs.observe(metrics=True)``) into the
 per-phase / per-depth summary a person reads to see *where a mining run
 spent its effort*: a phase-time breakdown (encode vs prune vs project vs
 extend), the DFS shape (states touched per depth, patterns per length,
@@ -15,12 +15,12 @@ Also runnable directly on a saved snapshot::
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 from typing import Any, Optional
+
+from repro.io._utf8 import load_json_object
 
 __all__ = ["main", "render_report"]
 
@@ -175,7 +175,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "usage: python -m repro.obs.report METRICS_JSON", file=sys.stderr
         )
         return 2
-    snapshot = json.loads(Path(args[0]).read_text(encoding="utf-8"))
+    try:
+        snapshot = load_json_object(args[0], "metrics snapshot")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_report(snapshot))
     return 0
 

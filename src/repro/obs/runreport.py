@@ -27,11 +27,16 @@ registry's ``search.*`` counters, which by construction mirror
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 from typing import Any, Optional
 
-from repro.obs.live import LiveAggregator, LiveConfig, read_live_log
+from repro.io._utf8 import load_json_object
+from repro.obs.live import (
+    LiveAggregator,
+    LiveConfig,
+    imbalance,
+    read_live_log,
+)
 from repro.obs.trace import read_trace
 
 __all__ = [
@@ -125,26 +130,6 @@ def _shards_from_trace(
     ]
 
 
-def _imbalance(busies: Sequence[float]) -> Optional[float]:
-    """Max/mean busy time across shards (``None`` below two shards)."""
-    positive = [b for b in busies if b > 0]
-    if len(positive) < 2:
-        return None
-    mean = sum(positive) / len(positive)
-    if mean <= 0:
-        return None
-    return round(max(positive) / mean, 6)
-
-
-def _load_json_object(path: str, what: str) -> dict[str, Any]:
-    """Load a JSON file that must hold an object (caller-error raise)."""
-    with open(path, encoding="utf-8") as handle:
-        loaded = json.load(handle)
-    if not isinstance(loaded, dict):
-        raise ValueError(f"{path}: expected a {what} object")
-    return loaded
-
-
 def build_run_report(
     *,
     trace_path: Optional[str] = None,
@@ -198,7 +183,7 @@ def build_run_report(
     notes: list[str] = []
     snapshot: Optional[Mapping[str, Any]] = None
     if metrics_path is not None:
-        snapshot = _load_json_object(metrics_path, "metrics snapshot")
+        snapshot = load_json_object(metrics_path, "metrics snapshot")
     events: list[dict[str, Any]] = []
     if trace_path is not None:
         events = read_trace(trace_path)
@@ -254,7 +239,7 @@ def build_run_report(
         shard_rows = _shards_from_trace(events)
         if shard_rows:
             report["shards"] = shard_rows
-            report["shard_imbalance"] = _imbalance(
+            report["shard_imbalance"] = imbalance(
                 [row["busy_s"] for row in shard_rows]
             )
         else:
@@ -268,7 +253,7 @@ def build_run_report(
     if cost_path is not None:
         from repro.obs import costmodel
 
-        cost_snapshot = _load_json_object(cost_path, "cost profile")
+        cost_snapshot = load_json_object(cost_path, "cost profile")
         heavy = costmodel.top_roots(cost_snapshot, _TOP_ROOTS_SHOWN)
         if heavy:
             report["heaviest_roots"] = heavy
@@ -280,7 +265,7 @@ def build_run_report(
     else:
         notes.append("heaviest-roots table omitted: no cost profile given")
     if provenance_path is not None:
-        prov = _load_json_object(provenance_path, "provenance snapshot")
+        prov = load_json_object(provenance_path, "provenance snapshot")
         report["provenance"] = {
             "patterns": len(dict(prov.get("patterns", {}))),
             "pruned": len(dict(prov.get("pruned", {}))),
@@ -413,11 +398,11 @@ def render_markdown(report: Mapping[str, Any]) -> str:
                     [(row["shard"], row.get("busy_s")) for row in shards],
                 )
             )
-        imbalance = report.get("shard_imbalance")
+        shard_imbalance = report.get("shard_imbalance")
         lines.append("")
-        if imbalance is not None:
+        if shard_imbalance is not None:
             lines.append(
-                f"Shard imbalance (max/mean busy): **{imbalance:g}** "
+                f"Shard imbalance (max/mean busy): **{shard_imbalance:g}** "
                 "(1.0 = perfectly balanced)"
             )
             lines.append("")

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.harness.metrics import measure
+from repro.io._utf8 import load_json_object
 from repro.model.database import ESequenceDatabase
 from repro.perf.workloads import WorkloadCell, build_database, matrix_cells
 
@@ -88,13 +89,9 @@ def run_cell(
     if db is None:
         db = build_database(cell)
     # Timing run: no tracemalloc, no registry — the leanest path.
-    timed = measure(
-        lambda: cell.mine(db), track_memory=False, workers=cell.workers
-    )
+    timed = measure(lambda: cell.mine(db), track_memory=False)
     # Memory run: separate, so tracemalloc never pollutes wall_s above.
-    traced = measure(
-        lambda: cell.mine(db), track_memory=True, workers=cell.workers
-    )
+    traced = measure(lambda: cell.mine(db), track_memory=True)
     counters = dict(timed.result.counters.as_dict())
     if counters != traced.result.counters.as_dict():
         raise RuntimeError(
@@ -165,22 +162,15 @@ def load_report(path: Union[str, Path]) -> dict[str, Any]:
     code does not understand, so ``compare`` failures are actionable.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return load_json_object(
+            path, "repro-bench report", kind="repro-bench",
+            schema=SCHEMA_VERSION,
+        )
     except FileNotFoundError:
         raise ValueError(
             f"no benchmark report at {path} "
             f"(generate one with 'python -m repro.perf update-baseline')"
         ) from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unparseable benchmark report {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("kind") != "repro-bench":
-        raise ValueError(f"{path} is not a repro-bench report")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path} has schema {data.get('schema')!r}; "
-            f"this tool understands schema {SCHEMA_VERSION}"
-        )
-    return data
 
 
 def append_report_to_ledger(

@@ -31,6 +31,7 @@ __all__ = [
     "ComparisonResult",
     "Finding",
     "Tolerance",
+    "classify",
     "compare_reports",
     "render_markdown",
 ]
@@ -85,6 +86,25 @@ def _rel_change(baseline: float, fresh: float) -> float:
     if baseline <= 0:
         return 0.0 if fresh <= 0 else float("inf")
     return (fresh - baseline) / baseline
+
+
+def classify(
+    baseline: float, fresh: float, rtol: float, abs_floor: float
+) -> str:
+    """``"regression"``, ``"improvement"`` or ``"ok"`` for a tolerant metric.
+
+    A change counts only beyond *both* tolerances: the absolute floor
+    and the relative factor (infinite growth from a zero baseline). The
+    one rule for :func:`compare_reports` and the run ledger's
+    ``history``/``diff`` verdicts.
+    """
+    delta = fresh - baseline
+    rel = _rel_change(baseline, fresh)
+    if delta > abs_floor and rel > rtol:
+        return "regression"
+    if -delta > abs_floor and -rel > rtol:
+        return "improvement"
+    return "ok"
 
 
 def _index_cells(report: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
@@ -173,9 +193,12 @@ def compare_reports(
                 f"{rel:+.1%} vs rtol {rtol:.0%} / floor {abs_floor}{unit}"
             )
             finding = Finding(cell_id, metric, base_value, new_value, detail)
-            if delta > abs_floor and rel > rtol:
+            verdict = classify(
+                float(base_value), float(new_value), rtol, abs_floor
+            )
+            if verdict == "regression":
                 soft_sink.append(finding)
-            elif -delta > abs_floor and -rel > rtol:
+            elif verdict == "improvement":
                 result.improvements.append(finding)
     return result
 

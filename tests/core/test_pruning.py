@@ -70,3 +70,30 @@ class TestPruneCountersMerge:
         before = a.as_dict()
         a.merge(PruneCounters())
         assert a.as_dict() == before
+
+
+class TestImportsWithoutPackageInit:
+    def test_core_and_engine_import_without_repro_init(self):
+        # A bare `repro` package module, so repro/__init__.py never runs
+        # and cannot pre-import `repro.obs` ahead of the core: the core
+        # must import on its own, without a core -> obs -> core cycle.
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys, types\n"
+            "package = types.ModuleType('repro')\n"
+            f"package.__path__ = [{str(src / 'repro')!r}]\n"
+            "sys.modules['repro'] = package\n"
+            "import repro.core.ptpminer\n"
+            "import repro.engine\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]

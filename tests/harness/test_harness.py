@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import miners, obs
 from repro.core.ptpminer import PTPMiner
 from repro.harness.figures import ascii_chart
 from repro.harness.metrics import RunMetrics, measure
@@ -34,17 +35,18 @@ class TestMeasure:
     def test_collect_obs_attaches_snapshot(self):
         from repro.obs import metrics as obs_metrics
 
-        metrics = measure(
-            lambda: 7, track_memory=False, collect_obs=True
-        )
+        with obs.observe(metrics=True) as handles:
+            metrics = measure(lambda: 7, track_memory=False)
         assert metrics.result == 7
-        assert metrics.obs is not None
-        assert set(metrics.obs) == {"counters", "gauges", "histograms"}
+        snapshot = handles.registry.snapshot()
+        assert set(snapshot) == {"counters", "gauges", "histograms"}
         # The scoped registry was uninstalled afterwards.
         assert obs_metrics.active_registry() is None
 
     def test_obs_none_by_default(self):
-        assert measure(lambda: 1, track_memory=False).obs is None
+        # measure() itself installs no collector of any kind.
+        metrics = measure(obs.ObsHandles.active, track_memory=False)
+        assert metrics.result == obs.ObsHandles()
 
     def test_exception_propagates_and_stops_tracing(self):
         import tracemalloc
@@ -85,38 +87,38 @@ class TestMeasure:
         )
 
     def test_collect_obs_with_track_memory_interaction(self):
-        # Documented interaction: both flags compose — the snapshot is
-        # captured AND peak memory is measured, with the registry's own
-        # small allocations inside the tracemalloc window.
+        # A registry installed around a memory-tracked measure() records
+        # the run, and its own allocations while the instrumented
+        # search runs fall inside the tracemalloc window.
         db = make_random_db(1, num_sequences=8)
-        metrics = measure(
-            lambda: PTPMiner(0.4).mine(db),
-            track_memory=True,
-            collect_obs=True,
-        )
-        assert metrics.obs is not None
+        with obs.observe(metrics=True) as handles:
+            metrics = measure(
+                lambda: PTPMiner(0.4).mine(db), track_memory=True
+            )
         assert metrics.peak_mem_bytes is not None
         assert metrics.peak_mem_bytes > 0
-        assert "search.nodes_expanded" in metrics.obs["counters"]
+        assert "search.nodes_expanded" in (
+            handles.registry.snapshot()["counters"]
+        )
 
     def test_collect_profile_attaches_report(self):
+        from repro.obs.profile import profile_scope
+
         db = make_random_db(1, num_sequences=8)
-        metrics = measure(
-            lambda: PTPMiner(0.4).mine(db),
-            track_memory=True,
-            collect_profile=True,
-        )
-        assert metrics.profile is not None
-        assert metrics.profile["kind"] == "repro-profile"
-        names = {p["name"] for p in metrics.profile["phases"]}
+        with profile_scope(memory=True) as profiler:
+            measure(lambda: PTPMiner(0.4).mine(db), track_memory=True)
+        profile = profiler.report().as_dict()
+        assert profile["kind"] == "repro-profile"
+        names = {p["name"] for p in profile["phases"]}
         assert "search" in names
-        # Memory attribution follows track_memory.
-        assert any(
-            p["memory_top"] for p in metrics.profile["phases"]
-        )
+        # memory=True attributes allocations per phase.
+        assert any(p["memory_top"] for p in profile["phases"])
 
     def test_profile_none_by_default(self):
-        assert measure(lambda: 1, track_memory=False).profile is None
+        from repro.obs import trace as obs_trace
+
+        metrics = measure(obs_trace.active_tracer, track_memory=False)
+        assert metrics.result is None
 
     def test_runmetrics_frozen(self):
         metrics = RunMetrics(1, 0.5, 10)
@@ -242,44 +244,42 @@ class TestRunner:
     def test_collect_obs_rows_carry_snapshot_and_phase_columns(self):
         db = make_random_db(1, num_sequences=5)
         runner = ExperimentRunner("demo")
-        rows = runner.run_point(
-            db, 0.5, [MinerSpec("ptp", lambda ms: PTPMiner(ms))],
-            collect_obs=True,
-        )
+        with obs.observe(metrics=True) as handles:
+            rows = runner.run_point(
+                db, 0.5, [MinerSpec("ptp", lambda ms: PTPMiner(ms))]
+            )
         row = rows[0]
-        assert set(row["obs"]) == {"counters", "gauges", "histograms"}
-        assert any(key.startswith("phase_") for key in row)
-        # The snapshot's prune counters agree with the flat counter
+        # The registry's prune counters agree with the flat counter
         # columns mirrored from PruneCounters.
-        obs_counters = row["obs"]["counters"]
+        obs_counters = handles.registry.snapshot()["counters"]
         assert obs_counters["search.pruned_pair"] == row["pruned_pair"]
-        # The nested snapshot column is excluded from rendered tables.
-        assert "obs" not in runner.result.table().splitlines()[2]
+        # Rows hold flat cells only.
+        assert not any(isinstance(value, dict) for value in row.values())
 
     def test_collect_profile_rows_carry_summary(self):
+        from repro.obs.profile import profile_scope
+
         db = make_random_db(1, num_sequences=5)
         runner = ExperimentRunner("demo")
-        rows = runner.run_point(
-            db, 0.5, [MinerSpec("ptp", lambda ms: PTPMiner(ms))],
-            collect_profile=True,
-        )
-        row = rows[0]
-        assert row["profile"]["kind"] == "repro-profile"
-        assert row["profile_top"]  # hottest self-time function label
-        # The nested profile dict stays out of rendered tables; the
-        # flat summary column stays in.
-        header = runner.result.table().splitlines()[2]
-        assert "profile_top" in header
-        assert " profile " not in header
+        with profile_scope() as profiler:
+            rows = runner.run_point(
+                db, 0.5, [MinerSpec("ptp", lambda ms: PTPMiner(ms))]
+            )
+        profile = profiler.report().as_dict()
+        assert "search" in {p["name"] for p in profile["phases"]}
+        assert set(rows[0]) >= {"runtime_s", "patterns", "pruned_pair"}
 
     def test_extra_columns(self):
+        # The returned rows are the sweep's rows: annotating them adds
+        # columns to the tables and CSV exports.
         db = make_random_db(1, num_sequences=5)
         runner = ExperimentRunner("demo")
-        runner.run_point(
-            db, 0.5, [MinerSpec("ptp", lambda ms: PTPMiner(ms))],
-            extra={"phase": "warm"},
+        (row,) = runner.run_point(
+            db, 0.5, [MinerSpec("ptp", lambda ms: PTPMiner(ms))]
         )
+        row["phase"] = "warm"
         assert runner.result.rows[0]["phase"] == "warm"
+        assert "phase" in runner.result.table().splitlines()[2]
 
 
 class TestCsvExport:
@@ -311,174 +311,181 @@ class TestCsvExport:
         assert path.read_text() == "\r\n" or path.read_text() == "\n"
 
 
+def sharded_spec(name="ptpminer", *, workers=2, **options):
+    """A spec whose miner runs through the sharded engine."""
+    return MinerSpec(
+        name,
+        lambda ms: miners.build(name, min_sup=ms, workers=workers, **options),
+    )
+
+
 class TestWorkersProvenance:
-    def test_measure_stamps_workers(self):
-        metrics = measure(lambda: 1, track_memory=False, workers=3)
-        assert metrics.workers == 3
-        assert measure(lambda: 1, track_memory=False).workers == 1
+    """A sharded sweep point is a spec that builds a sharded miner."""
 
     def test_measure_rejects_bad_workers(self):
-        import pytest
-
+        db = make_random_db(1, num_sequences=5)
+        runner = ExperimentRunner("bad")
         with pytest.raises(ValueError, match="workers"):
-            measure(lambda: 1, workers=0)
+            runner.run_point(db, 0.4, [sharded_spec(workers=0)])
 
     def test_run_point_emits_workers_column(self):
-        from repro.core.ptpminer import PTPMiner
         from repro.datagen import standard_dataset
+        from repro.obs.ledger import config_fingerprint, dataset_digest
 
         db = standard_dataset("tiny")
         runner = ExperimentRunner("workers-sweep")
-        specs = [MinerSpec("ptpminer", lambda s: PTPMiner(s))]
-        serial_rows = runner.run_point(db, 0.4, specs)
-        sharded_rows = runner.run_point(db, 0.4, specs, workers=2)
-        assert serial_rows[0]["workers"] == 1
-        assert sharded_rows[0]["workers"] == 2
+        (serial,) = runner.run_point(
+            db, 0.4, [MinerSpec("ptpminer", lambda s: PTPMiner(s))]
+        )
+        (sharded,) = runner.run_point(db, 0.4, [sharded_spec()])
         # The engine's determinism guarantee reaches the sweep rows:
         # identical pattern counts and search counters, only runtime
         # may differ.
-        assert sharded_rows[0]["patterns"] == serial_rows[0]["patterns"]
-        assert (
-            sharded_rows[0]["nodes_expanded"]
-            == serial_rows[0]["nodes_expanded"]
+        assert sharded["patterns"] == serial["patterns"]
+        for key in ("nodes_expanded", "states_created", "pruned_pair"):
+            assert sharded[key] == serial[key]
+        # The fingerprint reads the worker count off the built miner.
+        fingerprint = dict(
+            dataset_digest=dataset_digest(db),
+            miner="ptpminer",
+            min_sup=0.4,
+            mode="tp",
+        )
+        assert serial["config_fingerprint"] == config_fingerprint(
+            **fingerprint, workers=1
+        )
+        assert sharded["config_fingerprint"] == config_fingerprint(
+            **fingerprint, workers=2
         )
 
     def test_run_point_workers_requires_ptpminer(self):
-        import pytest
-
-        from repro.baselines.tprefixspan import TPrefixSpanMiner
         from repro.datagen import standard_dataset
 
         db = standard_dataset("tiny")
         runner = ExperimentRunner("bad")
-        specs = [MinerSpec("tprefixspan", lambda s: TPrefixSpanMiner(s))]
-        with pytest.raises(ValueError, match="PTPMiner"):
-            runner.run_point(db, 0.4, specs, workers=2)
+        with pytest.raises(ValueError, match="ptpminer"):
+            runner.run_point(db, 0.4, [sharded_spec("tprefixspan")])
+
+
+def silent_live():
+    return obs.LiveCollector(obs.LiveConfig(render=False))
 
 
 class TestCollectLive:
+    """A live collector installed with ``obs.observe`` around the run."""
+
     def test_measure_attaches_live_summary_for_sharded_runs(self):
         from repro.engine import ShardedMiner
 
         db = make_random_db(1, num_sequences=8)
         miner = ShardedMiner(min_sup=0.4, workers=2, executor="serial")
-        metrics = measure(
-            lambda: miner.mine(db), track_memory=False, collect_live=True
-        )
-        summary = metrics.live_summary
+        with obs.observe(live=silent_live()) as handles:
+            measure(lambda: miner.mine(db), track_memory=False)
+        summary = handles.live.summary
         assert summary is not None
         assert summary["roots_done"] == summary["roots_total"]
         assert summary["frames"] > 0
 
     def test_live_summary_none_without_a_sharded_run(self):
-        metrics = measure(lambda: 3, track_memory=False, collect_live=True)
+        with obs.observe(live=silent_live()) as handles:
+            metrics = measure(lambda: 3, track_memory=False)
         assert metrics.result == 3
-        assert metrics.live_summary is None
+        assert handles.live.summary is None
 
     def test_live_summary_none_by_default(self):
-        assert measure(lambda: 1, track_memory=False).live_summary is None
+        from repro.obs import live as obs_live
+
+        metrics = measure(obs_live.active_live, track_memory=False)
+        assert metrics.result is None
 
     def test_collect_live_composes_with_obs_and_profile(self):
         from repro.engine import ShardedMiner
+        from repro.obs.profile import profile_scope
 
         db = make_random_db(1, num_sequences=6)
         miner = ShardedMiner(min_sup=0.4, workers=2, executor="serial")
-        metrics = measure(
-            lambda: miner.mine(db),
-            collect_obs=True,
-            collect_profile=True,
-            collect_live=True,
-        )
-        assert metrics.obs is not None
-        assert metrics.profile is not None
-        assert metrics.live_summary is not None
+        with profile_scope(memory=True) as profiler, obs.observe(
+            metrics=True, live=silent_live()
+        ) as handles:
+            metrics = measure(lambda: miner.mine(db))
+        assert metrics.peak_mem_bytes is not None
+        assert handles.registry.snapshot()["counters"]
+        assert profiler.report().phases
+        assert handles.live.summary is not None
 
     def test_run_point_emits_shard_imbalance_column(self):
         db = make_random_db(1, num_sequences=8)
         runner = ExperimentRunner("demo")
-        rows = runner.run_point(
-            db, 0.4, [MinerSpec("ptp", lambda ms: PTPMiner(ms))],
-            workers=2, collect_live=True,
-        )
-        row = rows[0]
-        assert row["shard_imbalance"] is not None
-        assert row["live"]["roots_done"] == row["live"]["roots_total"]
-        # The nested summary stays out of rendered tables; the flat
-        # imbalance column stays in.
-        header = runner.result.table().splitlines()[2]
-        assert "shard_imbalance" in header
-        assert " live " not in header
+        with obs.observe(live=silent_live()) as handles:
+            runner.run_point(db, 0.4, [sharded_spec(executor="serial")])
+        summary = handles.live.summary
+        assert summary["shard_imbalance"] is not None
+        assert summary["roots_done"] == summary["roots_total"]
 
     def test_run_point_imbalance_none_for_serial_runs(self):
         db = make_random_db(1, num_sequences=6)
         runner = ExperimentRunner("demo")
-        rows = runner.run_point(
-            db, 0.4, [MinerSpec("ptp", lambda ms: PTPMiner(ms))],
-            collect_live=True,
-        )
-        assert rows[0]["shard_imbalance"] is None
-        assert "live" not in rows[0]
+        with obs.observe(live=silent_live()) as handles:
+            runner.run_point(
+                db, 0.4, [MinerSpec("ptp", lambda ms: PTPMiner(ms))]
+            )
+        assert handles.live.summary is None
 
 
 class TestCollectCost:
+    """A cost collector installed with ``obs.observe`` around the run."""
+
     def test_measure_attaches_cost_profile(self):
         db = make_random_db(1, num_sequences=8)
         miner = PTPMiner(0.4)
-        metrics = measure(
-            lambda: miner.mine(db), track_memory=False, collect_cost=True
-        )
-        profile = metrics.cost_profile
-        assert profile is not None
+        with obs.observe(cost=True) as handles:
+            measure(lambda: miner.mine(db), track_memory=False)
+        profile = handles.cost.snapshot()
         assert profile["kind"] == "repro-cost"
         assert profile["roots"]
         assert profile["levels"]["1"]["frequent"] == len(profile["roots"])
 
     def test_cost_profile_none_by_default(self):
-        assert measure(lambda: 1, track_memory=False).cost_profile is None
+        from repro.obs import costmodel
+
+        metrics = measure(costmodel.active_collector, track_memory=False)
+        assert metrics.result is None
 
     def test_non_mining_callable_yields_empty_profile(self):
-        metrics = measure(
-            lambda: 3, track_memory=False, collect_cost=True
-        )
+        with obs.observe(cost=True) as handles:
+            metrics = measure(lambda: 3, track_memory=False)
         assert metrics.result == 3
-        assert metrics.cost_profile == {
+        assert handles.cost.snapshot() == {
             "schema": 1, "kind": "repro-cost", "roots": {}, "levels": {},
         }
 
     def test_collect_cost_composes_with_other_flags(self):
         from repro.engine import ShardedMiner
+        from repro.obs.profile import profile_scope
 
         db = make_random_db(1, num_sequences=6)
         miner = ShardedMiner(min_sup=0.4, workers=2, executor="serial")
-        metrics = measure(
-            lambda: miner.mine(db),
-            collect_obs=True,
-            collect_profile=True,
-            collect_live=True,
-            collect_cost=True,
-        )
-        assert metrics.obs is not None
-        assert metrics.profile is not None
-        assert metrics.live_summary is not None
-        assert metrics.cost_profile is not None
-        assert metrics.cost_profile["roots"]
+        with profile_scope() as profiler, obs.observe(
+            metrics=True, live=silent_live(), cost=True
+        ) as handles:
+            measure(lambda: miner.mine(db))
+        assert handles.registry.snapshot()["counters"]
+        assert profiler.report().phases
+        assert handles.live.summary is not None
+        assert handles.cost.snapshot()["roots"]
 
     def test_run_point_attaches_cost_and_fingerprint(self):
         db = make_random_db(1, num_sequences=8)
         runner = ExperimentRunner("demo")
-        rows = runner.run_point(
-            db, 0.4, [MinerSpec("ptpminer", lambda ms: PTPMiner(ms))],
-            collect_cost=True,
-        )
-        row = rows[0]
-        assert row["cost"]["roots"]
+        with obs.observe(cost=True) as handles:
+            (row,) = runner.run_point(
+                db, 0.4, [MinerSpec("ptpminer", lambda ms: PTPMiner(ms))]
+            )
+        assert handles.cost.snapshot()["roots"]
         fingerprint = row["config_fingerprint"]
         assert isinstance(fingerprint, str) and len(fingerprint) == 12
-        # The nested cost snapshot stays out of rendered tables; the
-        # fingerprint column stays in.
         header = runner.result.table().splitlines()[2]
         assert "config_fingerprint" in header
-        assert " cost " not in header
 
     def test_fingerprint_joins_against_ledger_entries(self):
         # A sweep row and a ledger entry built from the same run must
@@ -517,30 +524,32 @@ class TestCollectCost:
 
 
 class TestCollectProvenance:
+    """A provenance collector installed with ``obs.observe``."""
+
     def test_measure_attaches_provenance_snapshot(self):
         db = make_random_db(1, num_sequences=8)
         miner = PTPMiner(0.4)
-        metrics = measure(
-            lambda: miner.mine(db),
-            track_memory=False,
-            collect_provenance=True,
-        )
-        snap = metrics.provenance
-        assert snap is not None
+        with obs.observe(provenance=True) as handles:
+            metrics = measure(lambda: miner.mine(db), track_memory=False)
+        snap = handles.provenance.snapshot()
         assert snap["kind"] == "repro-provenance"
         assert set(snap["patterns"]) == {
             str(item.pattern) for item in metrics.result.patterns
         }
 
     def test_provenance_none_by_default(self):
-        assert measure(lambda: 1, track_memory=False).provenance is None
+        from repro.obs import provenance as obs_provenance
+
+        metrics = measure(
+            obs_provenance.active_collector, track_memory=False
+        )
+        assert metrics.result is None
 
     def test_non_mining_callable_yields_empty_snapshot(self):
-        metrics = measure(
-            lambda: 3, track_memory=False, collect_provenance=True
-        )
+        with obs.observe(provenance=True) as handles:
+            metrics = measure(lambda: 3, track_memory=False)
         assert metrics.result == 3
-        assert metrics.provenance == {
+        assert handles.provenance.snapshot() == {
             "schema": 1,
             "kind": "repro-provenance",
             "patterns": {},
@@ -550,33 +559,29 @@ class TestCollectProvenance:
 
     def test_collect_provenance_composes_with_other_flags(self):
         from repro.engine import ShardedMiner
+        from repro.obs.profile import profile_scope
 
         db = make_random_db(1, num_sequences=6)
         miner = ShardedMiner(min_sup=0.4, workers=2, executor="serial")
-        metrics = measure(
-            lambda: miner.mine(db),
-            collect_obs=True,
-            collect_profile=True,
-            collect_cost=True,
-            collect_provenance=True,
-        )
-        assert metrics.obs is not None
-        assert metrics.profile is not None
-        assert metrics.cost_profile is not None
-        assert metrics.provenance is not None
-        assert metrics.provenance["patterns"]
+        with profile_scope() as profiler, obs.observe(
+            metrics=True, cost=True, provenance=True
+        ) as handles:
+            measure(lambda: miner.mine(db))
+        assert handles.registry.snapshot()["counters"]
+        assert profiler.report().phases
+        assert handles.cost.snapshot()["roots"]
+        assert handles.provenance.snapshot()["patterns"]
 
     def test_run_point_attaches_provenance_row_key(self):
         db = make_random_db(1, num_sequences=8)
         runner = ExperimentRunner("demo")
-        (row,) = runner.run_point(
-            db, 0.4, [MinerSpec("ptpminer", lambda ms: PTPMiner(ms))],
-            collect_provenance=True,
+        with obs.observe(provenance=True) as handles:
+            (row,) = runner.run_point(
+                db, 0.4, [MinerSpec("ptpminer", lambda ms: PTPMiner(ms))]
+            )
+        assert len(handles.provenance.snapshot()["patterns"]) == (
+            row["patterns"]
         )
-        assert row["provenance"]["patterns"]
-        # Nested snapshots stay out of rendered tables.
-        header = runner.result.table().splitlines()[2]
-        assert " provenance " not in header
 
     def test_rows_without_collect_provenance_have_no_key(self):
         db = make_random_db(1, num_sequences=6)
@@ -588,50 +593,37 @@ class TestCollectProvenance:
 
 
 class TestPredictedStrategyRows:
-    def specs(self):
-        return [MinerSpec("ptpminer", lambda ms: PTPMiner(ms))]
+    """Predicted-strategy sweep points build their plan in the spec."""
 
-    def test_predicted_rows_carry_strategy_and_imbalance(self):
-        db = make_random_db(3, num_sequences=12)
-        runner = ExperimentRunner("demo")
-        (row,) = runner.run_point(
-            db, 0.3, self.specs(), workers=3,
-            shard_strategy="predicted",
-        )
-        assert row["shard_strategy"] == "predicted"
-        assert (
-            row["predicted_imbalance"] is None
-            or row["predicted_imbalance"] >= 1.0
-        )
+    def predicted_spec(self, db, workers):
+        from repro.core.config import MinerConfig
+        from repro.obs import planner
 
-    def test_roundrobin_rows_have_null_predicted_imbalance(self):
-        db = make_random_db(3, num_sequences=12)
-        runner = ExperimentRunner("demo")
-        (row,) = runner.run_point(db, 0.3, self.specs(), workers=3)
-        assert row["shard_strategy"] == "roundrobin"
-        assert row["predicted_imbalance"] is None
+        def build(ms):
+            config = MinerConfig(min_sup=ms)
+            return miners.build(
+                "ptpminer",
+                config,
+                workers=workers,
+                shard_strategy="predicted",
+                plan=planner.build_plan(db, config, workers=workers),
+            )
+
+        return MinerSpec("ptpminer", build)
 
     def test_predicted_results_match_roundrobin(self):
         db = make_random_db(4, num_sequences=12)
         runner = ExperimentRunner("demo")
-        (rr,) = runner.run_point(db, 0.3, self.specs(), workers=3)
-        (pred,) = runner.run_point(
-            db, 0.3, self.specs(), workers=3,
-            shard_strategy="predicted",
-        )
+        (rr,) = runner.run_point(db, 0.3, [sharded_spec(workers=3)])
+        (pred,) = runner.run_point(db, 0.3, [self.predicted_spec(db, 3)])
         assert pred["patterns"] == rr["patterns"]
         assert pred["nodes_expanded"] == rr["nodes_expanded"]
+        assert pred["config_fingerprint"] == rr["config_fingerprint"]
 
     def test_unknown_strategy_rejected(self):
         db = make_random_db(3, num_sequences=6)
         runner = ExperimentRunner("demo")
         with pytest.raises(ValueError, match="shard_strategy"):
             runner.run_point(
-                db, 0.3, self.specs(), workers=2,
-                shard_strategy="zigzag",
+                db, 0.3, [sharded_spec(shard_strategy="zigzag")]
             )
-
-    def test_plan_summary_stamped_onto_metrics(self):
-        result = measure(lambda: 41, plan={"workers": 2})
-        assert result.plan == {"workers": 2}
-        assert measure(lambda: 41).plan is None

@@ -26,7 +26,7 @@ from repro.obs.ledger import (
     render_diff_markdown,
     render_history_markdown,
 )
-from repro.perf.compare import Tolerance
+from repro.perf.compare import Tolerance, compare_reports
 
 ENV = {"python": "3.x", "machine": "test"}
 OTHER_ENV = {"python": "3.y", "machine": "other"}
@@ -399,6 +399,40 @@ class TestDiffEntries:
         text = render_diff_markdown(diff_entries(a, b))
         assert "Counters identical." in text
         assert "**No regressions.**" in text
+
+
+def compare_verdict(base, fresh, tolerance):
+    """``perf compare``'s verdict on one cell whose wall time moved."""
+    def report(wall_s):
+        return {
+            "matrix": "m", "environment": ENV,
+            "cells": [{"cell": "c", "patterns": 1, "wall_s": wall_s}],
+        }
+
+    result = compare_reports(report(base), report(fresh), tolerance=tolerance)
+    if result.regressions:
+        return "regression"
+    return "improvement" if result.improvements else "ok"
+
+
+@pytest.mark.parametrize("rtol", [0.5, 1.5])
+@pytest.mark.parametrize("abs_s", [0.05, 0.25])
+@pytest.mark.parametrize("base", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("fresh", [0.0, 0.1, 0.5, 2.0])
+def test_ledger_verdicts_agree_with_perf_compare(base, fresh, rtol, abs_s):
+    # One tolerance rule: `history --check`, `diff` (wall time and
+    # phases) and `perf compare` classify every change alike,
+    # including growth from a zero baseline.
+    tol = Tolerance(time_rtol=rtol, time_abs_s=abs_s)
+    expected = compare_verdict(base, fresh, tol)
+    a = entry(run_id="a", wall_s=base, phases={"search": base})
+    b = entry(run_id="b", wall_s=fresh, phases={"search": fresh})
+    diff = diff_entries(a, b, tolerance=tol)
+    assert diff["wall_s"]["verdict"] == expected
+    assert diff["phases"][0]["verdict"] == expected
+    history = history_report([a, b], tolerance=tol)
+    flagged = [f["metric"] for f in history["regressions"]]
+    assert flagged == (["wall_s"] if expected == "regression" else [])
 
 
 class TestPatternsDigestField:

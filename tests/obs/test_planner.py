@@ -16,8 +16,10 @@ import pytest
 from repro.core.config import MinerConfig
 from repro.datagen.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.engine import plan_shards, _candidate_name
+from repro.model.database import ESequenceDatabase
 from repro.obs import planner
 from repro.obs.ledger import RunLedger, build_entry, dataset_digest
+from repro.obs.live import imbalance
 
 
 def skewed_db(seed=7, *, num_sequences=30, num_labels=6):
@@ -167,56 +169,107 @@ class TestPredictor:
         assert calibrated["predictor"]["history_runs"] == 1
 
 
+def plan_with_costs(db, config, costs, ledger_dir, *, workers):
+    """A plan whose forecasts are ``costs``, via one ledger entry."""
+    RunLedger(ledger_dir).append(
+        build_entry(
+            dataset_digest=dataset_digest(db), miner="ptpminer",
+            min_sup=config.min_sup, mode=config.mode, wall_s=1.0,
+            patterns=1, counters={},
+            cost_snapshot={
+                "schema": 1, "kind": "repro-cost", "levels": {},
+                "roots": {
+                    name: {"wall_s": cost} for name, cost in costs.items()
+                },
+            },
+        )
+    )
+    return planner.build_plan(
+        db, config, workers=workers, ledger_dir=str(ledger_dir)
+    )
+
+
+def engine_deal(db, config, plan, strategy):
+    """The shard lists the engine runs for ``plan``, by root name."""
+    from repro.core.ptpminer import PTPMiner
+
+    threshold = db.absolute_support(config.min_sup)
+    mining_db, _counters, root = PTPMiner.from_config(config).plan_root(
+        db, [1.0] * len(db), threshold
+    )
+    labels = tuple(sorted(mining_db.alphabet))
+    tasks = plan_shards(
+        root, config, threshold, plan["config"]["workers"],
+        strategy=strategy,
+        costs={
+            name: entry["predicted_cost"]
+            for name, entry in plan["roots"].items()
+        },
+        labels=labels,
+    )
+    return [
+        [_candidate_name(cand, labels) for cand, _ in task.candidates]
+        for task in tasks
+    ]
+
+
 class TestAssignment:
-    def test_lpt_beats_roundrobin_on_skew(self):
-        costs = {"a": 100.0, "b": 10.0, "c": 9.0, "d": 8.0, "e": 7.0,
-                 "f": 6.0}
-        lpt = planner.lpt_assign(costs, 3)
-        rr = planner.roundrobin_assign(sorted(costs), 3)
-        load = lambda shards: [  # noqa: E731
-            sum(costs[n] for n in shard) for shard in shards
-        ]
-        assert planner.imbalance(load(lpt)) < planner.imbalance(load(rr))
+    def test_lpt_beats_roundrobin_on_skew(self, tmp_path):
+        db = skewed_db()
+        roots = planner.profile_workload(db, CONFIG)["roots"]
+        names = sorted(roots, key=lambda name: roots[name]["order"])
+        # One heavy root first in canonical order: round-robin deals the
+        # fourth root onto its shard too, LPT leaves it alone.
+        costs = {name: 10.0 - index * 0.5 for index, name in enumerate(names)}
+        costs[names[0]] = 100.0
+        plan = plan_with_costs(db, CONFIG, costs, tmp_path, workers=3)
+        lpt = plan["assignments"]["predicted"]
+        rr = plan["assignments"]["roundrobin"]
+        assert lpt["predicted_imbalance"] < rr["predicted_imbalance"]
         # Every root assigned exactly once, no empty shard.
-        assert sorted(n for s in lpt for n in s) == sorted(costs)
-        assert all(lpt)
+        assert sorted(n for s in lpt["shards"] for n in s) == sorted(names)
+        assert all(lpt["shards"])
 
     def test_lpt_is_deterministic_and_caps_shards(self):
-        costs = {"a": 1.0, "b": 1.0}
-        assert planner.lpt_assign(costs, 5) == planner.lpt_assign(
-            costs, 5
-        )
-        assert len(planner.lpt_assign(costs, 5)) == 2
-        assert planner.lpt_assign({}, 3) == []
-        with pytest.raises(ValueError):
-            planner.lpt_assign(costs, 0)
+        db = skewed_db()
+        roots = planner.profile_workload(db, CONFIG)["roots"]
+        workers = len(roots) + 5
+        plan = planner.build_plan(db, CONFIG, workers=workers)
+        assert plan == planner.build_plan(db, CONFIG, workers=workers)
+        for entry in plan["assignments"].values():
+            assert len(entry["shards"]) == len(roots)
+            assert all(len(shard) == 1 for shard in entry["shards"])
 
     def test_roundrobin_matches_engine_deal(self):
-        # The planner's predicted round-robin deal is the engine's
-        # actual deal, shard for shard.
-        from repro.core.ptpminer import PTPMiner
-
+        # Both of the plan's deals are the engine's actual deals, shard
+        # for shard.
         db = skewed_db()
-        workers = 3
-        plan = planner.build_plan(db, CONFIG, workers=workers)
-        miner = PTPMiner.from_config(CONFIG)
-        threshold = db.absolute_support(CONFIG.min_sup)
-        mining_db, _counters, root = miner.plan_root(
-            db, [1.0] * len(db), threshold
+        plan = planner.build_plan(db, CONFIG, workers=3)
+        for strategy in ("roundrobin", "predicted"):
+            assert plan["assignments"][strategy]["shards"] == engine_deal(
+                db, CONFIG, plan, strategy
+            )
+
+    def test_tied_forecasts_show_the_engine_deal(self, tmp_path):
+        # Three roots with equal forecasts: the engine breaks the tie on
+        # the candidate tuple, so the point event A. precedes A+.
+        db = ESequenceDatabase.from_event_lists(
+            [[(0, 4, "A"), (5, 5, "A"), (6, 9, "B")]] * 2
         )
-        labels = tuple(sorted(mining_db.alphabet))
-        tasks = plan_shards(root, CONFIG, threshold, workers)
-        engine_deal = [
-            [_candidate_name(cand, labels) for cand, _ in task.candidates]
-            for task in tasks
-        ]
-        assert plan["assignments"]["roundrobin"]["shards"] == engine_deal
+        config = MinerConfig(min_sup=1.0, mode="htp")
+        plan = plan_with_costs(
+            db, config, {"A.": 1.0, "A+": 1.0, "B+": 1.0}, tmp_path,
+            workers=2,
+        )
+        shards = plan["assignments"]["predicted"]["shards"]
+        assert shards == [["A.", "B+"], ["A+"]]
+        assert shards == engine_deal(db, config, plan, "predicted")
 
     def test_imbalance_semantics(self):
-        assert planner.imbalance([]) is None
-        assert planner.imbalance([5.0]) is None
-        assert planner.imbalance([5.0, 0.0]) is None
-        assert planner.imbalance([3.0, 1.0]) == pytest.approx(1.5)
+        assert imbalance([]) is None
+        assert imbalance([5.0]) is None
+        assert imbalance([5.0, 0.0]) is None
+        assert imbalance([3.0, 1.0]) == pytest.approx(1.5)
 
 
 class TestPlanReport:

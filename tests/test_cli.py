@@ -247,6 +247,64 @@ class TestUnreadableInput:
         assert expected in err
 
 
+def _run_obs_report(path):
+    from repro.obs.report import main as report_main
+
+    return report_main([path])
+
+
+def _run_obs_profile(path):
+    from repro.obs.profile import main as profile_main
+
+    return profile_main([path])
+
+
+def _run_perf_compare(path):
+    from repro.perf.cli import main as perf_main
+
+    return perf_main(["compare", "--baseline", path])
+
+
+class TestCorruptJsonSnapshots:
+    """Every surface that reads a JSON snapshot file names the file it
+    could not read, on one ``error:`` line, and exits 2."""
+
+    CONTENTS = {
+        "truncated": b'{"counters": {"a": 1,',
+        "bad-utf8": b'{"kind": "\xff"}',
+    }
+    SURFACES = {
+        "report-metrics": lambda path: main(["report", "--metrics", path]),
+        "report-cost": lambda path: main(["report", "--cost", path]),
+        "report-provenance": lambda path: main(
+            ["report", "--provenance", path]
+        ),
+        "report-plan": lambda path: main(["report", "--plan", path]),
+        "explain": lambda path: main(
+            ["explain", "(e0+) (e0-)", "--provenance", path]
+        ),
+        "why-not": lambda path: main(
+            ["why-not", "(e0+) (e0-)", "--provenance", path]
+        ),
+        "diff-patterns": lambda path: main(
+            ["diff", "--patterns", path, path]
+        ),
+        "perf-compare": _run_perf_compare,
+        "obs-report-module": _run_obs_report,
+        "obs-profile-module": _run_obs_profile,
+    }
+
+    @pytest.mark.parametrize("content", sorted(CONTENTS))
+    @pytest.mark.parametrize("surface", sorted(SURFACES))
+    def test_error_names_the_file(self, surface, content, tmp_path, capsys):
+        path = tmp_path / "snapshot.json"
+        path.write_bytes(self.CONTENTS[content])
+        assert self.SURFACES[surface](str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
+
 class TestMineExtensions:
     def test_top_k_flag(self, tiny_file, capsys):
         assert main(["mine", str(tiny_file), "--top-k", "3"]) == 0
