@@ -331,10 +331,9 @@ class PTPMiner:
         """Shared pre-search pipeline: point prune, encode, pair tables.
 
         Returns the (possibly point-pruned) mining database alongside
-        its encoding so :meth:`plan_root` can hand the pruned database
-        to shard workers, which re-encode it locally with
-        ``point_prune=False`` (the parent already pruned, and already
-        accounted the pruning in its counters).
+        its encoding and pair tables. ``point_prune=False`` is for
+        :meth:`search_shard`, whose database :meth:`plan_root` already
+        pruned, and whose pruning the parent already accounted.
         """
         db.require_mode(self.mode)
         mining_db = db
@@ -355,20 +354,27 @@ class PTPMiner:
     # ------------------------------------------------------------------
     # sharded execution hooks (used by repro.engine)
     # ------------------------------------------------------------------
-    def plan_root(
+    def plan(
         self,
         db: ESequenceDatabase,
         weights: Sequence[float],
         threshold: float,
-    ) -> tuple[ESequenceDatabase, PruneCounters, RootCandidates]:
+    ) -> tuple[
+        ESequenceDatabase,
+        EncodedDatabase,
+        Optional[PairTables],
+        PruneCounters,
+        RootCandidates,
+    ]:
         """Run the root of the search once: the parent half of sharding.
 
-        Validates inputs, applies point pruning, and gathers the level-1
-        (root) candidate extensions with full root-node accounting. The
-        returned pruned database and candidate map are what
-        :mod:`repro.engine` partitions into :class:`ShardTask`s; the
-        returned counters are the parent's share of the final merged
-        :class:`~repro.core.pruning.PruneCounters`.
+        Validates inputs, applies point pruning, encodes, builds the
+        pair tables, and gathers the level-1 (root) candidate extensions
+        with full root-node accounting. Returns the pruned database, its
+        encoding and pair tables (which every shard's :meth:`expand`
+        searches), the parent's share of the final merged
+        :class:`~repro.core.pruning.PruneCounters`, and the candidate
+        map :mod:`repro.engine` partitions into ``ShardTask``s.
 
         The candidate map may be empty — when the root postfix branch
         bound already proves no pattern can be frequent — in which case
@@ -389,7 +395,20 @@ class PTPMiner:
                 counters,
                 root_plan_out=plan_out,
             )
-        return mining_db, counters, plan_out[0] if plan_out else {}
+        root = plan_out[0] if plan_out else {}
+        return mining_db, encoded, pairs, counters, root
+
+    def plan_root(
+        self,
+        db: ESequenceDatabase,
+        weights: Sequence[float],
+        threshold: float,
+    ) -> tuple[ESequenceDatabase, PruneCounters, RootCandidates]:
+        """:meth:`plan` without the encoding and pair tables."""
+        mining_db, _encoded, _pairs, counters, root = self.plan(
+            db, weights, threshold
+        )
+        return mining_db, counters, root
 
     def search_shard(
         self,
@@ -398,23 +417,37 @@ class PTPMiner:
         threshold: float,
         candidates: RootCandidates,
     ) -> tuple[list[PatternWithSupport], PruneCounters]:
+        """:meth:`expand` a shard from the database :meth:`plan_root`
+        returned, encoding it and building its pair tables first.
+
+        ``candidates`` must be a subset of that plan's root candidate
+        map. The engine does not call this: its shards expand the
+        parent's encoding and pair tables, which :meth:`plan` returns.
+        """
+        _, encoded, pairs = self._prepare(
+            mining_db, weights, threshold, PruneCounters(), point_prune=False
+        )
+        return self.expand(encoded, pairs, weights, threshold, candidates)
+
+    def expand(
+        self,
+        encoded: EncodedDatabase,
+        pairs: Optional[PairTables],
+        weights: Sequence[float],
+        threshold: float,
+        candidates: RootCandidates,
+    ) -> tuple[list[PatternWithSupport], PruneCounters]:
         """Expand a shard of root candidates: the worker half of sharding.
 
-        ``mining_db`` must be the (already point-pruned) database
-        returned by :meth:`plan_root` and ``candidates`` a subset of its
-        root candidate map. Skips point pruning and root-node accounting
-        — both already accounted by the parent — and returns this
-        shard's unsorted patterns plus its share of the counters.
-
-        Every call re-encodes the database and rebuilds the pair tables,
-        work the parent has already done: on the benchmark's
-        hybrid-sharded workload that is about 30% of a serial mine, paid
-        again in each worker.
+        ``encoded`` and ``pairs`` must be what :meth:`plan` built and
+        ``candidates`` a subset of its root candidate map. Skips point
+        pruning and root-node accounting — both already accounted by
+        the parent — and returns this shard's unsorted patterns plus its
+        share of the counters. The search only reads ``encoded`` and
+        ``pairs``, so every shard of a run can share one copy (lint rule
+        R015 checks that nothing writes to them).
         """
         counters = PruneCounters()
-        _, encoded, pairs = self._prepare(
-            mining_db, weights, threshold, counters, point_prune=False
-        )
         with obs_trace.span("search", shard_candidates=len(candidates)):
             patterns = self._search(
                 encoded,
@@ -992,7 +1025,7 @@ class PTPMiner:
         ) -> None:
             nonlocal num_tokens, num_occurrences
             # Sharded roots skip gathering AND root-node accounting: the
-            # parent process already did both during plan_root().
+            # parent process already did both during plan().
             at_root = last_token is None
             if at_root and root_candidates is not None:
                 candidates = root_candidates

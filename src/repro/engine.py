@@ -2,14 +2,14 @@
 
 The engine parallelizes P-TPMiner by sharding its **level-1 fan-out**:
 the parent process runs the root of the search exactly once
-(:meth:`~repro.core.ptpminer.PTPMiner.plan_root` — validation, point
+(:meth:`~repro.core.ptpminer.PTPMiner.plan` — validation, point
 pruning, encoding, pair tables, and the root candidate gather with full
 root-node accounting), partitions the root candidates into serializable
 :class:`ShardTask`s, and hands each shard to a worker that expands only
-its candidates' subtrees
-(:meth:`~repro.core.ptpminer.PTPMiner.search_shard`). Per-shard
-patterns, :class:`~repro.core.pruning.PruneCounters`, and observability
-data are then merged into a single :class:`~repro.core.ptpminer.MiningResult`.
+its candidates' subtrees over the parent's encoding and pair tables
+(:meth:`~repro.core.ptpminer.PTPMiner.expand`). Per-shard patterns,
+:class:`~repro.core.pruning.PruneCounters`, and observability data are
+then merged into a single :class:`~repro.core.ptpminer.MiningResult`.
 
 Determinism guarantee
 ---------------------
@@ -25,12 +25,15 @@ exactly. ``perf compare``'s exact counter gate therefore holds with
 Executors
 ---------
 ``serial``
-    Runs every shard in-process, sequentially. The default (and the
-    debugging surface: pure Python stack traces, no pickling).
+    Runs every shard in-process, sequentially, over one shared
+    encoding and pair tables. The default (and the debugging surface:
+    pure Python stack traces, no pickling).
 ``process``
     Runs shards on a :class:`concurrent.futures.ProcessPoolExecutor`.
-    The database is shipped once per worker via the pool initializer;
-    tasks themselves stay small. This module is the **only** place in
+    The parent's encoding and pair tables reach each worker once,
+    through the pool initializer: ``fork`` passes them without
+    pickling, ``spawn`` and ``forkserver`` pickle them once per worker.
+    Tasks themselves stay small. This module is the **only** place in
     the repository allowed to construct a process pool (lint rule R008).
 
 Observability merge semantics
@@ -89,6 +92,7 @@ from typing import Any, Optional, Sequence
 
 from repro import contracts, obs
 from repro.core.config import SHARD_STRATEGIES, MinerConfig
+from repro.core.counting import PairTables
 from repro.core.pruning import PruneCounters
 from repro.core.ptpminer import (
     MiningResult,
@@ -102,7 +106,7 @@ from repro.obs import clock as obs_clock
 from repro.obs import live as obs_live
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
-from repro.temporal.endpoint import token_name
+from repro.temporal.endpoint import EncodedDatabase, token_name
 
 __all__ = [
     "EXECUTORS",
@@ -126,10 +130,10 @@ _TaskCandidate = tuple[tuple[int, int, int], tuple[float, tuple[int, ...]]]
 class ShardTask:
     """One worker's slice of the level-1 fan-out. Frozen and picklable.
 
-    The database itself is *not* part of the task — it is shipped once
-    per worker process through the pool initializer; tasks carry only
-    the shard's root candidates plus enough configuration to rebuild the
-    miner identically.
+    The encoding and pair tables the shard searches are *not* part of
+    the task — the parent's reach each worker process once, through the
+    pool initializer; tasks carry only the shard's root candidates plus
+    enough configuration to rebuild the miner identically.
     """
 
     shard: int
@@ -269,7 +273,8 @@ _OnFrame = Callable[[dict[str, Any]], None]
 
 def _run_shard(task: ShardTask) -> ShardResult:
     """Expand one shard (runs inside a worker process, or in-process)."""
-    db: ESequenceDatabase = _WORKER_PAYLOAD["db"]
+    encoded: EncodedDatabase = _WORKER_PAYLOAD["encoded"]
+    pairs: Optional[PairTables] = _WORKER_PAYLOAD["pairs"]
     weights: list[float] = _WORKER_PAYLOAD["weights"]
     publish: Optional[_OnFrame] = _WORKER_PAYLOAD["live_publish"]
     sink = (
@@ -289,8 +294,8 @@ def _run_shard(task: ShardTask) -> ShardResult:
     # ShardResult, so both executors merge identically.
     kinds = _WORKER_PAYLOAD["kinds"]
     with obs.observe(**kinds) as handles, obs_live.use_sink(sink):
-        patterns, counters = miner.search_shard(
-            db, weights, task.threshold, task.candidate_map()
+        patterns, counters = miner.expand(
+            encoded, pairs, weights, task.threshold, task.candidate_map()
         )
     elapsed = obs_clock.now() - started
     return ShardResult(
@@ -308,7 +313,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
 def _collect(
     tasks: list[ShardTask],
     result_of: Callable[[ShardTask], ShardResult],
-    db: ESequenceDatabase,
+    labels: Sequence[str],
 ) -> list[ShardResult]:
     """Each task's result, in task order; a failing shard is named.
 
@@ -321,7 +326,6 @@ def _collect(
         try:
             results.append(result_of(task))
         except Exception as exc:
-            labels = sorted(db.alphabet)
             roots = ", ".join(
                 _candidate_name(cand, labels) for cand, _ in task.candidates
             )
@@ -334,31 +338,35 @@ def _collect(
 
 def _run_serial(
     tasks: list[ShardTask],
-    db: ESequenceDatabase,
+    encoded: EncodedDatabase,
+    pairs: Optional[PairTables],
     weights: Sequence[float],
     kinds: dict[str, bool],
     on_frame: Optional[_OnFrame],
     live_interval: float,
 ) -> list[ShardResult]:
-    """Run every shard in-process, sequentially."""
-    _init_payload_inline(db, weights, kinds, on_frame, live_interval)
+    """Run every shard in-process, sequentially, over one encoding."""
+    _init_payload_inline(
+        encoded, pairs, weights, kinds, on_frame, live_interval
+    )
     try:
-        return _collect(tasks, _run_shard, db)
+        return _collect(tasks, _run_shard, encoded.labels)
     finally:
-        # Drop the payload so stale databases are not kept alive.
+        # Drop the payload so stale encodings are not kept alive.
         _WORKER_PAYLOAD.clear()
 
 
 def _run_process(
     tasks: list[ShardTask],
-    db: ESequenceDatabase,
+    encoded: EncodedDatabase,
+    pairs: Optional[PairTables],
     weights: Sequence[float],
     workers: int,
     kinds: dict[str, bool],
     on_frame: Optional[_OnFrame],
     live_interval: float,
 ) -> list[ShardResult]:
-    """Run shards on a process pool, shipping the database once per worker.
+    """Run shards on a process pool, handing each worker the encoding once.
 
     Every task is submitted up front. In live mode the parent drains
     heartbeat frames off a manager queue *while* the shards run — the
@@ -377,7 +385,8 @@ def _run_process(
                 max_workers=min(workers, len(tasks)),
                 initializer=_init_payload_inline,
                 initargs=(
-                    db,
+                    encoded,
+                    pairs,
                     weights,
                     kinds,
                     None if frames is None else frames.put,
@@ -400,7 +409,9 @@ def _run_process(
                     break
                 continue
             on_frame(payload)
-        return _collect(tasks, lambda task: futures[task.shard].result(), db)
+        return _collect(
+            tasks, lambda task: futures[task.shard].result(), encoded.labels
+        )
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +475,9 @@ def mine_sharded(
         workers=workers,
         executor=resolved,
     ):
-        mining_db, counters, root = miner.plan_root(db, weights, threshold)
+        _, encoded, pairs, counters, root = miner.plan(
+            db, weights, threshold
+        )
         plan_costs: Optional[dict[str, float]] = None
         plan_labels: Optional[tuple[str, ...]] = None
         if shard_strategy == "predicted":
@@ -474,9 +487,9 @@ def mine_sharded(
                     for name, entry in dict(plan.get("roots", {})).items()
                     if isinstance(entry, dict)
                 }
-            # Same sorted alphabet the encoder interns, so candidate
-            # names line up with the plan's root names.
-            plan_labels = tuple(sorted(mining_db.alphabet))
+            # The encoder's sorted alphabet, so candidate names line up
+            # with the plan's root names.
+            plan_labels = encoded.labels
         tasks = plan_shards(
             root,
             config,
@@ -498,7 +511,8 @@ def mine_sharded(
                 elif resolved == "serial":
                     shard_results = _run_serial(
                         tasks,
-                        mining_db,
+                        encoded,
+                        pairs,
                         weights,
                         handles.kinds(),
                         on_frame,
@@ -507,7 +521,8 @@ def mine_sharded(
                 else:
                     shard_results = _run_process(
                         tasks,
-                        mining_db,
+                        encoded,
+                        pairs,
                         weights,
                         workers,
                         handles.kinds(),
@@ -556,7 +571,8 @@ def mine_sharded(
 
 
 def _init_payload_inline(
-    db: ESequenceDatabase,
+    encoded: EncodedDatabase,
+    pairs: Optional[PairTables],
     weights: Sequence[float],
     kinds: dict[str, bool],
     live_publish: Optional[_OnFrame],
@@ -564,14 +580,17 @@ def _init_payload_inline(
 ) -> None:
     """Payload setup; the serial executor's, and each pool worker's.
 
-    ``kinds`` (:meth:`repro.obs.ObsHandles.kinds`) is what every shard
-    installs around its search in :func:`_run_shard`; that scope also
-    shadows any collector a forked child inherited. ``live_publish``
-    (live mode only) feeds the shard's frames to the parent aggregator:
-    inline on the serial path, which has no queue; a manager-queue
-    ``put`` in a pool worker.
+    ``encoded`` and ``pairs`` are the parent's, from
+    :meth:`~repro.core.ptpminer.PTPMiner.plan`; every shard searches
+    them read-only. ``kinds`` (:meth:`repro.obs.ObsHandles.kinds`) is
+    what every shard installs around its search in :func:`_run_shard`;
+    that scope also shadows any collector a forked child inherited.
+    ``live_publish`` (live mode only) feeds the shard's frames to the
+    parent aggregator: inline on the serial path, which has no queue; a
+    manager-queue ``put`` in a pool worker.
     """
-    _WORKER_PAYLOAD["db"] = db
+    _WORKER_PAYLOAD["encoded"] = encoded
+    _WORKER_PAYLOAD["pairs"] = pairs
     _WORKER_PAYLOAD["weights"] = list(weights)
     _WORKER_PAYLOAD["kinds"] = kinds
     _WORKER_PAYLOAD["live_publish"] = live_publish

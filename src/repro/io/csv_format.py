@@ -45,6 +45,17 @@ def _parse_number(text: str) -> float:
     return int(value) if value.is_integer() else value
 
 
+def _parse_row(row: list[str]) -> tuple[int, IntervalEvent]:
+    if len(row) != 4:
+        raise ValueError("expected 4 columns")
+    sid = int(row[0])
+    if sid < 0:
+        raise ValueError(f"negative sid {sid}")
+    return sid, IntervalEvent(
+        _parse_number(row[2]), _parse_number(row[3]), row[1]
+    )
+
+
 def read_csv(path: str | os.PathLike, name: str = "") -> ESequenceDatabase:
     """Read a database written by :func:`write_csv` (or any file with the
     same ``sid,label,start,finish`` header)."""
@@ -61,17 +72,12 @@ def read_csv(path: str | os.PathLike, name: str = "") -> ESequenceDatabase:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 columns")
-            sid = int(row[0])
-            if sid < 0:
-                raise ValueError(f"{path}:{line_no}: negative sid {sid}")
+            try:
+                sid, event = _parse_row(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             max_sid = max(max_sid, sid)
-            rows.setdefault(sid, []).append(
-                IntervalEvent(
-                    _parse_number(row[2]), _parse_number(row[3]), row[1]
-                )
-            )
+            rows.setdefault(sid, []).append(event)
     sequences = [
         ESequence(rows.get(sid, [])) for sid in range(max_sid + 1)
     ]

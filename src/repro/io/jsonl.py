@@ -48,24 +48,31 @@ def read_jsonl(path: str | os.PathLike) -> ESequenceDatabase:
             line = raw.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "_meta" in record:
-                meta = record["_meta"]
-                if meta.get("format") not in (None, FORMAT_TAG):
-                    raise ValueError(
-                        f"{path}:{line_no}: unsupported format tag "
-                        f"{meta.get('format')!r}"
+            try:
+                record = json.loads(line)
+                if "_meta" in record:
+                    meta = record["_meta"]
+                    if meta.get("format") not in (None, FORMAT_TAG):
+                        raise ValueError(
+                            f"unsupported format tag {meta.get('format')!r}"
+                        )
+                    name = meta.get("name", "")
+                    continue
+                if "events" not in record:
+                    raise ValueError("record lacks an 'events' field")
+                sequences.append(
+                    ESequence(
+                        IntervalEvent(start, finish, label)
+                        for start, finish, label in record["events"]
                     )
-                name = meta.get("name", "")
-                continue
-            if "events" not in record:
+                )
+            except json.JSONDecodeError as exc:
+                # The decoder counts lines within ``line``: always 1.
                 raise ValueError(
-                    f"{path}:{line_no}: record lacks an 'events' field"
-                )
-            sequences.append(
-                ESequence(
-                    IntervalEvent(start, finish, label)
-                    for start, finish, label in record["events"]
-                )
-            )
+                    f"{path}:{line_no}: not JSON: {exc.msg} "
+                    f"at column {exc.colno}"
+                ) from exc
+            except (ValueError, TypeError, AttributeError) as exc:
+                # TypeError and AttributeError: a record of the wrong shape.
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return ESequenceDatabase(sequences, name=name)

@@ -55,6 +55,45 @@ def _parse_number(text: str) -> float:
     return int(value) if value.is_integer() else value
 
 
+def _parse_item(line: str) -> tuple[int, str]:
+    """The ``(id, label)`` of an ``@ITEM=<id>=<label>`` line."""
+    parts = line.split("=", 2)
+    if len(parts) != 3:
+        raise ValueError(f"expected '@ITEM=<id>=<label>', got {line!r}")
+    return int(parts[1]), parts[2]
+
+
+def _parse_events(line: str, labels: dict[int, str]) -> list[IntervalEvent]:
+    """The events of one ``... -1 -2`` sequence line."""
+    tokens = line.split()
+    if tokens[-1] != "-2":
+        raise ValueError("sequence line must end with -2")
+    events = []
+    fields: list[str] = []
+    for token in tokens[:-1]:
+        if token != "-1":
+            fields.append(token)
+            continue
+        if len(fields) != 3:
+            raise ValueError(
+                f"expected '<id> <start> <finish> -1', got {fields}"
+            )
+        label_id = int(fields[0])
+        if label_id not in labels:
+            raise ValueError(f"unknown item id {label_id}")
+        events.append(
+            IntervalEvent(
+                _parse_number(fields[1]),
+                _parse_number(fields[2]),
+                labels[label_id],
+            )
+        )
+        fields = []
+    if fields:
+        raise ValueError(f"trailing tokens {fields} before -2")
+    return events
+
+
 def read_spmf(path: str | os.PathLike) -> ESequenceDatabase:
     """Read a database written by :func:`write_spmf`."""
     labels: dict[int, str] = {}
@@ -65,45 +104,14 @@ def read_spmf(path: str | os.PathLike) -> ESequenceDatabase:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("@"):
+            try:
                 if line.startswith("@ITEM="):
-                    _, idx_text, label = line.split("=", 2)
-                    labels[int(idx_text)] = label
+                    label_id, label = _parse_item(line)
+                    labels[label_id] = label
                 elif line.startswith("@NAME="):
                     name = line[len("@NAME="):]
-                continue
-            tokens = line.split()
-            if tokens[-1] != "-2":
-                raise ValueError(
-                    f"{path}:{line_no}: sequence line must end with -2"
-                )
-            events = []
-            fields: list[str] = []
-            for token in tokens[:-1]:
-                if token == "-1":
-                    if len(fields) != 3:
-                        raise ValueError(
-                            f"{path}:{line_no}: expected "
-                            f"'<id> <start> <finish> -1', got {fields}"
-                        )
-                    label_id = int(fields[0])
-                    if label_id not in labels:
-                        raise ValueError(
-                            f"{path}:{line_no}: unknown item id {label_id}"
-                        )
-                    events.append(
-                        IntervalEvent(
-                            _parse_number(fields[1]),
-                            _parse_number(fields[2]),
-                            labels[label_id],
-                        )
-                    )
-                    fields = []
-                else:
-                    fields.append(token)
-            if fields:
-                raise ValueError(
-                    f"{path}:{line_no}: trailing tokens {fields} before -2"
-                )
-            sequences.append(ESequence(events))
+                elif not line.startswith("@"):
+                    sequences.append(ESequence(_parse_events(line, labels)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return ESequenceDatabase(sequences, name=name)

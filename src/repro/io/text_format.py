@@ -65,9 +65,25 @@ def write_database(db: ESequenceDatabase, path: str | os.PathLike) -> None:
             handle.write(";".join(parts) + "\n")
 
 
-def _parse_time(text: str) -> float:
+def _parse_number(text: str) -> float:
     value = float(text)
     return int(value) if value.is_integer() else value
+
+
+def _parse_events(line: str) -> list[IntervalEvent]:
+    """The events of one sequence line."""
+    events = []
+    for chunk in line.split(";"):
+        fields = chunk.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"malformed event {chunk!r}")
+        label, start_text, finish_text = fields
+        events.append(
+            IntervalEvent(
+                _parse_number(start_text), _parse_number(finish_text), label
+            )
+        )
+    return events
 
 
 def read_database(path: str | os.PathLike) -> ESequenceDatabase:
@@ -85,21 +101,10 @@ def read_database(path: str | os.PathLike) -> ESequenceDatabase:
                 if body.startswith("name:"):
                     name = body[len("name:"):].strip()
                 continue
-            events = []
-            for chunk in line.split(";"):
-                fields = chunk.split(",")
-                if len(fields) != 3:
-                    raise ValueError(
-                        f"{path}:{line_no}: malformed event {chunk!r}"
-                    )
-                label, start_text, finish_text = fields
-                events.append(
-                    IntervalEvent(
-                        _parse_time(start_text),
-                        _parse_time(finish_text),
-                        label,
-                    )
-                )
+            try:
+                events = _parse_events(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             sequences.append(ESequence(events))
     return ESequenceDatabase(sequences, name=name)
 
@@ -113,24 +118,31 @@ def write_patterns(
             handle.write(f"{item.support}\t{item.pattern}\n")
 
 
+def _parse_pattern_line(line: str) -> PatternWithSupport:
+    support_text, _, pattern_text = line.partition("\t")
+    if not pattern_text:
+        raise ValueError("expected 'support<TAB>pattern'")
+    pattern = TemporalPattern.parse(pattern_text)
+    if not pattern.is_complete:
+        # Mined patterns are complete, so the line was cut short.
+        raise ValueError(f"incomplete pattern {pattern_text!r}")
+    return PatternWithSupport(pattern, _parse_number(support_text))
+
+
 def read_patterns(path: str | os.PathLike) -> list[PatternWithSupport]:
-    """Read a pattern list written by :func:`write_patterns`."""
+    """Read a pattern list written by :func:`write_patterns`.
+
+    A pattern with an interval left open is rejected: every pattern
+    :func:`write_patterns` writes is a mined, complete one.
+    """
     out: list[PatternWithSupport] = []
     with open_utf8(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            support_text, _, pattern_text = line.partition("\t")
-            if not pattern_text:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 'support<TAB>pattern'"
-                )
-            support = float(support_text)
-            support = int(support) if support.is_integer() else support
-            out.append(
-                PatternWithSupport(
-                    TemporalPattern.parse(pattern_text), support
-                )
-            )
+            try:
+                out.append(_parse_pattern_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return out

@@ -16,7 +16,7 @@ Three layers, each usable on its own:
   encoded database, without mining any subtree: level-1 root frequency
   (support), supporter-set size, projected token mass, pair-table
   degree, plus dataset-level shape (label cardinality, sequence-length
-  distribution, pair-table density). One ``plan_root`` call is the only
+  distribution, pair-table density). One ``plan`` call is the only
   search work done.
 * :func:`predict_costs` — per-root cost forecasts. With history (prior
   ``costmodel`` profiles looked up in the run ledger by dataset digest
@@ -57,7 +57,6 @@ from repro.engine import _candidate_name, plan_shards
 from repro.io._utf8 import load_json_object
 from repro.model.database import ESequenceDatabase
 from repro.obs.live import imbalance
-from repro.temporal.endpoint import EncodedDatabase
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
@@ -94,7 +93,7 @@ def profile_workload(
     """Per-root and dataset-level static features, without mining.
 
     Runs exactly the parent half of the sharded engine
-    (:meth:`~repro.core.ptpminer.PTPMiner.plan_root`: validation, point
+    (:meth:`~repro.core.ptpminer.PTPMiner.plan`: validation, point
     prune, encode, pair tables, root candidate gather) and derives,
     per frequent level-1 root:
 
@@ -137,11 +136,12 @@ def _profile(
     run_weights = (
         list(weights) if weights is not None else [1.0] * len(db)
     )
-    mining_db, _counters, root = miner.plan_root(
+    mining_db, encoded, pairs, _counters, root = miner.plan(
         db, run_weights, threshold
     )
-    encoded = EncodedDatabase(mining_db)
-    pairs = PairTables(encoded, run_weights)
+    if pairs is None:
+        # Pair pruning is off, but the pair degree is still a feature.
+        pairs = PairTables(encoded, run_weights)
     df = symbol_document_frequency(encoded, run_weights)
     frequent_syms = sorted(
         sym for sym, weight in df.items() if weight + _EPS >= threshold

@@ -180,6 +180,111 @@ class TestBadUtf8:
             read_patterns(path)
 
 
+#: A pattern list with a float support, a duplicate label and a point.
+PATTERNS = [
+    PatternWithSupport(TemporalPattern.parse("(A+) (A-)"), 12),
+    PatternWithSupport(TemporalPattern.parse("(A+ B+) (A-) (B- C.)"), 3),
+    PatternWithSupport(
+        TemporalPattern.parse("(A+) (A#2+) (A-) (A#2-)"), 2.5
+    ),
+]
+
+READERS = {
+    **{fmt: read for fmt, (_write, read) in FORMATS.items()},
+    "patterns": read_patterns,
+}
+
+
+def write_sample(fmt, path):
+    if fmt == "patterns":
+        write_patterns(PATTERNS, path)
+    else:
+        FORMATS[fmt][0](sample_db(), path)
+
+
+class TestTruncation:
+    """A file cut short mid-line either reads or fails with a
+    ValueError that names the file, whatever the format."""
+
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_every_mid_line_cut_names_the_file(self, fmt, tmp_path):
+        full = tmp_path / f"full.{fmt}"
+        write_sample(fmt, full)
+        data = full.read_bytes()
+        path = tmp_path / f"cut.{fmt}"
+        cuts = [n for n in range(1, len(data)) if data[n - 1] != ord("\n")]
+        failed = 0
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            try:
+                read = READERS[fmt](path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}:"), (cut, str(exc))
+                failed += 1
+                continue
+            if fmt == "patterns":
+                assert all(item.pattern.is_complete for item in read), cut
+        assert failed > 0
+
+    def _read_error(self, read, tmp_path, text):
+        path = tmp_path / "cut.dat"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        return str(info.value).removeprefix(str(path))
+
+    def test_text_cut_time_field(self, tmp_path):
+        message = self._read_error(
+            read_database, tmp_path, "fever,0,2\nfever,3,9;cough,5,"
+        )
+        assert message == ":2: could not convert string to float: ''"
+
+    def test_text_cut_finish_before_start(self, tmp_path):
+        message = self._read_error(read_database, tmp_path, "cough,5,1")
+        assert message.startswith(":1: ")
+        assert "finish < start" in message
+
+    def test_csv_cut_time_field(self, tmp_path):
+        message = self._read_error(
+            read_csv, tmp_path, "sid,label,start,finish\n0,fever,3,"
+        )
+        assert message == ":2: could not convert string to float: ''"
+
+    def test_spmf_cut_item_line(self, tmp_path):
+        message = self._read_error(
+            read_spmf, tmp_path, "@CONVERTED_FROM_INTERVALS\n@ITEM=0"
+        )
+        assert message.startswith(":2: expected '@ITEM=<id>=<label>'")
+
+    def test_jsonl_cut_record_names_its_line(self, tmp_path):
+        message = self._read_error(
+            read_jsonl,
+            tmp_path,
+            '{"_meta": {"name": "x"}}\n{"events": [[3, 9, "fe',
+        )
+        assert message.startswith(":2: not JSON: Unterminated string")
+
+    def test_pattern_cut_inside_pointset(self, tmp_path):
+        message = self._read_error(
+            read_patterns, tmp_path, "12\t(A+) (A-)\n4\t(A+ B+) (A-"
+        )
+        assert message == ":2: unterminated pointset in pattern text"
+
+    def test_incomplete_pattern_is_rejected(self, tmp_path):
+        message = self._read_error(
+            read_patterns, tmp_path, "4\t(A+ B+) (A-)\n"
+        )
+        assert message == ":1: incomplete pattern '(A+ B+) (A-)'"
+
+    @pytest.mark.parametrize(
+        "record",
+        ["5", '{"_meta": 5}', '{"events": 5}', '{"events": [[1, 2]]}'],
+    )
+    def test_jsonl_record_of_the_wrong_shape(self, record, tmp_path):
+        message = self._read_error(read_jsonl, tmp_path, record + "\n")
+        assert message.startswith(":1: ")
+
+
 class TestPatternIO:
     def test_pattern_round_trip(self, tmp_path):
         patterns = [

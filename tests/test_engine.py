@@ -11,12 +11,15 @@ import io
 import json
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro import engine, obs
 from repro.core.config import MinerConfig, PruningConfig
+from repro.core.counting import PairTables
 from repro.core.ptpminer import PTPMiner, mine
 from repro.datagen import standard_dataset
 from repro.engine import (
@@ -35,6 +38,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
 from repro.obs.clock import ManualClock, clock_scope
+from repro.temporal.endpoint import EncodedDatabase
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +454,113 @@ class TestProcessExecutorIsolation:
             key.startswith("shard.") for key in snapshot["counters"]
         )
         assert result.params["executor"] == "process"
+
+
+#: Mines a hybrid htp database serially and on a spawn-started pool, and
+#: checks that both give the same patterns, counters and provenance.
+#: Spawn pickles the pool initializer's payload; fork, Linux's default
+#: before Python 3.14, never does.
+_SPAWN_SCRIPT = """
+import json
+import multiprocessing
+
+from repro.core.config import MinerConfig
+from repro.core.ptpminer import PTPMiner
+from repro.datagen import standard_dataset
+from repro.engine import mine_sharded
+from repro.obs import provenance as obs_provenance
+
+
+def mine(db, config, workers):
+    with obs_provenance.use_collector() as collector:
+        if workers == 1:
+            result = PTPMiner.from_config(config).mine(db)
+        else:
+            result = mine_sharded(
+                db, config, workers=workers, executor="process"
+            )
+    return result, json.dumps(collector.snapshot(), sort_keys=True)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    db = standard_dataset("hybrid", num_sequences=200)
+    config = MinerConfig(min_sup=0.1, mode="htp")
+    serial, serial_provenance = mine(db, config, 1)
+    spawned, spawned_provenance = mine(db, config, 2)
+    assert serial.patterns, "the comparison is vacuous"
+    assert spawned.params["shards"] == 2
+    assert spawned.patterns == serial.patterns
+    assert spawned.counters == serial.counters
+    assert spawned_provenance == serial_provenance
+    print(multiprocessing.get_start_method(), len(spawned.patterns))
+"""
+
+
+class TestSharedEncoding:
+    """Every shard searches the parent's one encoding and pair tables."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Constructions of each class, counted from now on."""
+        built = {EncodedDatabase.__name__: 0, PairTables.__name__: 0}
+        for cls in (EncodedDatabase, PairTables):
+
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        return built
+
+    def test_one_encoding_per_run(self, tiny_db, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        result = mine_sharded(
+            tiny_db, MinerConfig(min_sup=0.3), workers=3, executor="serial"
+        )
+        assert result.params["shards"] == 3
+        assert built == {"EncodedDatabase": 1, "PairTables": 1}
+
+    @pytest.mark.parametrize("pair", [True, False])
+    def test_planner_profiles_the_plan_encoding(
+        self, tiny_db, monkeypatch, pair
+    ):
+        # With pair pruning off the plan builds no pair tables, but the
+        # profile's pair degree still needs one.
+        from repro.obs import planner
+
+        reference = planner.profile_workload(tiny_db, MinerConfig(min_sup=0.3))
+        built = self.count_builds(monkeypatch)
+        profile = planner.profile_workload(
+            tiny_db,
+            MinerConfig(min_sup=0.3, pruning=PruningConfig(pair=pair)),
+        )
+        assert profile["roots"]
+        assert profile == reference
+        assert built == {"EncodedDatabase": 1, "PairTables": 1}
+
+    def test_spawned_workers_match_serial(self, tmp_path):
+        script = tmp_path / "spawn_mine.py"
+        script.write_text(_SPAWN_SCRIPT)
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
+        }
+        # The timeout matters: spawned workers that cannot import the
+        # script's __main__ leave the pool waiting forever.
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        method, patterns = completed.stdout.split()
+        assert method == "spawn"
+        assert int(patterns) > 0
 
 
 class TestLiveMode:

@@ -1,10 +1,11 @@
-"""Fixture: R015 — plan-cache consumer purity.
+"""Fixture: R015 — root-plan consumer purity.
 
 Linted under the synthetic path ``src/repro/core/ptpminer.py`` so the
-production cache-consumer seeds (``PTPMiner.plan_root`` /
-``PTPMiner.search_shard``) apply. The second finding is reached by
-propagation: ``candidates`` flows into ``self._drain`` and is mutated
-there.
+production consumer seeds (``PTPMiner.plan_root`` /
+``PTPMiner.search_shard`` / ``PTPMiner.expand``) apply. The second
+finding is reached by propagation: ``candidates`` flows into
+``self._drain`` and is mutated there. The third is a shard writing to
+the encoding every shard of a run shares.
 """
 
 
@@ -26,3 +27,15 @@ class PTPMiner:
     def _drain(self, items: list) -> None:
         """Mutates what it is given."""
         items.pop()  # expect: R015
+
+    def expand(
+        self,
+        encoded: dict,
+        pairs: dict,
+        weights: dict,
+        threshold: float,
+        candidates: dict,
+    ) -> list:
+        """Writes to the shared encoding."""
+        encoded["labels"] = ()  # expect: R015
+        return sorted(candidates)

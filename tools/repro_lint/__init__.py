@@ -21,7 +21,7 @@ primitives only in the telemetry bus and the engine.
 sort keys; ``R013`` order-sensitive accumulation over unordered sources
 on merge paths; ``R014`` engine-boundary shippability (frozen picklable
 tasks, module-level worker callables, no hidden worker state); ``R015``
-plan-cache consumers must be inferred-pure readers; ``R016`` mining
+root-plan consumers must be inferred-pure readers; ``R016`` mining
 entry points carry contract or span coverage; ``R017`` suppression
 hygiene (unused/expired/malformed/unscoped).
 

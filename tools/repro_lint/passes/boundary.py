@@ -251,7 +251,7 @@ class BoundaryPass:
             return
         seen.add(cls.qualname)
         if not cls.is_dataclass:
-            # Plain classes (e.g. the shipped database) are accepted:
+            # Plain classes (e.g. the shipped encoding) are accepted:
             # their picklability is covered by runtime round-trip tests.
             return
         if not cls.frozen:

@@ -30,8 +30,10 @@ ENTRY_POINT_NAMES = frozenset(
         "mine_weighted",
         "mine_top_k",
         "mine_sharded",
+        "plan",
         "plan_root",
         "search_shard",
+        "expand",
     }
 )
 

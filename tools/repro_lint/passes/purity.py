@@ -1,12 +1,13 @@
-"""Plan-cache consumer purity audit (R015).
+"""Shared-encoding purity audit (R015).
 
-The serving-layer plan (ROADMAP) caches the output of
-``PTPMiner.plan_root`` — the encoded database, level-1 counters, and
-root candidate map — and replays ``search_shard`` against it many
-times. That is only sound if every consumer treats the cached
-structures as immutable. This pass enforces it by *inference*: starting
-from the declared cache-consumer entry points, it tracks each protected
-parameter through the call graph (strict resolution only) and flags
+``PTPMiner.plan`` encodes the database and builds the pair tables once,
+in the parent, and every shard's ``PTPMiner.expand`` searches them. On
+the serial executor the shards of a run share one copy, so a shard that
+wrote to the encoding or the pair tables would change the next shard's
+search — and the merged result would depend on the deal. This pass
+rules that out by *inference*: starting from the declared consumer
+entry points, it tracks each protected parameter through the call graph
+(strict resolution only) and flags
 
 * any direct mutation of a protected parameter (attribute / item
   stores, ``del``, mutating method calls such as ``.append`` /
@@ -31,7 +32,7 @@ from tools.repro_lint.graph import ProjectGraph
 __all__ = ["CACHE_CONSUMERS", "PurityPass"]
 
 #: (function qualname, protected parameter names). These are the seams
-#: the serving layer will replay against cached plan structures.
+#: that read what the root plan built, or the input it was built from.
 CACHE_CONSUMERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     (
         "repro.core.ptpminer.PTPMiner.plan_root",
@@ -42,6 +43,10 @@ CACHE_CONSUMERS: tuple[tuple[str, tuple[str, ...]], ...] = (
         ("mining_db", "weights", "candidates"),
     ),
     (
+        "repro.core.ptpminer.PTPMiner.expand",
+        ("encoded", "pairs", "weights", "candidates"),
+    ),
+    (
         "repro.engine._run_shard",
         ("task",),
     ),
@@ -49,12 +54,12 @@ CACHE_CONSUMERS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 
 class PurityPass:
-    """R015: cached plan structures may only meet pure readers."""
+    """R015: the shared root-plan structures may only meet pure readers."""
 
     name = "purity"
     rules = {
         "R015": (
-            "plan-cached structure is mutated by an inferred-impure "
+            "shared root-plan structure is mutated by an inferred-impure "
             "consumer"
         ),
     }
@@ -80,9 +85,9 @@ class PurityPass:
                     fn.ctx.violation(
                         site.node,
                         "R015",
-                        f"{fn.qualname}() mutates plan-cached parameter "
-                        f"{param!r} ({site.why}); cache consumers must "
-                        "be pure readers",
+                        f"{fn.qualname}() mutates shared root-plan "
+                        f"parameter {param!r} ({site.why}); its consumers "
+                        "must be pure readers",
                     )
                 )
             for callee_qual, callee_param in self._flows(

@@ -513,10 +513,10 @@ class ProcessPoolRule:
 
     The sharded engine is the single owner of worker-process lifecycle:
     it shadows inherited observability handles in each shard's scope,
-    ships the database once per worker, and merges per-shard results so
-    the determinism guarantee (and the exact-counter perf gate) holds.
-    A ``ProcessPoolExecutor`` constructed anywhere else would bypass all
-    of that — route parallelism through
+    hands each worker the parent's encoding once, and merges per-shard
+    results so the determinism guarantee (and the exact-counter perf
+    gate) holds. A ``ProcessPoolExecutor`` constructed anywhere else
+    would bypass all of that — route parallelism through
     :func:`repro.engine.mine_sharded` / :class:`repro.engine.ShardedMiner`
     instead. Tests are exempt; a deliberate exception is declared inline
     with ``# repro-lint: ignore[R008]``.
