@@ -2,8 +2,8 @@
 
 Standalone script (no pytest): mines the F1 sparse workload at a single
 support threshold with the full observability stack on, writes the
-metrics snapshot as JSON, and prints the rendered report to the job
-log. CI uploads the JSON as an artifact on every push, so phase
+metrics snapshot as JSON, and prints its ``ptpminer report`` rendering
+to the job log. CI uploads the JSON as an artifact on every push, so phase
 timings, DFS shape, and prune counters form a breadcrumb trail across
 commits without running the full benchmark suite.
 
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from repro import obs
 from repro.core.ptpminer import PTPMiner
 from repro.datagen import standard_dataset
-from repro.obs.report import render_report
+from repro.obs.runreport import build_run_report, render_markdown
 
 NUM_SEQUENCES = 120
 MIN_SUP = 0.10
@@ -64,7 +64,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"{len(db)} sequences at min_sup={MIN_SUP} "
         f"({result.elapsed:.2f}s) -> {args.out}\n"
     )
-    print(render_report(snapshot))
+    print(render_markdown(build_run_report(metrics_path=args.out)), end="")
     return 0
 
 

@@ -25,8 +25,10 @@ Subcommands
     log, cost profile (``--cost``), provenance snapshot
     (``--provenance``), and shard plan (``--plan``) into one markdown
     (or JSON) run report: phase table, shard utilization/imbalance,
-    prune funnel, straggler callouts, realized heaviest roots, and the
-    plan-vs-actual calibration section. With only a subset of the
+    prune funnel, the metrics snapshot's search tables (states per
+    depth, patterns per length, candidates per extension kind), totals
+    and histograms, straggler callouts, realized heaviest roots, and
+    the plan-vs-actual calibration section. With only a subset of the
     inputs the report is partial and says so in a Notes section
     instead of erroring.
 ``history``
@@ -64,18 +66,21 @@ Observability
 -------------
 ``mine`` exposes the :mod:`repro.obs` layer: ``--trace FILE`` streams a
 JSONL span trace, ``--metrics-out FILE`` writes the run's metrics
-snapshot as JSON (render it with ``python -m repro.obs.report FILE``),
-``--progress`` prints throttled search heartbeats to stderr, and the
-global ``--log-level`` configures the standard-library logging root.
+snapshot as JSON (render it with ``ptpminer report --metrics FILE``),
+and the global ``--log-level`` configures the standard-library logging
+root.
 ``--profile`` runs the per-phase profiler
 (:mod:`repro.obs.profile`) and writes ``BASE.json`` (render with
 ``python -m repro.obs.profile``) plus ``BASE.folded`` collapsed stacks
 for flamegraph tooling; ``--profile-out BASE`` picks the base path
 (default ``profile``). Profiling inflates the reported runtime.
-``--live`` streams per-shard progress lanes with an ETA and straggler
-callouts to stderr during the run (sharded engine; see
-:mod:`repro.obs.live`); ``--live-log FILE`` additionally appends every
-heartbeat frame as JSONL for ``ptpminer report``.
+``--live`` (alias ``--progress``) streams per-shard progress lanes with
+an ETA and straggler callouts to stderr during the run: a line after
+the first finished root, then at most one per ``--live-interval``
+seconds as roots finish, and a last one at the end (sharded engine,
+one worker included; see :mod:`repro.obs.live`); ``--live-log FILE``
+additionally appends every heartbeat frame as JSONL for ``ptpminer
+report``.
 ``--cost-profile FILE`` writes the per-root / per-level search cost
 profile (:mod:`repro.obs.costmodel`) as JSON,
 ``--provenance FILE`` (alias ``--explain-out``) records pattern
@@ -286,11 +291,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         return 2
     if _live_requested(args):
         if args.miner != "ptpminer":
-            print("--live/--live-log require the ptpminer miner",
-                  file=sys.stderr)
+            print("--live/--progress/--live-log require the ptpminer "
+                  "miner", file=sys.stderr)
             return 2
         if args.top_k:
-            print("--live/--live-log do not support --top-k",
+            print("--live/--progress/--live-log do not support --top-k",
                   file=sys.stderr)
             return 2
     if args.cost_profile and args.miner != "ptpminer":
@@ -351,11 +356,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 tracer=(
                     stack.enter_context(obs.JsonlTraceWriter.open(args.trace))
                     if args.trace
-                    else None
-                ),
-                reporter=(
-                    obs.ProgressReporter(stream=sys.stderr)
-                    if args.progress
                     else None
                 ),
                 live=(
@@ -878,16 +878,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a JSONL span trace of the run")
     mine_p.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the run's metrics snapshot as JSON "
-                             "(render with 'python -m repro.obs.report')")
-    mine_p.add_argument("--progress", action="store_true",
-                        help="print throttled search heartbeats to stderr")
+                             "(render with 'ptpminer report --metrics "
+                             "FILE')")
     mine_p.add_argument("--profile", action="store_true",
                         help="profile per phase; writes profile.json + "
                              "profile.folded (see --profile-out)")
     mine_p.add_argument("--profile-out", metavar="BASE", default=None,
                         help="base path for profile outputs "
                              "(implies --profile)")
-    mine_p.add_argument("--live", action="store_true",
+    mine_p.add_argument("--live", "--progress", dest="live",
+                        action="store_true",
                         help="stream per-shard progress lanes, ETA, and "
                              "straggler callouts to stderr during the run "
                              "(ptpminer only)")

@@ -280,7 +280,6 @@ class PTPMiner:
                     encoded, weights, [float(threshold)], pairs, counters
                 )
             patterns.sort(key=PatternWithSupport.sort_key)
-        obs_recorder.run_done(counters)
         if contracts.checking:
             counters.check_consistency()
             self._oracle_check(db, weights, float(threshold), patterns)
@@ -511,7 +510,9 @@ class PTPMiner:
                     encoded, weights, threshold_box, pairs, counters,
                     on_emit=on_emit,
                 )
-        obs_recorder.run_done(counters)
+        if contracts.checking:
+            # No oracle check: the moving threshold has no fixed answer.
+            counters.check_consistency()
         qualifying = [
             item
             for item in patterns
@@ -1031,8 +1032,6 @@ class PTPMiner:
                 candidates = root_candidates
             else:
                 counters.nodes_expanded += 1
-                if rec is not None:
-                    rec.expand(num_tokens)
                 if postfix_prune:
                     # O(1) branch bound: at most len(proj) sequences of at
                     # most max_weight each can support any descendant.

@@ -41,7 +41,7 @@ Observability merge semantics
 The parent reads its collectors as one :class:`~repro.obs.ObsHandles`
 bundle and ships their kinds to the workers; every shard, on either
 executor, searches under ``obs.observe(**kinds)`` — fresh private
-collectors and no progress reporter, never the parent's — and ships
+collectors and no live collector, never the parent's — and ships
 them home as one snapshot (``ShardResult.obs``). The parent folds each
 in, in shard order, with one :meth:`~repro.obs.ObsHandles.absorb` call:
 
@@ -55,8 +55,7 @@ in, in shard order, with one :meth:`~repro.obs.ObsHandles.absorb` call:
   roots, bit-for-bit equal to a serial run's.
 
 It also records one ``engine.shard_elapsed_s[shard=<i>]`` gauge per
-shard and sends the run's one final progress heartbeat from the merged
-counters.
+shard.
 
 Live telemetry
 --------------
@@ -104,7 +103,6 @@ from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport
 from repro.obs import clock as obs_clock
 from repro.obs import live as obs_live
-from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.temporal.endpoint import EncodedDatabase, token_name
 
@@ -417,6 +415,21 @@ def _run_process(
 # ----------------------------------------------------------------------
 # the engine entry points
 # ----------------------------------------------------------------------
+def _check_options(workers: int, executor: str, shard_strategy: str) -> None:
+    """Reject a bad worker count, executor or shard strategy."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
+        )
+    if shard_strategy not in SHARD_STRATEGIES:
+        raise ValueError(
+            f"shard_strategy must be one of {SHARD_STRATEGIES}, "
+            f"got {shard_strategy!r}"
+        )
+
+
 def mine_sharded(
     db: ESequenceDatabase,
     config: MinerConfig,
@@ -446,17 +459,7 @@ def mine_sharded(
     without a plan, with an arbitrarily wrong plan) yields a bit-for-bit
     identical result; the strategy only moves wall time between shards.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if shard_strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-            f"got {shard_strategy!r}"
-        )
+    _check_options(workers, executor, shard_strategy)
     resolved = (
         ("serial" if workers == 1 else "process")
         if executor == "auto"
@@ -540,7 +543,6 @@ def mine_sharded(
                             "engine.shard_elapsed_s", shard=result.shard
                         ).set(result.elapsed)
                 patterns.sort(key=PatternWithSupport.sort_key)
-    obs_recorder.run_done(counters)
     if contracts.checking:
         counters.check_consistency()
         miner._oracle_check(db, weights, threshold, patterns)
@@ -625,17 +627,9 @@ class ShardedMiner:
             self.config = config
         else:
             self.config = MinerConfig.from_kwargs(min_sup=min_sup, **kwargs)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-                f"got {shard_strategy!r}"
-            )
+        # Checked at construction too, where the CLI turns a bad option
+        # into an ``error:`` line and exit 2.
+        _check_options(workers, executor, shard_strategy)
         self.workers = workers
         self.executor = executor
         self.shard_strategy = shard_strategy

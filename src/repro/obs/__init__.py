@@ -1,6 +1,6 @@
 """repro.obs — observability for the mining stack.
 
-Tracing, metrics, and search-progress instrumentation, built with the
+Tracing, metrics, and live-progress instrumentation, built with the
 same **zero-cost-when-disabled** discipline as :mod:`repro.contracts`:
 nothing is installed by default, instrumented code guards every
 recording site with one local ``None`` check, and enabling is always
@@ -16,13 +16,11 @@ Submodules
 :mod:`repro.obs.metrics`
     Registry of named counters, gauges, and fixed-bucket histograms with
     a JSON-able snapshot.
-:mod:`repro.obs.progress`
-    Throttled search heartbeats (every N nodes or T seconds).
 :mod:`repro.obs.live`
-    Live shard telemetry bus for sharded runs: worker-side
+    The one run heartbeat, a live shard telemetry bus: worker-side
     :class:`~repro.obs.live.LiveSink` heartbeats fed by the search
     recorder, parent-side :class:`~repro.obs.live.LiveAggregator`
-    lanes/ETA/stragglers (CLI ``mine --live``).
+    lanes/ETA/stragglers (CLI ``mine --live``, alias ``--progress``).
 :mod:`repro.obs.costmodel`
     Per-root / per-level search cost attribution: which search-tree
     roots the time, states, and prune work go to, merged
@@ -38,9 +36,9 @@ Submodules
     recorder per search, the only caller of ``record_*`` methods.
 :mod:`repro.obs.seam`
     The :class:`~repro.obs.seam.CollectorSeam` primitive behind every
-    module-global sink (metrics, progress, live, costmodel,
-    provenance): ``active()``, ``install()``, and scoped ``scope()``
-    defined exactly once.
+    module-global sink (metrics, live, costmodel, provenance):
+    ``active()``, ``install()``, and scoped ``scope()`` defined exactly
+    once.
 :mod:`repro.obs.ledger`
     Persistent append-only run ledger with config/environment
     fingerprints and cross-run regression diffing (imported on
@@ -59,11 +57,10 @@ Submodules
     Chrome trace-event / Perfetto exporter for JSONL span traces
     (imported on demand; run as ``python -m repro.obs.chrometrace``).
 :mod:`repro.obs.runreport`
-    Unified run reports joining a trace, metrics snapshot, and live
-    frame log (imported on demand; CLI ``ptpminer report``).
-:mod:`repro.obs.report`
-    Renders a snapshot as per-phase / per-depth summary tables
-    (imported on demand; run as ``python -m repro.obs.report``).
+    The one renderer of a run's artifacts: joins a trace, metrics
+    snapshot (per-phase / per-depth search tables included), live frame
+    log, cost profile, provenance snapshot and shard plan (imported on
+    demand; CLI ``ptpminer report``).
 :mod:`repro.obs.profile`
     Per-phase profiling hooks: one ``cProfile`` profile per top-level
     phase span, a collapsed-stack ("folded") exporter for flamegraph
@@ -78,8 +75,8 @@ Enabling
 >>> sorted(handles.registry.snapshot())
 ['counters', 'gauges', 'histograms']
 
-:func:`observe` also takes ``tracer``, ``reporter``, ``live``,
-``cost`` and ``provenance``; the CLI and the engine's shard runner
+:func:`observe` also takes ``tracer``, ``live``, ``cost`` and
+``provenance``; the CLI and the engine's shard runner
 install through it, and so does any caller of the harness's
 ``measure()``, which only measures. Each module's ``use_*()`` installs
 one.
@@ -97,7 +94,6 @@ from repro.obs import (
     costmodel,
     live,
     metrics,
-    progress,
     provenance,
     seam,
     trace,
@@ -107,7 +103,6 @@ from repro.obs.live import LiveCollector, LiveConfig, use_live
 from repro.obs.provenance import ProvenanceCollector
 from repro.obs.seam import CollectorSeam
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.progress import ProgressReporter, use_reporter
 from repro.obs.trace import (
     JsonlTraceWriter,
     TraceCollector,
@@ -124,7 +119,6 @@ __all__ = [
     "LiveConfig",
     "MetricsRegistry",
     "ObsHandles",
-    "ProgressReporter",
     "ProvenanceCollector",
     "TraceCollector",
     "clock",
@@ -132,7 +126,6 @@ __all__ = [
     "live",
     "metrics",
     "observe",
-    "progress",
     "provenance",
     "seam",
     "span",
@@ -141,7 +134,6 @@ __all__ = [
     "use_collector",
     "use_live",
     "use_registry",
-    "use_reporter",
     "use_tracer",
 ]
 
@@ -158,7 +150,6 @@ class ObsHandles:
 
     registry: Optional[MetricsRegistry] = None
     tracer: Optional[trace.Tracer] = None
-    reporter: Optional[ProgressReporter] = None
     live: Optional[LiveCollector] = None
     cost: Optional[CostCollector] = None
     provenance: Optional[ProvenanceCollector] = None
@@ -171,14 +162,12 @@ class ObsHandles:
     def kinds(self) -> dict[str, bool]:
         """:func:`observe` arguments for fresh collectors of these kinds.
 
-        Every other kind is turned off — progress and live always, since
-        only the parent reports them. Plain booleans, so a shard's scope
-        pickles.
+        Every other kind is turned off — live always, since only the
+        parent reports it. Plain booleans, so a shard's scope pickles.
         """
         return {
             "metrics": self.registry is not None,
             "tracer": self.tracer is not None,
-            "reporter": False,
             "live": False,
             "cost": self.cost is not None,
             "provenance": self.provenance is not None,
@@ -234,13 +223,12 @@ class ObsHandles:
 
 
 #: ``(factory, install, active)`` per kind, in :func:`observe`'s
-#: argument order (metrics, tracer, reporter, live, cost, provenance).
+#: argument order (metrics, tracer, live, cost, provenance).
 _KINDS: tuple[
     tuple[Callable[[], Any], Callable[[Any], None], Callable[[], Any]], ...
 ] = (
     (MetricsRegistry, metrics.set_registry, metrics.active_registry),
     (TraceCollector, trace.set_tracer, trace.active_tracer),
-    (ProgressReporter, progress.set_reporter, progress.active_reporter),
     (LiveCollector, live.set_live, live.active_live),
     (CostCollector, costmodel.set_collector, costmodel.active_collector),
     (ProvenanceCollector, provenance.set_collector, provenance.active_collector),
@@ -252,7 +240,6 @@ def observe(
     *,
     metrics: Union[MetricsRegistry, bool, None] = None,
     tracer: Union[trace.Tracer, bool, None] = None,
-    reporter: Union[ProgressReporter, bool, None] = None,
     live: Union[LiveCollector, bool, None] = None,
     cost: Union[CostCollector, bool, None] = None,
     provenance: Union[ProvenanceCollector, bool, None] = None,
@@ -261,8 +248,7 @@ def observe(
 
     For each kind, ``True`` installs a fresh instance (a
     :class:`MetricsRegistry`, an in-memory :class:`TraceCollector`, a
-    default stderr :class:`ProgressReporter`, a :class:`LiveCollector`
-    rendering to stderr, a :class:`CostCollector`, a
+    :class:`LiveCollector` rendering to stderr, a :class:`CostCollector`, a
     :class:`ProvenanceCollector`), an instance installs that instance,
     ``False`` turns the kind off for the scope (shadowing whatever is
     installed around it), and ``None`` leaves it as it is. Everything is
@@ -272,7 +258,7 @@ def observe(
     sinks: list[Any] = [
         factory() if value is True else value
         for value, (factory, _install, _active) in zip(
-            (metrics, tracer, reporter, live, cost, provenance), _KINDS
+            (metrics, tracer, live, cost, provenance), _KINDS
         )
     ]
     previous = [active() for _factory, _install, active in _KINDS]

@@ -1,11 +1,11 @@
 """The observability layer's single injectable clock.
 
 Every timestamp the ``repro`` stack records — miner ``elapsed`` fields,
-span durations, progress heartbeats — is read through this module, not
+span durations, live heartbeats — is read through this module, not
 through ``time`` directly. That buys two things:
 
 * **Determinism in tests.** Installing a :class:`ManualClock` makes
-  timing-dependent behaviour (span durations, progress throttling,
+  timing-dependent behaviour (span durations, heartbeat throttling,
   reported ``elapsed``) exactly reproducible.
 * **A clean mining core.** Lint rule R006 bans raw ``time`` imports in
   ``repro.core``; the core reads monotonic time via :func:`now` only, so

@@ -1,4 +1,4 @@
-"""Live shard telemetry bus: streaming progress for sharded runs.
+"""Live shard telemetry bus: the run heartbeat, streamed from the shards.
 
 Since the sharded engine silences worker observability on fork and only
 ships it home *after* each shard completes, a long parallel run used to
@@ -26,7 +26,8 @@ the run:
 
 The bus keeps the repository's zero-cost-when-disabled discipline: it
 is never constructed unless a :class:`LiveCollector` is installed
-(``obs.observe(live=...)``, which CLI ``--live`` uses and harness
+(``obs.observe(live=...)``, which CLI ``--live`` and its alias
+``--progress`` use, on one worker too, and harness
 callers wrap around ``measure()``), and workers install no sink
 otherwise. All throttling reads :func:`repro.obs.clock.now`, so
 :class:`~repro.obs.clock.ManualClock` tests can drive heartbeats
@@ -357,6 +358,7 @@ class LiveAggregator:
                     shard=shard, roots_total=total
                 )
         self._last_render: Optional[float] = None
+        self._last_line: Optional[str] = None
         self._called_out: set[int] = set()
         self._log_handle: Optional[TextIO] = None
 
@@ -522,8 +524,10 @@ class LiveAggregator:
 
         Rendering is throttled by ``config.interval_s`` through the
         injectable clock; ``force=True`` (the engine's final call)
-        bypasses the throttle. A straggler callout is printed at most
-        once per shard. With ``config.render`` off this is a no-op.
+        bypasses the throttle but prints only a line that differs from
+        the last one printed, so a run never ends on a repeated line. A
+        straggler callout is printed at most once per shard. With
+        ``config.render`` off this is a no-op.
         """
         if not self.config.render:
             return
@@ -534,13 +538,17 @@ class LiveAggregator:
             and now - self._last_render < self.config.interval_s
         ):
             return
+        line = self.render_line()
+        if force and line == self._last_line:
+            return
         self._last_render = now
+        self._last_line = line
         stream = (
             self.config.stream
             if self.config.stream is not None
             else sys.stderr
         )
-        print(self.render_line(), file=stream)
+        print(line, file=stream)
         for shard in self.stragglers():
             if shard in self._called_out:
                 continue

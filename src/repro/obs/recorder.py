@@ -1,10 +1,10 @@
 """The one path from P-TPMiner's search to every installed collector.
 
-The search reports its events — node expanded, candidates gathered,
-candidate frequent / projected / pruned, pattern emitted, root done —
-to one :class:`SearchRecorder`, which fans each out to whichever of the
-metrics registry, progress reporter, cost collector, provenance
-collector and a shard's live sink is installed. This module is the
+The search reports its events — candidates gathered, candidate
+frequent / projected / pruned, pattern emitted, root done — to one
+:class:`SearchRecorder`, which fans each out to whichever of the
+metrics registry, cost collector, provenance collector and a shard's
+live sink is installed. This module is the
 only caller of a collector's ``record_*`` methods (lint rule R019), so
 the miner never knows which collectors exist. :meth:`SearchRecorder.attach` returns
 ``None`` when none is installed; the search hoists that one local and
@@ -32,14 +32,13 @@ from repro.obs import clock as obs_clock
 from repro.obs import costmodel as obs_costmodel
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 
 if TYPE_CHECKING:
     from repro.core.pruning import PruneCounters
     from repro.temporal.endpoint import EncodedDatabase
 
-__all__ = ["SearchRecorder", "labels_pruned", "run_done"]
+__all__ = ["SearchRecorder", "labels_pruned"]
 
 #: A candidate extension ``(ext_kind, sym, pocc)``; ext kind 0 is an
 #: I-extension, 1 an S-extension (as in :mod:`repro.core.ptpminer`).
@@ -74,7 +73,6 @@ class SearchRecorder:
         self._counters = counters
         self._pointsets = pointsets
         self._registry = obs_metrics.active_registry()
-        self._reporter = obs_progress.active_reporter()
         self._cost = obs_costmodel.active_collector()
         self._prov = obs_provenance.active_collector()
         self._sink = obs_live.active_sink()
@@ -104,24 +102,12 @@ class SearchRecorder:
         """A recorder for one search, or ``None`` when nothing listens."""
         if (
             obs_metrics.active_registry() is None
-            and obs_progress.active_reporter() is None
             and obs_costmodel.active_collector() is None
             and obs_provenance.active_collector() is None
             and obs_live.active_sink() is None
         ):
             return None
         return cls(encoded, weights, counters, pointsets)
-
-    def expand(self, depth: int) -> None:
-        """One search node at ``depth`` tokens was expanded."""
-        if self._reporter is not None:
-            counters = self._counters
-            self._reporter.tick(
-                depth=depth,
-                patterns=counters.patterns_emitted,
-                candidates=counters.candidates_considered,
-                pruned=counters.pruned_pair,
-            )
 
     def gathered(self, depth: int, candidates: Collection[_Candidate]) -> None:
         """A node at ``depth`` gathered ``candidates`` (pair survivors)."""
@@ -328,19 +314,3 @@ def labels_pruned(
     for label in sorted(set(df) - set(keep)):
         prov.record_pruned_label(label, flavour, df[label], threshold)
 
-
-def run_done(counters: PruneCounters) -> None:
-    """Send a run's final progress heartbeat, built from its counters.
-
-    Called once per run with the merged counters — never per search —
-    so a sharded run ends with one ``[done]`` line of its totals.
-    """
-    reporter = obs_progress.active_reporter()
-    if reporter is not None:
-        reporter.finish(
-            nodes=counters.nodes_expanded,
-            depth=0,
-            patterns=counters.patterns_emitted,
-            candidates=counters.candidates_considered,
-            pruned=counters.pruned_pair,
-        )

@@ -5,29 +5,41 @@ JSONL span trace (``--trace``), a metrics snapshot (``--metrics-out``),
 a live frame log (``--live-log``), a cost profile (``--cost-profile``),
 a provenance snapshot (``--provenance``), and a shard plan
 (``--plan-out``) — into one markdown (or JSON) report: a phase table,
-per-shard utilization with an imbalance figure, the prune funnel,
-straggler callouts, the realized heaviest-roots table (so plan-vs-shard
-load reads in one place), a provenance summary, and — when both a plan
-and a cost profile are given — a **Plan vs actual** section joining the
-forecast against realized per-root cost (share-MAPE, rank correlation,
-worst miss) and predicted against realized imbalance. Any subset of the
-sources works: sections without data are omitted and the report instead
-carries a ``notes`` list saying *why* each section is absent (source
-not given vs. given but empty), so a partial report is an answer, not
-an error. The trace and live-log parsers tolerate the truncated tails
-of killed runs (see :func:`repro.obs.trace.read_trace` /
-:func:`repro.obs.live.read_live_log`).
+per-shard utilization with an imbalance figure, the prune funnel, the
+metrics snapshot's search tables (projection states per DFS depth,
+patterns per length, gathered candidates per extension kind), totals
+and histograms, straggler callouts, the realized heaviest-roots table
+(so plan-vs-shard load reads in one place), a provenance summary, and —
+when both a plan and a cost profile are given — a **Plan vs actual**
+section joining the forecast against realized per-root cost
+(share-MAPE, rank correlation, worst miss) and predicted against
+realized imbalance. Any subset of the sources works: sections without
+data are omitted and the report instead carries a ``notes`` list saying
+*why* each section is absent (source not given vs. given but empty), so
+a partial report is an answer, not an error. The trace and live-log
+parsers tolerate the truncated tails of killed runs (see
+:func:`repro.obs.trace.read_trace` /
+:func:`repro.obs.live.read_live_log`), and a partial metrics snapshot
+(``null`` sections, degenerate histograms, a few counters) renders
+what it holds.
 
-The shard section prefers the live frame log (it has roots/patterns/rss
-per lane); with only a trace it falls back to the re-emitted
-``shard<i>:<id>`` span durations. The prune funnel reads the parent
-registry's ``search.*`` counters, which by construction mirror
-:class:`repro.core.pruning.PruneCounters` totals.
+The phase table comes from the trace when one is given, else from the
+snapshot's ``phase_seconds`` counters (seconds only: the counters hold
+no span counts). The shard section prefers the live frame log (it has
+roots/patterns/rss per lane); with only a trace it falls back to the
+re-emitted ``shard<i>:<id>`` span durations. The prune funnel reads the
+parent registry's ``search.*`` counters, which by construction mirror
+:class:`repro.core.pruning.PruneCounters` totals. The search tables,
+totals and histograms fold every ``shard.search.*`` entry of a sharded
+snapshot into its ``search.*`` twin, so serial and sharded runs of one
+config render the same search tables; ``phase_seconds`` and gauges are
+never summed, since shard phases are worker time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import operator
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any, Optional
 
 from repro.io._utf8 import load_json_object
@@ -60,6 +72,120 @@ _FUNNEL_STAGES: tuple[tuple[str, str], ...] = (
     ("states_created", "states created"),
     ("patterns_emitted", "patterns emitted"),
 )
+
+#: Labelled ``search.*`` counter families rendered one table each:
+#: ``(family, label, report key, column, title)``.
+_SEARCH_TABLES: tuple[tuple[str, str, str, str, str], ...] = (
+    ("search.states_by_depth", "depth", "states_by_depth", "states",
+     "Projection states per DFS depth"),
+    ("search.patterns_by_length", "tokens", "patterns_by_length",
+     "patterns", "Patterns emitted per length (endpoint tokens)"),
+    ("search.candidates", "ext", "candidates_by_ext", "candidates",
+     "Gathered candidates per extension kind (pair survivors)"),
+)
+
+
+def _numeric(value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        return 0.0
+
+
+def _family(
+    counters: Mapping[str, float], name: str, label: str
+) -> list[tuple[str, float]]:
+    """``(label value, count)`` rows of the one-label counter family
+    ``name[label=...]``, numeric label values in numeric order."""
+    prefix = f"{name}[{label}="
+    rows = [
+        (key[len(prefix):-1], value)
+        for key, value in counters.items()
+        if key.startswith(prefix) and key.endswith("]")
+    ]
+    rows.sort(key=lambda row: (_numeric(row[0]), row[0]))
+    return rows
+
+
+def _fold_shards(
+    section: Mapping[str, Any], merge: Callable[[Any, Any], Any]
+) -> dict[str, Any]:
+    """``section`` with each ``shard.search.*`` entry merged into its
+    ``search.*`` twin: the parent's root gather plus the shards' subtrees
+    is what a serial search records."""
+    out: dict[str, Any] = {}
+    for key, value in sorted(section.items()):
+        if key.startswith("shard.search."):
+            key = key[len("shard."):]
+        out[key] = merge(out[key], value) if key in out else value
+    return out
+
+
+def _merge_histograms(
+    a: Optional[Mapping[str, Any]], b: Optional[Mapping[str, Any]]
+) -> dict[str, Any]:
+    """Bucket-for-bucket sum of two histogram snapshots."""
+    a, b = a or {}, b or {}
+    buckets = dict(a.get("buckets") or {})
+    for bucket, count in (b.get("buckets") or {}).items():
+        buckets[bucket] = buckets.get(bucket, 0) + count
+    return {
+        "buckets": buckets,
+        "count": (a.get("count") or 0) + (b.get("count") or 0),
+        "sum": float(a.get("sum") or 0.0) + float(b.get("sum") or 0.0),
+    }
+
+
+def _bucket_bound(bucket: str) -> float:
+    """Upper bound of a histogram bucket key (``le_<bound>`` or ``inf``)."""
+    return _numeric(bucket[3:]) if bucket.startswith("le_") else float("inf")
+
+
+def _snapshot_tables(snapshot: Mapping[str, Any]) -> dict[str, Any]:
+    """The search tables, totals and histograms of a metrics snapshot.
+
+    Tolerant of partial snapshots: ``null`` sections and degenerate
+    histograms yield fewer rows, never an exception.
+    """
+    counters = _fold_shards(snapshot.get("counters") or {}, operator.add)
+    gauges: Mapping[str, float] = snapshot.get("gauges") or {}
+    histograms = _fold_shards(
+        snapshot.get("histograms") or {}, _merge_histograms
+    )
+    tables: dict[str, Any] = {}
+    for family, label, key, column, _title in _SEARCH_TABLES:
+        rows = _family(counters, family, label)
+        if rows:
+            tables[key] = [
+                {label: value, column: int(count)} for value, count in rows
+            ]
+    in_funnel = {f"search.{suffix}" for suffix, _label in _FUNNEL_STAGES}
+    totals = [
+        {"metric": key, "value": value}
+        for key, value in sorted(counters.items())
+        if "[" not in key and key not in in_funnel
+    ] + [
+        {"metric": key, "value": value}
+        for key, value in sorted(gauges.items())
+    ]
+    if totals:
+        tables["totals"] = totals
+    hists = []
+    for name, hist in sorted(histograms.items()):
+        hist = hist or {}
+        buckets: Mapping[str, int] = hist.get("buckets") or {}
+        hists.append({
+            "histogram": name,
+            "count": hist.get("count") or 0,
+            "sum": float(hist.get("sum") or 0.0),
+            "buckets": [
+                {"bucket": bucket, "observations": buckets[bucket]}
+                for bucket in sorted(buckets, key=_bucket_bound)
+            ],
+        })
+    if hists:
+        tables["histograms"] = hists
+    return tables
 
 
 def _phase_table(
@@ -195,10 +321,26 @@ def build_run_report(
                 "phase table omitted: the trace has no completed "
                 "main-track spans"
             )
+    elif snapshot is not None:
+        seconds = _family(
+            snapshot.get("counters") or {}, "phase_seconds", "phase"
+        )
+        if seconds:
+            report["phases"] = [
+                {"phase": phase, "total_s": round(total, 6)}
+                for phase, total in sorted(seconds, key=lambda row: -row[1])
+            ]
+        else:
+            notes.append(
+                "phase table omitted: no trace given and the metrics "
+                "snapshot has no phase_seconds counters"
+            )
     else:
-        notes.append("phase table omitted: no trace given")
+        notes.append(
+            "phase table omitted: no trace or metrics snapshot given"
+        )
     if snapshot is not None:
-        counters = snapshot.get("counters", {})
+        counters = snapshot.get("counters") or {}
         funnel = [
             {"stage": label, "count": counters[key]}
             for suffix, label in _FUNNEL_STAGES
@@ -211,6 +353,7 @@ def build_run_report(
                 "prune funnel omitted: the metrics snapshot has no "
                 "search.* counters"
             )
+        report.update(_snapshot_tables(snapshot))
     else:
         notes.append("prune funnel omitted: no metrics snapshot given")
     live_summary: Optional[dict[str, Any]] = None
@@ -328,6 +471,16 @@ def _markdown_table(
     return lines
 
 
+def _section(
+    lines: list[str],
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+) -> None:
+    """Append a ``## title`` section holding one table to ``lines``."""
+    lines.extend((f"## {title}", "", *_markdown_table(headers, rows), ""))
+
+
 def render_markdown(report: Mapping[str, Any]) -> str:
     """Render a :func:`build_run_report` dict as a markdown document."""
     lines: list[str] = ["# ptpminer run report", ""]
@@ -342,23 +495,21 @@ def render_markdown(report: Mapping[str, Any]) -> str:
         lines.append("")
     phases = report.get("phases")
     if phases:
-        lines.append("## Phases")
-        lines.append("")
-        lines.extend(
-            _markdown_table(
-                ("phase", "count", "total (s)", "mean (s)"),
-                [
-                    (
-                        row["phase"],
-                        row["count"],
-                        row["total_s"],
-                        row["mean_s"],
-                    )
-                    for row in phases
-                ],
+        # Phases from a metrics snapshot have no count or mean.
+        columns = [
+            (key, header)
+            for key, header in (
+                ("phase", "phase"), ("count", "count"),
+                ("total_s", "total (s)"), ("mean_s", "mean (s)"),
             )
+            if key in phases[0]
+        ]
+        _section(
+            lines,
+            "Phases",
+            [header for _key, header in columns],
+            [[row[key] for key, _header in columns] for row in phases],
         )
-        lines.append("")
     shards = report.get("shards")
     if shards:
         lines.append("## Shards")
@@ -501,17 +652,28 @@ def render_markdown(report: Mapping[str, Any]) -> str:
             f"{provenance.get('labels')} label(s)"
         )
         lines.append("")
-    funnel = report.get("prune_funnel")
-    if funnel:
-        lines.append("## Prune funnel")
-        lines.append("")
-        lines.extend(
-            _markdown_table(
-                ("stage", "count"),
-                [(row["stage"], row["count"]) for row in funnel],
+    # Row keys double as column headers in these tables.
+    tables = [
+        ("Prune funnel", ("stage", "count"), report.get("prune_funnel")),
+        *(
+            (title, (label, column), report.get(key))
+            for _family_name, label, key, column, title in _SEARCH_TABLES
+        ),
+        ("Totals", ("metric", "value"), report.get("totals")),
+    ]
+    for title, columns, rows in tables:
+        if rows:
+            _section(
+                lines, title, columns, [[row[c] for c in columns] for row in rows]
             )
+    for hist in report.get("histograms") or ():
+        _section(
+            lines,
+            f"Histogram {hist['histogram']} "
+            f"(count={hist['count']}, sum={hist['sum']:g})",
+            ("bucket", "observations"),
+            [(row["bucket"], row["observations"]) for row in hist["buckets"]],
         )
-        lines.append("")
     live = report.get("live")
     if live:
         lines.append("## Live summary")

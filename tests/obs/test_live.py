@@ -246,6 +246,23 @@ class TestLiveAggregator:
         assert len(callouts) == 1
         assert "shard 1" in callouts[0]
 
+    def test_forced_render_skips_a_repeat_of_the_last_line(self):
+        stream = io.StringIO()
+        with clock_scope(ManualClock()):
+            agg = LiveAggregator(
+                LiveConfig(interval_s=0.0, stream=stream),
+                shard_totals={0: 2},
+            )
+            agg.ingest(frame(0, ts=0.0, done=1, total=2))
+            agg.maybe_render(force=True)  # nothing printed yet: prints
+            agg.ingest(frame(0, ts=1.0, done=2, total=2, final=True))
+            agg.maybe_render()            # the last frame's line
+            agg.maybe_render(force=True)  # same line: skipped
+        assert stream.getvalue().splitlines() == [
+            "[live] roots 1/2 (50%) eta — patterns=0 | s0 1/2",
+            "[live] roots 2/2 (100%) eta 0.0s patterns=0 | s0 2/2+",
+        ]
+
     def test_render_false_never_writes(self):
         stream = io.StringIO()
         agg = LiveAggregator(LiveConfig(render=False, stream=stream))

@@ -146,38 +146,26 @@ class TestInjectableClock:
         # The manual clock never advanced, so boundary timing is exact.
         assert result.elapsed == 0.0
 
-    def test_progress_reporter_receives_search_heartbeats(self, db):
-        events = []
-        reporter = obs.ProgressReporter(
-            events.append, every_nodes=1, min_interval_s=1e9
-        )
-        with obs.observe(reporter=reporter):
-            result = PTPMiner(0.3).mine(db)
-        assert events, "expected at least one heartbeat"
-        assert events[-1].final is True
-        assert events[-1].nodes == result.counters.nodes_expanded
-        assert events[-1].patterns == len(result.patterns)
-
 
 class TestObserveHelper:
     def test_observe_installs_and_clears(self):
+        from repro.obs import live as obs_live
         from repro.obs import metrics as obs_metrics
-        from repro.obs import progress as obs_progress
         from repro.obs import trace as obs_trace
 
-        with obs.observe(metrics=True, tracer=True, reporter=True) as handles:
+        with obs.observe(metrics=True, tracer=True, live=True) as handles:
             assert obs_metrics.active_registry() is handles.registry
             assert obs_trace.active_tracer() is handles.tracer
-            assert obs_progress.active_reporter() is handles.reporter
+            assert obs_live.active_live() is handles.live
         assert obs_metrics.active_registry() is None
         assert obs_trace.active_tracer() is None
-        assert obs_progress.active_reporter() is None
+        assert obs_live.active_live() is None
 
     def test_observe_nothing_by_default(self):
         with obs.observe() as handles:
             assert handles.registry is None
             assert handles.tracer is None
-            assert handles.reporter is None
+            assert handles.live is None
             assert obs.ObsHandles.active() == obs.ObsHandles()
 
     def test_observe_installs_cost_and_provenance(self, db):
@@ -191,19 +179,19 @@ class TestObserveHelper:
         assert handles.provenance.snapshot()["patterns"]
 
     def test_false_shadows_an_enclosing_sink_for_the_scope(self):
-        with obs.observe(metrics=True, reporter=True) as outer:
-            with obs.observe(metrics=False, reporter=False) as inner:
-                assert inner.registry is None and inner.reporter is None
+        with obs.observe(metrics=True, live=True) as outer:
+            with obs.observe(metrics=False, live=False) as inner:
+                assert inner.registry is None and inner.live is None
                 assert obs.metrics.active_registry() is None
-                assert obs.progress.active_reporter() is None
+                assert obs.live.active_live() is None
             assert obs.metrics.active_registry() is outer.registry
-            assert obs.progress.active_reporter() is outer.reporter
+            assert obs.live.active_live() is outer.live
 
 
 class TestObsHandles:
     def test_active_reads_every_installed_kind(self):
         with obs.observe(
-            metrics=True, tracer=True, reporter=True, live=True, cost=True,
+            metrics=True, tracer=True, live=True, cost=True,
             provenance=True,
         ) as handles:
             assert obs.ObsHandles.active() == handles
@@ -213,8 +201,8 @@ class TestObsHandles:
         with obs.observe(metrics=True, tracer=True, cost=True) as parent:
             kinds = parent.kinds()
             assert kinds == {
-                "metrics": True, "tracer": True, "reporter": False,
-                "live": False, "cost": True, "provenance": False,
+                "metrics": True, "tracer": True, "live": False,
+                "cost": True, "provenance": False,
             }
             with obs.observe(**kinds) as shard:
                 assert shard.registry is not parent.registry

@@ -168,8 +168,11 @@ class TestRenderMarkdown:
         report = build_run_report(metrics_path=str(metrics))
         markdown = render_markdown(report)
         assert "## Prune funnel" in markdown
-        assert "## Phases" not in markdown
+        assert "## Phases" in markdown  # from phase_seconds
         assert "## Shards" not in markdown
+        assert "## Live summary" not in markdown
+        assert "## Projection states per DFS depth" not in markdown
+        assert "## Histogram" not in markdown
 
 
 def cost_rows():
@@ -272,3 +275,215 @@ class TestPlanAndCostSources:
         plan.write_text(json.dumps({"kind": "repro-cost"}))
         with pytest.raises(ValueError, match="not a shard plan"):
             build_run_report(plan_path=str(plan))
+
+
+def snapshot_report(tmp_path, snapshot):
+    """build_run_report over ``snapshot`` written as a metrics file."""
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(snapshot))
+    return build_run_report(metrics_path=str(path))
+
+
+def sample_snapshot():
+    return {
+        "counters": {
+            "phase_seconds[phase=encode]": 0.2,
+            "phase_seconds[phase=search]": 1.8,
+            "search.states_by_depth[depth=1]": 30,
+            "search.states_by_depth[depth=2]": 12,
+            "search.patterns_by_length[tokens=2]": 5,
+            "search.candidates[ext=I]": 3,
+            "search.candidates[ext=S]": 9,
+            "search.pruned_pair": 44,
+            "search.states_deduped": 4,
+        },
+        "gauges": {"run.patterns": 5},
+        "histograms": {
+            "search.candidates_per_node": {
+                "buckets": {"le_1": 2, "inf": 1},
+                "count": 3,
+                "sum": 7.0,
+                "mean": 7.0 / 3,
+            }
+        },
+    }
+
+
+#: Report keys of the tables a metrics snapshot alone can fill.
+SNAPSHOT_TABLES = (
+    "phases", "prune_funnel", "states_by_depth", "patterns_by_length",
+    "candidates_by_ext", "totals", "histograms",
+)
+
+
+class TestRenderReport:
+    """The metrics snapshot's tables, from a snapshot file alone."""
+
+    def test_sections_present(self, tmp_path):
+        text = render_markdown(snapshot_report(tmp_path, sample_snapshot()))
+        for heading in (
+            "## Phases",
+            "## Projection states per DFS depth",
+            "## Patterns emitted per length (endpoint tokens)",
+            "## Gathered candidates per extension kind (pair survivors)",
+            "## Totals",
+            "## Histogram search.candidates_per_node (count=3, sum=7)",
+        ):
+            assert heading in text
+
+    def test_phase_breakdown_sorted_by_time(self, tmp_path):
+        report = snapshot_report(tmp_path, sample_snapshot())
+        # Seconds only: no span counts, and no shares, since nested
+        # spans would count twice.
+        assert report["phases"] == [
+            {"phase": "search", "total_s": 1.8},
+            {"phase": "encode", "total_s": 0.2},
+        ]
+        phases = render_markdown(report).split("## Phases")[1]
+        assert "| phase | total (s) |" in phases.split("##")[0]
+        assert "%" not in phases.split("##")[0]
+
+    def test_depth_rows_sorted_numerically(self, tmp_path):
+        snapshot = {
+            "counters": {
+                "search.states_by_depth[depth=10]": 1,
+                "search.states_by_depth[depth=2]": 2,
+            }
+        }
+        report = snapshot_report(tmp_path, snapshot)
+        assert report["states_by_depth"] == [
+            {"depth": "2", "states": 2},
+            {"depth": "10", "states": 1},
+        ]
+
+    def test_totals_include_plain_counters_and_gauges(self, tmp_path):
+        report = snapshot_report(tmp_path, sample_snapshot())
+        totals = {row["metric"]: row["value"] for row in report["totals"]}
+        assert totals == {"search.states_deduped": 4, "run.patterns": 5}
+        # search.pruned_pair is a prune-funnel row instead.
+        assert report["prune_funnel"] == [
+            {"stage": "pruned: pair", "count": 44}
+        ]
+
+    def test_empty_snapshot(self, tmp_path):
+        for snapshot in ({}, {"counters": {}, "gauges": {}, "histograms": {}}):
+            report = snapshot_report(tmp_path, snapshot)
+            assert not set(SNAPSHOT_TABLES) & set(report)
+            assert "## Notes" in render_markdown(report)
+
+    def test_null_sections_never_raise(self, tmp_path):
+        # A partial run may serialise explicit nulls; skip, don't crash.
+        report = snapshot_report(
+            tmp_path, {"counters": None, "gauges": None, "histograms": None}
+        )
+        assert not set(SNAPSHOT_TABLES) & set(report)
+        render_markdown(report)
+
+    def test_degenerate_histogram_never_raises(self, tmp_path):
+        snapshot = {
+            "histograms": {
+                "h_empty": {},
+                "h_null_sum": {"buckets": {"inf": 1}, "count": 1,
+                               "sum": None},
+                "h_null": None,
+            }
+        }
+        text = render_markdown(snapshot_report(tmp_path, snapshot))
+        assert "## Histogram h_empty (count=0, sum=0)" in text
+        assert "## Histogram h_null_sum (count=1, sum=0)" in text
+        assert "## Histogram h_null (count=0, sum=0)" in text
+
+    def test_counters_only_partial_run(self, tmp_path):
+        # Only a couple of counters landed before the run died.
+        report = snapshot_report(
+            tmp_path,
+            {"counters": {"search.nodes_expanded": 3,
+                          "search.states_deduped": 1}},
+        )
+        assert report["prune_funnel"] == [
+            {"stage": "search nodes expanded", "count": 3}
+        ]
+        assert report["totals"] == [
+            {"metric": "search.states_deduped", "value": 1}
+        ]
+
+    def test_shard_twins_fold_into_the_search_tables(self, tmp_path):
+        hist = {"buckets": {"le_1": 1, "inf": 0}, "count": 1, "sum": 1.0}
+        snapshot = {
+            "counters": {
+                "phase_seconds[phase=mine]": 2.0,
+                "shard.phase_seconds[phase=search]": 1.5,
+                "search.candidates[ext=S]": 19,
+                "shard.search.candidates[ext=S]": 445,
+                "shard.search.states_by_depth[depth=1]": 7,
+                "shard.search.states_deduped": 2,
+            },
+            "gauges": {"engine.shard_elapsed_s[shard=0]": 1.5},
+            "histograms": {
+                "search.candidates_per_node": hist,
+                "shard.search.candidates_per_node": {
+                    "buckets": {"le_1": 2, "inf": 3}, "count": 5,
+                    "sum": 90.0,
+                },
+            },
+        }
+        report = snapshot_report(tmp_path, snapshot)
+        assert report["candidates_by_ext"] == [
+            {"ext": "S", "candidates": 464}
+        ]
+        assert report["states_by_depth"] == [{"depth": "1", "states": 7}]
+        # Worker phases and gauges are never summed into the parent's.
+        assert report["phases"] == [{"phase": "mine", "total_s": 2.0}]
+        assert report["totals"] == [
+            {"metric": "search.states_deduped", "value": 2},
+            {"metric": "engine.shard_elapsed_s[shard=0]", "value": 1.5},
+        ]
+        assert report["histograms"] == [{
+            "histogram": "search.candidates_per_node",
+            "count": 6,
+            "sum": 91.0,
+            "buckets": [
+                {"bucket": "le_1", "observations": 3},
+                {"bucket": "inf", "observations": 3},
+            ],
+        }]
+
+
+class TestSerialAndShardedReportsAgree:
+    def test_search_tables_equal_for_serial_and_two_workers(self, tmp_path):
+        """One config mined serially and on two workers (both
+        executors): every search table and ``search.*`` histogram of
+        ``ptpminer report --metrics`` is the same."""
+        from repro.cli import main
+        from repro.datagen import standard_dataset
+        from repro.io import write_database
+
+        db_path = tmp_path / "hybrid.txt"
+        write_database(standard_dataset("hybrid", num_sequences=60), db_path)
+        runs = {
+            "serial": [],
+            "w2-serial": ["--workers", "2", "--executor", "serial"],
+            "w2-process": ["--workers", "2", "--executor", "process"],
+        }
+        tables = {}
+        for name, extra in runs.items():
+            metrics = tmp_path / f"{name}.json"
+            assert main([
+                "mine", str(db_path), "--mode", "htp", "--min-sup", "0.1",
+                "--top", "0", "--metrics-out", str(metrics), *extra,
+            ]) == 0
+            report = build_run_report(metrics_path=str(metrics))
+            tables[name] = {
+                key: report[key]
+                for key in (
+                    "prune_funnel", "states_by_depth", "patterns_by_length",
+                    "candidates_by_ext",
+                )
+            }
+            tables[name]["histograms"] = [
+                hist for hist in report["histograms"]
+                if hist["histogram"].startswith("search.")
+            ]
+        assert tables["serial"]["histograms"]
+        assert tables["w2-serial"] == tables["serial"]
+        assert tables["w2-process"] == tables["serial"]

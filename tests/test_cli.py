@@ -151,14 +151,21 @@ class TestObservabilityFlags:
         assert begins == ends
 
     def test_progress_prints_heartbeat_to_stderr(self, tiny_file, capsys):
+        # --progress is --live: one worker runs on the serial executor,
+        # and the run ends on one line with every root done.
         assert main(["mine", str(tiny_file), "--min-sup", "0.3",
                      "--progress"]) == 0
         err = capsys.readouterr().err
-        assert "[done]" in err
+        finals = [
+            line for line in err.splitlines()
+            if line.startswith("[live] roots") and "(100%)" in line
+        ]
+        assert len(finals) == 1, err
+        assert "[done]" not in err
 
     def test_obs_flags_leave_sinks_uninstalled(self, tiny_file, tmp_path):
+        from repro.obs import live as obs_live
         from repro.obs import metrics as obs_metrics
-        from repro.obs import progress as obs_progress
         from repro.obs import trace as obs_trace
 
         main(["mine", str(tiny_file), "--min-sup", "0.3",
@@ -166,7 +173,7 @@ class TestObservabilityFlags:
               "--trace", str(tmp_path / "t.jsonl"), "--progress"])
         assert obs_metrics.active_registry() is None
         assert obs_trace.active_tracer() is None
-        assert obs_progress.active_reporter() is None
+        assert obs_live.active_live() is None
 
     def test_log_level_flag_accepted(self, tiny_file, capsys):
         assert main(["--log-level", "info", "mine", str(tiny_file),
@@ -247,12 +254,6 @@ class TestUnreadableInput:
         assert expected in err
 
 
-def _run_obs_report(path):
-    from repro.obs.report import main as report_main
-
-    return report_main([path])
-
-
 def _run_obs_profile(path):
     from repro.obs.profile import main as profile_main
 
@@ -290,7 +291,6 @@ class TestCorruptJsonSnapshots:
             ["diff", "--patterns", path, path]
         ),
         "perf-compare": _run_perf_compare,
-        "obs-report-module": _run_obs_report,
         "obs-profile-module": _run_obs_profile,
     }
 
@@ -454,16 +454,19 @@ class TestLiveMining:
         assert any(frame.final for frame in frames)
 
     def test_live_rejected_for_baselines(self, tiny_file, capsys):
-        code = main(["mine", str(tiny_file), "--min-sup", "0.3",
-                     "--miner", "hdfs", "--live"])
-        assert code == 2
-        assert "--live" in capsys.readouterr().err
+        for flag in ("--live", "--progress"):
+            code = main(["mine", str(tiny_file), "--min-sup", "0.3",
+                         "--miner", "hdfs", flag])
+            assert code == 2
+            assert "--live/--progress" in capsys.readouterr().err
 
     def test_live_rejected_with_top_k(self, tiny_file, capsys):
-        code = main(["mine", str(tiny_file), "--min-sup", "0.3",
-                     "--top-k", "5", "--live"])
-        assert code == 2
-        assert "--top-k" in capsys.readouterr().err
+        for flag in ("--live", "--progress"):
+            code = main(["mine", str(tiny_file), "--min-sup", "0.3",
+                         "--top-k", "5", flag])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "--live/--progress" in err and "--top-k" in err
 
 
 class TestReportSubcommand:
@@ -751,8 +754,9 @@ class TestReportGracefulDegradation:
         assert main(["report", "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "## Prune funnel" in out
+        assert "## Phases" in out  # from the phase_seconds counters
         assert "## Notes" in out
-        assert "no trace given" in out
+        assert "no live log or trace given" in out
 
     def test_full_report_has_no_notes(self, tiny_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -35,7 +35,6 @@ from repro.obs import costmodel as obs_costmodel
 from repro.obs import live as obs_live
 from repro.obs import provenance as obs_provenance
 from repro.obs import metrics as obs_metrics
-from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
 from repro.obs.clock import ManualClock, clock_scope
 from repro.temporal.endpoint import EncodedDatabase
@@ -402,41 +401,34 @@ class TestMineConvenience:
 
 
 class TestProgressHeartbeat:
-    """A sharded run ends with one ``[done]`` heartbeat of merged totals.
-
-    Shard searches never tick the parent's reporter (on either
-    executor), and no search finishes it: the run does, once.
-    """
+    """The run heartbeat (``--live``, alias ``--progress``) ends on one
+    line of merged totals, never printed twice, on either executor."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_one_final_event_carries_merged_counters(
         self, hybrid_db, workers, executor
     ):
-        events = []
-        reporter = obs_progress.ProgressReporter(events.append)
-        with obs_progress.use_reporter(reporter):
+        stream = io.StringIO()
+        live = obs_live.LiveCollector(
+            obs_live.LiveConfig(interval_s=0.0, stream=stream)
+        )
+        with obs.observe(live=live):
             result = mine_sharded(
                 hybrid_db,
                 MinerConfig(min_sup=0.2, mode="htp"),
                 workers=workers,
                 executor=executor,
             )
-        final = [event for event in events if event.final]
-        assert len(final) == 1
-        counters = result.counters
-        assert (
-            final[0].nodes,
-            final[0].patterns,
-            final[0].candidates,
-            final[0].pruned,
-        ) == (
-            counters.nodes_expanded,
-            counters.patterns_emitted,
-            counters.candidates_considered,
-            counters.pruned_pair,
-        )
-        assert counters.nodes_expanded > 1
+        lines = [
+            line for line in stream.getvalue().splitlines()
+            if line.startswith("[live] roots ")
+        ]
+        total = live.summary["roots_total"]
+        assert total > 1
+        assert lines[-1].startswith(f"[live] roots {total}/{total} (100%)")
+        assert f"patterns={result.counters.patterns_emitted} " in lines[-1]
+        assert lines.count(lines[-1]) == 1
 
 
 class TestProcessExecutorIsolation:

@@ -5,14 +5,16 @@ hypothesis strategies (not the library's own generators), and the
 invariants span representation, mining, and interpretation layers.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bruteforce import BruteForceMiner
 from repro.baselines.tprefixspan import TPrefixSpanMiner
 from repro.core.ptpminer import PTPMiner
 from repro.core.rules import generate_rules
 from repro.model.database import ESequenceDatabase
-from repro.model.event import IntervalEvent
+from repro.model.event import IntervalEvent, point_event
 from repro.model.pattern import TemporalPattern
 from repro.model.sequence import ESequence
 
@@ -129,6 +131,105 @@ def test_sequence_order_does_not_matter(db):
     assert PTPMiner(0.25).mine(db).as_dict() == PTPMiner(0.25).mine(
         reversed_db
     ).as_dict()
+
+
+def _relabelled(events, names):
+    return [IntervalEvent(ev.start, ev.finish, names[ev.label]) for ev in events]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    db=db_st,
+    fresh=st.permutations(["y", "x"]),
+    min_sup=st.sampled_from([0.25, 0.5]),
+)
+def test_mining_commutes_with_relabelling(db, fresh, min_sup):
+    """A bijection onto fresh labels maps every mined pattern, with its
+    support, through the same bijection. Canonical order follows label
+    order, so each pattern is mapped through a concrete arrangement."""
+    names = dict(zip("AB", fresh))
+    relabelled_db = ESequenceDatabase(
+        [ESequence(_relabelled(seq, names)) for seq in db]
+    )
+    expected = {
+        TemporalPattern.from_arrangement(
+            _relabelled(pattern.to_esequence(), names)
+        ): support
+        for pattern, support in PTPMiner(min_sup, mode="htp")
+        .mine(db)
+        .as_dict()
+        .items()
+    }
+    assert PTPMiner(min_sup, mode="htp").mine(
+        relabelled_db
+    ).as_dict() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(db=db_st, min_sup=st.sampled_from([0.25, 0.5]))
+def test_duplicating_the_database_doubles_every_support(db, min_sup):
+    """Two copies of every sequence at the same relative min-sup: the
+    same patterns, each with twice the support."""
+    single = PTPMiner(min_sup, mode="htp").mine(db).as_dict()
+    double = PTPMiner(min_sup, mode="htp").mine(db.replicated(2)).as_dict()
+    assert double == {pattern: 2 * sup for pattern, sup in single.items()}
+
+
+#: Hand-built htp databases at the edges of the endpoint encoding.
+DEGENERATE_DBS = {
+    # Point events exactly at an interval's start and at its finish.
+    "point-at-endpoints": [
+        [IntervalEvent(0, 5, "A"), point_event(0, "p"), point_event(5, "p")],
+        [IntervalEvent(0, 5, "A"), point_event(0, "p")],
+        [IntervalEvent(2, 4, "A"), point_event(4, "p"), point_event(4, "q")],
+        [IntervalEvent(1, 3, "A"), point_event(1, "q")],
+    ],
+    # Equal-endpoint pile-ups, same-label duplicates included.
+    "equal-endpoint-pileups": [
+        [IntervalEvent(0, 3, "A"), IntervalEvent(0, 3, "A"),
+         IntervalEvent(0, 3, "B"), point_event(0, "p"), point_event(3, "p")],
+        [IntervalEvent(0, 3, "A"), IntervalEvent(0, 3, "B"),
+         point_event(3, "p")],
+        [IntervalEvent(1, 1, "A"), point_event(1, "A"),
+         IntervalEvent(1, 2, "B")],
+        [IntervalEvent(0, 2, "A"), IntervalEvent(0, 2, "A")],
+    ],
+    # Meets-chains through a point: A meets B at p, B meets C at q.
+    "meets-chain-through-point": [
+        [IntervalEvent(0, 2, "A"), point_event(2, "p"),
+         IntervalEvent(2, 4, "B"), point_event(4, "q"),
+         IntervalEvent(4, 6, "C")],
+        [IntervalEvent(0, 2, "A"), point_event(2, "p"),
+         IntervalEvent(2, 4, "B")],
+        [IntervalEvent(1, 3, "B"), point_event(3, "q"),
+         IntervalEvent(3, 5, "C")],
+        [IntervalEvent(0, 1, "A"), point_event(1, "p"),
+         IntervalEvent(1, 2, "A")],
+    ],
+}
+
+
+@pytest.mark.parametrize("min_sup", [0.25, 2])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_DBS))
+def test_degenerate_htp_inputs_match_brute_force(name, min_sup):
+    """P-TPMiner equals the exhaustive oracle on degenerate htp input,
+    serially and sharded over 1-3 workers on both executors."""
+    from repro.core.config import MinerConfig
+    from repro.engine import mine_sharded
+
+    db = ESequenceDatabase([ESequence(row) for row in DEGENERATE_DBS[name]])
+    reference = BruteForceMiner(min_sup, mode="htp").mine(db).as_dict()
+    serial = PTPMiner(min_sup, mode="htp").mine(db)
+    assert serial.as_dict() == reference
+    assert reference
+    config = MinerConfig(min_sup=min_sup, mode="htp")
+    for executor in ("serial", "process"):
+        for workers in (1, 2, 3):
+            sharded = mine_sharded(
+                db, config, workers=workers, executor=executor
+            )
+            assert sharded.patterns == serial.patterns, (executor, workers)
+            assert sharded.counters == serial.counters, (executor, workers)
 
 
 @settings(max_examples=20, deadline=None)

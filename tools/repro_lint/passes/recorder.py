@@ -1,7 +1,8 @@
 """Collector record-path audit (R019).
 
-P-TPMiner's search reaches every collector — metrics, progress, cost,
-provenance — through one recorder (:mod:`repro.obs.recorder`). That one
+P-TPMiner's search reaches every collector — metrics, cost,
+provenance, a shard's live sink — through one recorder
+(:mod:`repro.obs.recorder`). That one
 path is what keeps the disabled search free (one hoisted ``rec`` local,
 one ``is not None`` guard per event) and sharded snapshots mergeable
 bit-for-bit with serial runs. A collector ``record_*`` call anywhere

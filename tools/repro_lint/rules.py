@@ -422,7 +422,7 @@ class TimeImportRule:
     share one time base). A raw ``import time`` in ``repro.core``
     bypasses that seam — use ``repro.obs.clock.now()`` instead. The
     observability layer itself is held to the same bar: every throttle
-    path (progress heartbeats, the live telemetry bus) must be drivable
+    path (the live telemetry bus's frames and renders) must be drivable
     by :class:`~repro.obs.clock.ManualClock` tests, so only
     ``repro.obs.clock`` — the seam — may touch ``time``. Stricter than
     R005: R005 bans only wall-clock ``time.time()`` (and also covers
