@@ -15,17 +15,21 @@ recorder module, and every ``rec``-guarded conditional expression;
 asserts the hoist is still called ``rec`` and the twin's source no
 longer names the recorder (so a renamed hook fails here instead of
 timing two identical miners); verifies the twin mines identically; and
-times interleaved A/B pairs -- hook-free vs.
-shipped with nothing installed -- so slow clock drift and thermal ramp
-cancel out instead of biasing one arm. What the cost and provenance
-collectors cost when turned on is reported after, for context.
+times interleaved A/B pairs -- hook-free vs. shipped with nothing
+installed -- on the sparse-deep benchmark input (``sparse``, 3,000
+sequences, min-sup 0.03; about 1 s a mine). The arm that runs first
+alternates from pair to pair, so slow clock drift, thermal ramp and
+whatever the first run of a pair pays cancel out instead of biasing one
+arm. What the cost and provenance collectors cost when turned on is
+reported after, for context.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --pairs 7
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --pairs 10
 
-Prints per-pair timings and the median relative overhead. Standalone
-(no pytest); run it when the search hot path changes.
+Prints per-pair timings, then the median and quartiles of the per-pair
+overhead and how many pairs the shipped miner lost. Standalone (no
+pytest); run it when the search hot path changes.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from repro.core.config import MinerConfig
 from repro.core.ptpminer import PTPMiner
 from repro.datagen import standard_dataset
 
-NUM_SEQUENCES = 400
-MIN_SUP = 0.08
+NUM_SEQUENCES = 3000
+MIN_SUP = 0.03
 
 #: The hook local and the module it comes from. Every statement naming
 #: one of them is a hook.
@@ -133,7 +137,7 @@ def _time_mine(db, config, miner_cls, **collectors: bool) -> float:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--pairs", type=int, default=7, help="number of A/B pairs"
+        "--pairs", type=int, default=10, help="number of A/B pairs"
     )
     args = parser.parse_args(argv)
 
@@ -156,17 +160,28 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     ratios = []
     for pair in range(args.pairs):
-        hookfree = _time_mine(db, config, stripped_cls)
-        disabled = _time_mine(db, config, PTPMiner)
+        if pair % 2:
+            disabled = _time_mine(db, config, PTPMiner)
+            hookfree = _time_mine(db, config, stripped_cls)
+        else:
+            hookfree = _time_mine(db, config, stripped_cls)
+            disabled = _time_mine(db, config, PTPMiner)
         ratios.append(disabled / hookfree - 1.0)
         print(
-            f"pair {pair}: hook-free={hookfree:.4f}s "
+            f"pair {pair} ({'shipped' if pair % 2 else 'hook-free'} "
+            f"first): hook-free={hookfree:.4f}s "
             f"disabled={disabled:.4f}s "
             f"overhead={100 * ratios[-1]:+.2f}%"
         )
     median = statistics.median(ratios)
     print(f"median disabled-path overhead: {100 * median:+.2f}% "
           "(budget <= ~1%)")
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        print(f"quartiles of the per-pair overhead: {100 * q1:+.2f}% "
+              f"to {100 * q3:+.2f}%")
+    lost = sum(ratio > 0 for ratio in ratios)
+    print(f"the shipped miner was slower in {lost} of {len(ratios)} pairs")
 
     for kind in ("cost", "provenance"):
         on = _time_mine(db, config, PTPMiner, **{kind: True})

@@ -12,23 +12,14 @@ Subcommands
     Performance baselines: ``perf run|compare|update-baseline ...`` is
     forwarded verbatim to :mod:`repro.perf.cli` (same as
     ``python -m repro.perf``).
-``plan``
-    Profile a dataset and forecast its shard plan without mining any
-    subtree (:mod:`repro.obs.planner`): predicted per-root costs
-    (ledger-calibrated with ``--ledger-dir``, static features
-    otherwise), the imbalance the round-robin deal would produce, and
-    the recommended LPT assignment — as markdown or (``--json``) the
-    JSON consumed by ``mine --shard-strategy predicted`` tooling and
-    ``report --plan``.
 ``report``
     Join a run's span trace, metrics snapshot, ``--live-log`` frame
-    log, cost profile (``--cost``), provenance snapshot
-    (``--provenance``), and shard plan (``--plan``) into one markdown
-    (or JSON) run report: phase table, shard utilization/imbalance,
-    prune funnel, the metrics snapshot's search tables (states per
-    depth, patterns per length, candidates per extension kind), totals
-    and histograms, straggler callouts, realized heaviest roots, and
-    the plan-vs-actual calibration section. With only a subset of the
+    log, cost profile (``--cost``), and provenance snapshot
+    (``--provenance``) into one markdown (or JSON) run report: phase
+    table, shard utilization/imbalance, prune funnel, the metrics
+    snapshot's search tables (states per depth, patterns per length,
+    candidates per extension kind), totals and histograms, straggler
+    callouts, and realized heaviest roots. With only a subset of the
     inputs the report is partial and says so in a Notes section
     instead of erroring.
 ``history``
@@ -103,10 +94,7 @@ Examples
     ptpminer mine sparse.txt --workers 4 --live --live-log frames.jsonl
     ptpminer report --trace trace.jsonl --live-log frames.jsonl
     ptpminer mine sparse.txt --cost-profile cost.json --ledger-dir runs/
-    ptpminer plan sparse.txt --workers 4 --ledger-dir runs/
-    ptpminer mine sparse.txt --workers 4 --shard-strategy predicted \\
-        --ledger-dir runs/ --plan-out plan.json
-    ptpminer report --plan plan.json --cost cost.json
+    ptpminer report --cost cost.json
     ptpminer mine sparse.txt --provenance prov.json
     ptpminer explain "(A+) (A-)" --provenance prov.json
     ptpminer why-not "(A+ B+) (A- B-)" --provenance prov.json
@@ -203,16 +191,13 @@ def _miner_config(args: argparse.Namespace) -> MinerConfig:
     )
 
 
-def _build_miner(
-    args: argparse.Namespace, plan: dict[str, Any] | None = None
-) -> miners.Miner:
+def _build_miner(args: argparse.Namespace) -> miners.Miner:
     """Translate CLI flags into a config and build through the registry.
 
     The full option surface goes into one :class:`MinerConfig`; miners
     that do not support a *non-default* option reject it eagerly with
     an error naming the miner and the flag (instead of the old
-    behaviour of silently ignoring it). ``plan`` is the shard plan a
-    ``--shard-strategy predicted`` run consumes.
+    behaviour of silently ignoring it).
     """
     config = _miner_config(args)
     executor = args.executor
@@ -221,12 +206,7 @@ def _build_miner(
         # serial executor is the identical-result in-process path.
         executor = "serial"
     return miners.build(
-        args.miner,
-        config,
-        workers=args.workers,
-        executor=executor,
-        shard_strategy=args.shard_strategy,
-        plan=plan,
+        args.miner, config, workers=args.workers, executor=executor
     )
 
 
@@ -304,39 +284,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.provenance and args.miner != "ptpminer":
         print("--provenance requires the ptpminer miner", file=sys.stderr)
         return 2
-    wants_plan = args.shard_strategy == "predicted" or bool(args.plan_out)
-    if wants_plan and args.miner != "ptpminer":
-        print("--shard-strategy predicted/--plan-out require the "
-              "ptpminer miner", file=sys.stderr)
-        return 2
-    if wants_plan and args.top_k:
-        print("--shard-strategy predicted/--plan-out do not support "
-              "--top-k", file=sys.stderr)
-        return 2
-    plan: dict[str, Any] | None = None
-    if wants_plan:
-        from repro.obs import planner as obs_planner
-
-        # The ledger (when given) calibrates the forecast from prior
-        # matching runs; without history the static fallback applies.
-        plan = obs_planner.build_plan(
-            db,
-            _miner_config(args),
-            workers=args.workers,
-            ledger_dir=args.ledger_dir,
-        )
-    if args.plan_out:
-        assert plan is not None
-        with open(args.plan_out, "w", encoding="utf-8") as handle:
-            json.dump(plan, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(
-            f"wrote shard plan to {args.plan_out} (render with "
-            f"'ptpminer plan')",
-            file=sys.stderr,
-        )
     try:
-        miner = _build_miner(args, plan)
+        miner = _build_miner(args)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -421,21 +370,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
         assert handles.registry is not None
         snapshot = result.metrics or handles.registry.snapshot()
-        cost_snapshot = (
-            handles.cost.snapshot() if handles.cost is not None else None
-        )
-        plan_summary: dict[str, Any] | None = None
-        calibration: dict[str, Any] | None = None
-        if plan is not None:
-            from repro.obs import planner as obs_planner
-
-            plan_summary = obs_planner.plan_summary(plan)
-            if cost_snapshot is not None:
-                # Close the loop: predicted vs actual per-root cost, so
-                # 'ptpminer history' trends forecast quality over runs.
-                calibration = obs_planner.calibration_record(
-                    plan, cost_snapshot, strategy=args.shard_strategy
-                )
         entry = obs_ledger.build_entry(
             dataset_digest=obs_ledger.dataset_digest(db),
             miner=args.miner,
@@ -446,11 +380,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             patterns=len(result.patterns),
             counters=result.counters.as_dict(),
             phases=obs_ledger.phase_seconds(snapshot),
-            cost_snapshot=cost_snapshot,
+            cost_snapshot=(
+                handles.cost.snapshot() if handles.cost is not None else None
+            ),
             patterns_digest=obs_provenance.patterns_digest(result.patterns),
             provenance_path=args.provenance,
-            plan=plan_summary,
-            calibration=calibration,
         )
         run_ledger = obs_ledger.RunLedger(args.ledger_dir)
         stored = run_ledger.append(entry)
@@ -458,13 +392,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             f"ledger: appended run {stored['run_id']} to {run_ledger.path}",
             file=sys.stderr,
         )
-        if calibration is not None and calibration.get("mape") is not None:
-            print(
-                f"ledger: plan calibration — share-MAPE "
-                f"{calibration['mape']:g}, rank corr "
-                f"{calibration.get('rank_corr')}",
-                file=sys.stderr,
-            )
     if profiler is not None and profile_base is not None:
         from repro.obs.profile import write_profile
 
@@ -504,31 +431,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.obs import planner as obs_planner
-
-    db = _read_input(args)
-    if db is None:
-        return 2
-    config = MinerConfig(min_sup=args.min_sup, mode=args.mode)
-    try:
-        plan = obs_planner.build_plan(
-            db,
-            config,
-            workers=args.workers,
-            ledger_dir=args.ledger_dir,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        text = json.dumps(plan, indent=2, sort_keys=True) + "\n"
-    else:
-        text = obs_planner.render_plan_markdown(plan)
-    _emit_text(text, args.out, "shard plan")
-    return 0
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf.cli import main as perf_main
 
@@ -544,10 +446,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         or args.live_log
         or args.cost
         or args.provenance
-        or args.plan
     ):
         print("report needs at least one of --trace/--metrics/--live-log/"
-              "--cost/--provenance/--plan",
+              "--cost/--provenance",
               file=sys.stderr)
         return 2
     try:
@@ -557,7 +458,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             live_log_path=args.live_log,
             cost_path=args.cost,
             provenance_path=args.provenance,
-            plan_path=args.plan,
             straggler_factor=args.straggler_factor,
         )
     except (OSError, ValueError) as exc:
@@ -909,45 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine_p.add_argument("--ledger-dir", metavar="DIR", default=None,
                         help="append this run to the persistent JSONL run "
                              "ledger in DIR (see 'ptpminer history/diff')")
-    mine_p.add_argument("--shard-strategy",
-                        choices=("roundrobin", "predicted"),
-                        default="roundrobin",
-                        help="how root candidates are dealt to --workers "
-                             "shards: blind round-robin (default) or by "
-                             "forecast cost (LPT; ledger-calibrated when "
-                             "--ledger-dir has matching history). The "
-                             "mined result is identical either way "
-                             "(ptpminer only)")
-    mine_p.add_argument("--plan-out", metavar="FILE", default=None,
-                        help="write the shard plan consumed/predicted for "
-                             "this run as JSON (ptpminer only; see "
-                             "'ptpminer plan' and 'ptpminer report "
-                             "--plan')")
     mine_p.set_defaults(func=_cmd_mine)
-
-    plan_p = sub.add_parser(
-        "plan",
-        help="profile a dataset and forecast the shard plan (predicted "
-             "per-root costs, round-robin vs LPT imbalance) without "
-             "mining the subtrees",
-    )
-    plan_p.add_argument("input", help="database file")
-    plan_p.add_argument("--format", choices=sorted(_READERS))
-    plan_p.add_argument("--min-sup", type=float, default=0.1)
-    plan_p.add_argument("--mode", choices=("tp", "htp"), default="tp")
-    plan_p.add_argument("--workers", type=int, default=2,
-                        help="shard count the plan targets (default 2)")
-    plan_p.add_argument("--ledger-dir", metavar="DIR", default=None,
-                        help="calibrate forecasts from matching runs in "
-                             "this ledger (mine --ledger-dir); without "
-                             "it the static-feature fallback applies")
-    plan_p.add_argument("--json", action="store_true",
-                        help="emit the plan as JSON (the form "
-                             "'report --plan' and 'mine --plan-out' use) "
-                             "instead of markdown")
-    plan_p.add_argument("--out", metavar="FILE", default=None,
-                        help="write the plan here instead of stdout")
-    plan_p.set_defaults(func=_cmd_plan)
 
     stats_p = sub.add_parser("stats", help="describe a database file")
     stats_p.add_argument("input", help="database file")
@@ -982,11 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--provenance", metavar="FILE", default=None,
                           help="provenance snapshot (mine --provenance): "
                                "adds a pattern/prune-record summary")
-    report_p.add_argument("--plan", metavar="FILE", default=None,
-                          help="shard plan JSON (ptpminer plan --json / "
-                               "mine --plan-out): adds predicted imbalance "
-                               "and, with --cost, the plan-vs-actual "
-                               "calibration section")
     report_p.add_argument("--json", action="store_true",
                           help="emit the report as JSON instead of markdown")
     report_p.add_argument("--out", metavar="FILE", default=None,

@@ -32,18 +32,9 @@ from typing import Any, Optional
 
 from repro.core.pruning import PruningConfig
 
-__all__ = ["MinerConfig", "SHARD_STRATEGIES"]
+__all__ = ["MinerConfig"]
 
 _MODES = ("tp", "htp")
-
-#: How :func:`repro.engine.mine_sharded` deals root candidates to shards.
-#: ``"roundrobin"`` is the historical blind deal; ``"predicted"`` places
-#: roots by forecast cost (longest-processing-time-first, consuming a
-#: :mod:`repro.obs.planner` plan when one is supplied). A strategy is an
-#: *execution* knob like ``workers`` — it changes the partition, never
-#: the mining semantics, so it lives outside :class:`MinerConfig` and
-#: the merged result is bit-for-bit identical either way.
-SHARD_STRATEGIES = ("roundrobin", "predicted")
 
 
 @dataclass(frozen=True, slots=True)

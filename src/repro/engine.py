@@ -4,12 +4,14 @@ The engine parallelizes P-TPMiner by sharding its **level-1 fan-out**:
 the parent process runs the root of the search exactly once
 (:meth:`~repro.core.ptpminer.PTPMiner.plan` — validation, point
 pruning, encoding, pair tables, and the root candidate gather with full
-root-node accounting), partitions the root candidates into serializable
-:class:`ShardTask`s, and hands each shard to a worker that expands only
-its candidates' subtrees over the parent's encoding and pair tables
-(:meth:`~repro.core.ptpminer.PTPMiner.expand`). Per-shard patterns,
-:class:`~repro.core.pruning.PruneCounters`, and observability data are
-then merged into a single :class:`~repro.core.ptpminer.MiningResult`.
+root-node accounting), deals the root candidates into serializable
+:class:`ShardTask`s (:func:`plan_shards`: LPT over each root's
+``support * supporters``), and hands each shard to a worker that
+expands only its candidates' subtrees over the parent's encoding and
+pair tables (:meth:`~repro.core.ptpminer.PTPMiner.expand`). Per-shard
+patterns, :class:`~repro.core.pruning.PruneCounters`, and
+observability data are then merged into a single
+:class:`~repro.core.ptpminer.MiningResult`.
 
 Determinism guarantee
 ---------------------
@@ -90,7 +92,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro import contracts, obs
-from repro.core.config import SHARD_STRATEGIES, MinerConfig
+from repro.core.config import MinerConfig
 from repro.core.counting import PairTables
 from repro.core.pruning import PruneCounters
 from repro.core.ptpminer import (
@@ -108,7 +110,6 @@ from repro.temporal.endpoint import EncodedDatabase, token_name
 
 __all__ = [
     "EXECUTORS",
-    "SHARD_STRATEGIES",
     "ShardResult",
     "ShardTask",
     "ShardedMiner",
@@ -167,8 +168,8 @@ def _candidate_name(
 ) -> str:
     """The display name of a root candidate, e.g. ``"A+"``, ``"B#2-"``.
 
-    Matches the names the cost model records per root and the planner
-    forecasts against (``sym = label_id * 3 + kind``); uses the shared
+    Matches the names the cost model records per root
+    (``sym = label_id * 3 + kind``); uses the shared
     :func:`~repro.temporal.endpoint.token_name` formatter rather than
     constructing endpoints outside the encoder.
     """
@@ -181,79 +182,51 @@ def plan_shards(
     config: MinerConfig,
     threshold: float,
     num_shards: int,
-    *,
-    strategy: str = "roundrobin",
-    costs: Optional[dict[str, float]] = None,
-    labels: Optional[Sequence[str]] = None,
 ) -> list[ShardTask]:
-    """Partition the root candidates into at most ``num_shards`` tasks.
+    """Deal the root candidates into at most ``num_shards`` tasks.
 
-    With the default ``"roundrobin"`` strategy, candidates are dealt in
-    canonical (sorted) order, which spreads the heavy low-index prefixes
-    across shards. With ``"predicted"``, candidates are placed
-    heaviest-first onto the least-loaded shard (LPT) using the per-root
-    forecasts in ``costs`` (root name -> predicted cost, as produced by
-    :mod:`repro.obs.planner`); ``labels`` (the database's sorted
-    alphabet) is then required to map candidates to their names. Roots
-    missing from ``costs`` — or every root, when no plan is supplied —
-    fall back to ``support * supporter_count``, a zero-cost static proxy
-    computable from the candidate map alone.
+    The deal is LPT (longest processing time first, Graham 1969): each
+    candidate, heaviest first, goes to the least-loaded shard. A
+    candidate's cost is ``support * supporters`` (``weight *
+    len(sids)``), a static proxy for its subtree's size read off the
+    candidate map itself. Ties break on the candidate tuple, so the
+    deal is deterministic, and each shard lists its candidates in
+    canonical (sorted) order.
 
-    Either way, empty shards are never produced; with fewer candidates
-    than shards you get fewer tasks. The partition has no effect on the
-    merged result — only on load balance (see the module docstring's
-    determinism guarantee).
+    Shards are never empty: with fewer candidates than shards you get
+    fewer tasks. The deal has no effect on the merged result, only on
+    load balance (see the module docstring's determinism guarantee).
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {SHARD_STRATEGIES}, got {strategy!r}"
-        )
-    ordered = sorted(root)
-    count = min(num_shards, len(ordered))
+    count = min(num_shards, len(root))
     if count == 0:
         return []
+
+    def cost(item: _TaskCandidate) -> float:
+        _cand, (weight, sids) = item
+        return weight * len(sids)
+
+    candidates = sorted(
+        (
+            (cand, (weight, tuple(sids)))
+            for cand, (weight, sids) in root.items()
+        ),
+        key=lambda item: (-cost(item), item[0]),
+    )
     buckets: list[list[_TaskCandidate]] = [[] for _ in range(count)]
-    if strategy == "roundrobin":
-        for index, cand in enumerate(ordered):
-            weight, sids = root[cand]
-            buckets[index % count].append((cand, (weight, tuple(sids))))
-    else:
-        if labels is None:
-            raise ValueError(
-                "strategy='predicted' needs labels to name root candidates"
-            )
-        forecasts = costs or {}
-
-        def cost_of(cand: tuple[int, int, int]) -> float:
-            weight, sids = root[cand]
-            forecast = forecasts.get(_candidate_name(cand, labels))
-            if forecast is not None:
-                return max(float(forecast), 0.0)
-            return float(weight) * len(sids)
-
-        heap = [(0.0, shard) for shard in range(count)]
-        heapq.heapify(heap)
-        # LPT: heaviest candidate first, onto the least-loaded shard;
-        # ties break on the candidate tuple so the deal is deterministic.
-        for cand in sorted(ordered, key=lambda c: (-cost_of(c), c)):
-            load, shard = heapq.heappop(heap)
-            weight, sids = root[cand]
-            buckets[shard].append((cand, (weight, tuple(sids))))
-            heapq.heappush(heap, (load + cost_of(cand), shard))
-        for bucket in buckets:
-            bucket.sort()
-        # All-zero forecasts can pile everything on shard 0; drop the
-        # resulting empty buckets to keep the no-empty-shards invariant.
-        buckets = [bucket for bucket in buckets if bucket]
+    heap = [(0.0, shard) for shard in range(count)]
+    for item in candidates:
+        load, shard = heapq.heappop(heap)
+        buckets[shard].append(item)
+        heapq.heappush(heap, (load + cost(item), shard))
     return [
         ShardTask(
             shard=shard,
             num_shards=count,
             config=config,
             threshold=threshold,
-            candidates=tuple(bucket),
+            candidates=tuple(sorted(bucket)),
         )
         for shard, bucket in enumerate(buckets)
     ]
@@ -415,18 +388,13 @@ def _run_process(
 # ----------------------------------------------------------------------
 # the engine entry points
 # ----------------------------------------------------------------------
-def _check_options(workers: int, executor: str, shard_strategy: str) -> None:
-    """Reject a bad worker count, executor or shard strategy."""
+def _check_options(workers: int, executor: str) -> None:
+    """Reject a bad worker count or executor."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if executor not in EXECUTORS:
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if shard_strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-            f"got {shard_strategy!r}"
         )
 
 
@@ -436,8 +404,6 @@ def mine_sharded(
     *,
     workers: int = 1,
     executor: str = "auto",
-    shard_strategy: str = "roundrobin",
-    plan: Optional[dict[str, Any]] = None,
 ) -> MiningResult:
     """Mine ``db`` with the sharded engine.
 
@@ -448,18 +414,10 @@ def mine_sharded(
     worker and ``process`` otherwise. An installed live collector
     streams shard telemetry during the run (see the module docstring);
     the determinism guarantee is unaffected — live mode only changes
-    *when* progress is visible, never what is mined.
-
-    ``shard_strategy`` picks the deal (:data:`SHARD_STRATEGIES`):
-    ``"predicted"`` places root candidates by forecast cost (LPT),
-    reading per-root forecasts from ``plan`` — a
-    :func:`repro.obs.planner.build_plan` PlanReport — when one is
-    supplied, else from the static ``support * supporters`` fallback.
-    Because the merge is order-independent, any strategy (with or
-    without a plan, with an arbitrarily wrong plan) yields a bit-for-bit
-    identical result; the strategy only moves wall time between shards.
+    *when* progress is visible, never what is mined. The roots are
+    dealt to shards by :func:`plan_shards`.
     """
-    _check_options(workers, executor, shard_strategy)
+    _check_options(workers, executor)
     resolved = (
         ("serial" if workers == 1 else "process")
         if executor == "auto"
@@ -481,27 +439,7 @@ def mine_sharded(
         _, encoded, pairs, counters, root = miner.plan(
             db, weights, threshold
         )
-        plan_costs: Optional[dict[str, float]] = None
-        plan_labels: Optional[tuple[str, ...]] = None
-        if shard_strategy == "predicted":
-            if plan is not None:
-                plan_costs = {
-                    str(name): float(entry.get("predicted_cost", 0.0))
-                    for name, entry in dict(plan.get("roots", {})).items()
-                    if isinstance(entry, dict)
-                }
-            # The encoder's sorted alphabet, so candidate names line up
-            # with the plan's root names.
-            plan_labels = encoded.labels
-        tasks = plan_shards(
-            root,
-            config,
-            threshold,
-            workers,
-            strategy=shard_strategy,
-            costs=plan_costs,
-            labels=plan_labels,
-        )
+        tasks = plan_shards(root, config, threshold, workers)
         live = handles.live
         parent_span = obs_trace.current_span_id()
         with obs_live.aggregate(
@@ -567,7 +505,6 @@ def mine_sharded(
             "workers": workers,
             "executor": resolved,
             "shards": len(tasks),
-            "shard_strategy": shard_strategy,
         },
     )
 
@@ -613,8 +550,6 @@ class ShardedMiner:
         *,
         workers: int = 1,
         executor: str = "auto",
-        shard_strategy: str = "roundrobin",
-        plan: Optional[dict[str, Any]] = None,
         config: Optional[MinerConfig] = None,
         **kwargs: Any,
     ) -> None:
@@ -629,11 +564,9 @@ class ShardedMiner:
             self.config = MinerConfig.from_kwargs(min_sup=min_sup, **kwargs)
         # Checked at construction too, where the CLI turns a bad option
         # into an ``error:`` line and exit 2.
-        _check_options(workers, executor, shard_strategy)
+        _check_options(workers, executor)
         self.workers = workers
         self.executor = executor
-        self.shard_strategy = shard_strategy
-        self.plan = plan
 
     @classmethod
     def from_config(
@@ -642,17 +575,9 @@ class ShardedMiner:
         *,
         workers: int = 1,
         executor: str = "auto",
-        shard_strategy: str = "roundrobin",
-        plan: Optional[dict[str, Any]] = None,
     ) -> "ShardedMiner":
         """Build from a ready-made :class:`MinerConfig`."""
-        return cls(
-            config=config,
-            workers=workers,
-            executor=executor,
-            shard_strategy=shard_strategy,
-            plan=plan,
-        )
+        return cls(config=config, workers=workers, executor=executor)
 
     def mine(self, db: ESequenceDatabase) -> MiningResult:
         """Mine ``db`` through :func:`mine_sharded`."""
@@ -661,6 +586,4 @@ class ShardedMiner:
             self.config,
             workers=self.workers,
             executor=self.executor,
-            shard_strategy=self.shard_strategy,
-            plan=self.plan,
         )

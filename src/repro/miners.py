@@ -106,19 +106,16 @@ def build(
     *,
     workers: int = 1,
     executor: str = "auto",
-    shard_strategy: str = "roundrobin",
-    plan: Optional[dict[str, Any]] = None,
     **kwargs: Any,
 ) -> Miner:
     """Build a ready-to-run miner by registry name.
 
     Pass either a :class:`MinerConfig` or keyword options that build
     one (unknown keywords fail eagerly). ``workers > 1`` — or an
-    explicit ``executor``, or a non-default ``shard_strategy`` —
-    routes P-TPMiner through the sharded engine; the baselines have
-    no parallel path and reject it. ``shard_strategy``/``plan`` are
-    execution knobs (like ``workers``), not mining semantics: any
-    combination yields bit-for-bit identical results.
+    explicit ``executor`` — routes P-TPMiner through the sharded
+    engine; the baselines have no parallel path and reject it.
+    ``workers``/``executor`` are execution knobs, not mining
+    semantics: any combination yields bit-for-bit identical results.
     """
     if config is None:
         config = MinerConfig.from_kwargs(**kwargs)
@@ -127,20 +124,16 @@ def build(
             "pass either config= or individual miner options, not both"
         )
     factory = get(name)
-    if workers != 1 or executor != "auto" or shard_strategy != "roundrobin":
+    if workers != 1 or executor != "auto":
         if name != "ptpminer":
             raise ValueError(
-                "parallel mining (workers/executor/shard-strategy) is "
-                f"only supported by 'ptpminer', got {name!r}"
+                "parallel mining (workers/executor) is only supported "
+                f"by 'ptpminer', got {name!r}"
             )
         from repro.engine import ShardedMiner
 
         return ShardedMiner.from_config(
-            config,
-            workers=workers,
-            executor=executor,
-            shard_strategy=shard_strategy,
-            plan=plan,
+            config, workers=workers, executor=executor
         )
     return factory(config)
 

@@ -43,12 +43,6 @@ Submodules
     Persistent append-only run ledger with config/environment
     fingerprints and cross-run regression diffing (imported on
     demand; CLI ``mine --ledger-dir``, ``ptpminer history``/``diff``).
-:mod:`repro.obs.planner`
-    Predictive shard planning: dataset/workload profiler, per-root
-    cost forecasts calibrated from ledger history (static-feature
-    fallback), LPT vs round-robin assignment comparison, and the
-    post-run plan-vs-actual calibration record (imported on demand;
-    CLI ``ptpminer plan``, ``mine --shard-strategy predicted``).
 :mod:`repro.obs.warnonce`
     Once-per-file warning dedup shared by every reader that skips
     garbage lines (trace, live log, ledger), so joined sources don't
@@ -59,8 +53,8 @@ Submodules
 :mod:`repro.obs.runreport`
     The one renderer of a run's artifacts: joins a trace, metrics
     snapshot (per-phase / per-depth search tables included), live frame
-    log, cost profile, provenance snapshot and shard plan (imported on
-    demand; CLI ``ptpminer report``).
+    log, cost profile and provenance snapshot (imported on demand; CLI
+    ``ptpminer report``).
 :mod:`repro.obs.profile`
     Per-phase profiling hooks: one ``cProfile`` profile per top-level
     phase span, a collapsed-stack ("folded") exporter for flamegraph

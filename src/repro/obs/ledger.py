@@ -66,17 +66,16 @@ __all__ = [
     "render_history_markdown",
 ]
 
-#: The schema new entries are written with. v2 (this version) added the
-#: per-root cost map (``cost.roots``) and the optional shard-plan
-#: summary / plan-vs-actual calibration record that power
-#: :mod:`repro.obs.planner`'s ledger-calibrated forecasts.
-LEDGER_SCHEMA_VERSION = 2
+#: The schema new entries are written with. v3 (this version) dropped
+#: v2's per-root wall map (``cost.roots``) and its optional shard-plan
+#: and calibration blocks, which fed a forecast the engine no longer
+#: makes.
+LEDGER_SCHEMA_VERSION = 3
 
-#: Schemas :meth:`RunLedger.entries` reads without complaint. v1 entries
-#: (pre-planner) simply lack the new optional fields; every consumer
-#: treats those as absent, so old ledgers keep working unchanged (see
-#: the migration note in ``docs/file-formats.md``).
-SUPPORTED_SCHEMAS = (1, 2)
+#: Schemas :meth:`RunLedger.entries` reads without complaint. No
+#: consumer reads the fields v3 dropped, so v1 and v2 entries read back
+#: unchanged (see the migration note in ``docs/file-formats.md``).
+SUPPORTED_SCHEMAS = (1, 2, 3)
 
 #: The one file name the ledger API writes inside its directory.
 LEDGER_FILENAME = "ledger.jsonl"
@@ -174,8 +173,6 @@ def build_entry(
     cost_snapshot: Optional[Mapping[str, Any]] = None,
     patterns_digest: Optional[str] = None,
     provenance_path: Optional[str] = None,
-    plan: Optional[Mapping[str, Any]] = None,
-    calibration: Optional[Mapping[str, Any]] = None,
     top_n: int = DEFAULT_TOP_ROOTS,
     run_id: Optional[str] = None,
     timestamp: Optional[str] = None,
@@ -185,12 +182,6 @@ def build_entry(
     ``run_id``/``timestamp`` are injectable for tests; by default the
     timestamp is the current UTC time and the run id is derived from it
     plus a content hash, so ids are unique even within one second.
-
-    ``plan`` is a compact shard-plan summary
-    (:func:`repro.obs.planner.plan_summary`) and ``calibration`` the
-    run's plan-vs-actual record
-    (:func:`repro.obs.planner.calibration_record`); both are optional
-    schema-2 fields.
     """
     config: dict[str, Any] = {
         "dataset_digest": dataset_digest,
@@ -232,15 +223,6 @@ def build_entry(
         entry["cost"] = {
             "digest": costmodel.profile_digest(cost_snapshot),
             "top_roots": costmodel.top_roots(cost_snapshot, top_n),
-            # Schema 2: the full per-root wall map (walls only — the
-            # other per-root fields stay out of the ledger). This is
-            # what the planner's ledger-calibrated predictor averages.
-            "roots": {
-                str(name): round(float(dict(row).get("wall_s", 0.0)), 6)
-                for name, row in dict(
-                    cost_snapshot.get("roots", {})
-                ).items()
-            },
         }
     if patterns_digest is not None:
         # Order-independent content hash of the result's pattern set
@@ -251,10 +233,6 @@ def build_entry(
         # Where this run's provenance snapshot was written, so
         # ``ptpminer diff --patterns`` can join two ledger runs.
         entry["provenance_path"] = str(provenance_path)
-    if plan is not None:
-        entry["plan"] = dict(plan)
-    if calibration is not None:
-        entry["calibration"] = dict(calibration)
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     entry["ts"] = timestamp
@@ -307,9 +285,9 @@ class RunLedger:
     def entries(self) -> list[dict[str, Any]]:
         """Every readable entry, in file (= append) order.
 
-        Accepts every schema in :data:`SUPPORTED_SCHEMAS` — pre-bump
-        (v1) lines read back silently, merely lacking the newer
-        optional fields. Unparseable or unknown-schema lines — a
+        Accepts every schema in :data:`SUPPORTED_SCHEMAS` — older lines
+        read back silently; fields a newer schema dropped are carried
+        along and ignored. Unparseable or unknown-schema lines — a
         crashed writer's torn tail, a future schema — are skipped with
         one warning per ledger file (:mod:`repro.obs.warnonce`), so a
         damaged ledger degrades instead of blocking every consumer and
@@ -482,7 +460,6 @@ def history_report(
             flags = (
                 _pair_flags(runs[index - 1], entry, tol) if index else []
             )
-            calibration = entry.get("calibration") or {}
             rows.append(
                 {
                     "run_id": entry.get("run_id"),
@@ -491,11 +468,6 @@ def history_report(
                     "patterns": entry.get("patterns"),
                     "cost_digest": (entry.get("cost") or {}).get("digest"),
                     "patterns_digest": entry.get("patterns_digest"),
-                    # Plan-vs-actual trend (schema-2 runs mined with a
-                    # shard plan; None elsewhere): forecast share-MAPE
-                    # and the strategy that consumed the plan.
-                    "cal_mape": calibration.get("mape"),
-                    "shard_strategy": calibration.get("strategy"),
                     "flags": flags,
                 }
             )
@@ -545,10 +517,9 @@ def render_history_markdown(report: Mapping[str, Any]) -> str:
         lines.append(f"Config: {desc}")
         lines.append("")
         lines.append(
-            "| run | ts | wall_s | patterns | cost digest "
-            "| plan MAPE | flags |"
+            "| run | ts | wall_s | patterns | cost digest | flags |"
         )
-        lines.append("| --- | --- | ---: | ---: | --- | ---: | --- |")
+        lines.append("| --- | --- | ---: | ---: | --- | --- |")
         for row in group.get("runs", []):
             flags = row.get("flags", [])
             flag_text = (
@@ -560,13 +531,10 @@ def render_history_markdown(report: Mapping[str, Any]) -> str:
             )
             wall = row.get("wall_s")
             wall_text = f"{wall:.3f}" if isinstance(wall, float) else str(wall)
-            mape = row.get("cal_mape")
-            mape_text = f"{mape:.3f}" if isinstance(mape, float) else "—"
             lines.append(
                 f"| `{row.get('run_id')}` | {row.get('ts')} "
                 f"| {wall_text} | {row.get('patterns')} "
-                f"| `{row.get('cost_digest') or '—'}` "
-                f"| {mape_text} | {flag_text} |"
+                f"| `{row.get('cost_digest') or '—'}` | {flag_text} |"
             )
         lines.append("")
     regressions = list(report.get("regressions", []))

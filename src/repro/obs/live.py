@@ -95,9 +95,11 @@ class LiveFrame:
     :meth:`~repro.core.pruning.PruneCounters.as_dict` totals at emission
     time (cumulative, not deltas, so frames are idempotent to re-ingest
     and late/duplicated frames cannot corrupt the aggregate). ``ts`` is
-    the publishing process's :func:`repro.obs.clock.now`; lane rates are
-    computed only from same-shard timestamp deltas, so differing clock
-    origins across worker processes cannot skew them.
+    the publishing process's :func:`repro.obs.clock.now` and
+    ``start_ts`` the shard's start on the same clock (``None`` in logs
+    written before it existed); lane rates are computed only from
+    same-shard timestamp deltas, so differing clock origins across
+    worker processes cannot skew them.
     """
 
     shard: int
@@ -108,6 +110,7 @@ class LiveFrame:
     counters: Mapping[str, float] = field(default_factory=dict)
     rss_mb: Optional[float] = None
     final: bool = False
+    start_ts: Optional[float] = None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form (what ``--live-log`` writes, one per line)."""
@@ -120,6 +123,7 @@ class LiveFrame:
             "counters": dict(self.counters),
             "rss_mb": self.rss_mb,
             "final": self.final,
+            "start_ts": self.start_ts,
         }
 
     @classmethod
@@ -138,6 +142,11 @@ class LiveFrame:
                 else float(payload["rss_mb"])
             ),
             final=bool(payload.get("final", False)),
+            start_ts=(
+                None
+                if payload.get("start_ts") is None
+                else float(payload["start_ts"])
+            ),
         )
 
 
@@ -196,6 +205,7 @@ class LiveSink:
         self.min_interval_s = min_interval_s
         self.frames_published = 0
         self._publish = publish
+        self._start_ts = _clock.now()
         self._last_emit: Optional[float] = None
 
     def root_done(
@@ -205,11 +215,14 @@ class LiveSink:
 
         ``patterns`` and ``counters`` are the shard's totals so far.
         Emits a frame for the first finished root and then at most once
-        per ``min_interval_s`` (injectable-clock) seconds; the final
-        frame is :meth:`finish`'s job, so a fast shard publishes exactly
-        two frames.
+        per ``min_interval_s`` (injectable-clock) seconds. The last
+        root's frame is :meth:`finish`'s job, so a fast shard publishes
+        exactly two frames (one, if it has a single root) and a lane
+        never ends on two complete frames.
         """
         self.roots_done += 1
+        if self.roots_done >= self.roots_total:
+            return
         now = _clock.now()
         if (
             self._last_emit is not None
@@ -243,6 +256,7 @@ class LiveSink:
             counters=dict(counters),
             rss_mb=_read_rss_mb(),
             final=final,
+            start_ts=self._start_ts,
         )
         self._last_emit = now
         self.frames_published += 1
@@ -266,7 +280,11 @@ class ShardLane:
 
     @property
     def busy_s(self) -> float:
-        """Seconds between this lane's first and last frame."""
+        """Seconds from the shard's start to this lane's last frame.
+
+        The start is the frames' ``start_ts``, or the first frame's
+        ``ts`` in logs that predate it.
+        """
         if self.first_ts is None or self.last_ts is None:
             return 0.0
         return self.last_ts - self.first_ts
@@ -275,8 +293,7 @@ class ShardLane:
     def rate_roots_per_s(self) -> Optional[float]:
         """Roots expanded per second, from same-shard timestamp deltas.
 
-        ``None`` until the lane has both progress and elapsed time —
-        a lane that has only published its first frame has no rate yet.
+        ``None`` until the lane has both progress and elapsed time.
         """
         busy = self.busy_s
         if busy <= 0 or self.roots_done <= 0:
@@ -304,10 +321,9 @@ class ShardLane:
 def imbalance(loads: Sequence[float]) -> Optional[float]:
     """Max/mean over positive loads (``None`` below two positive).
 
-    The one shard-imbalance figure, for live lanes' busy time, trace
-    shard spans and shard plans' predicted loads alike: 1.0 means
-    perfectly balanced, 2.0 means the slowest shard carries twice the
-    mean.
+    The one shard-imbalance figure, for live lanes' busy time and
+    trace shard spans alike: 1.0 means perfectly balanced, 2.0 means
+    the slowest shard carries twice the mean.
     """
     positive = [load for load in loads if load > 0]
     if len(positive) < 2:
@@ -381,8 +397,9 @@ class LiveAggregator:
                 lane.counters[key] = max(
                     lane.counters.get(key, 0.0), float(value)
                 )
-        if lane.first_ts is None or frame.ts < lane.first_ts:
-            lane.first_ts = frame.ts
+        start = frame.ts if frame.start_ts is None else frame.start_ts
+        if lane.first_ts is None or start < lane.first_ts:
+            lane.first_ts = start
         if lane.last_ts is None or frame.ts > lane.last_ts:
             lane.last_ts = frame.ts
         if frame.rss_mb is not None:

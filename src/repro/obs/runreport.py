@@ -3,17 +3,13 @@
 ``ptpminer report`` turns the artifacts one ``mine`` run can emit — a
 JSONL span trace (``--trace``), a metrics snapshot (``--metrics-out``),
 a live frame log (``--live-log``), a cost profile (``--cost-profile``),
-a provenance snapshot (``--provenance``), and a shard plan
-(``--plan-out``) — into one markdown (or JSON) report: a phase table,
-per-shard utilization with an imbalance figure, the prune funnel, the
-metrics snapshot's search tables (projection states per DFS depth,
-patterns per length, gathered candidates per extension kind), totals
-and histograms, straggler callouts, the realized heaviest-roots table
-(so plan-vs-shard load reads in one place), a provenance summary, and —
-when both a plan and a cost profile are given — a **Plan vs actual**
-section joining the forecast against realized per-root cost
-(share-MAPE, rank correlation, worst miss) and predicted against
-realized imbalance. Any subset of the sources works: sections without
+and a provenance snapshot (``--provenance``) — into one markdown (or
+JSON) report: a phase table, per-shard utilization with an imbalance
+figure, the prune funnel, the metrics snapshot's search tables
+(projection states per DFS depth, patterns per length, gathered
+candidates per extension kind), totals and histograms, straggler
+callouts, the realized heaviest-roots table, and a provenance summary.
+Any subset of the sources works: sections without
 data are omitted and the report instead carries a ``notes`` list saying
 *why* each section is absent (source not given vs. given but empty), so
 a partial report is an answer, not an error. The trace and live-log
@@ -263,7 +259,6 @@ def build_run_report(
     live_log_path: Optional[str] = None,
     cost_path: Optional[str] = None,
     provenance_path: Optional[str] = None,
-    plan_path: Optional[str] = None,
     straggler_factor: float = 0.5,
 ) -> dict[str, Any]:
     """Join the given artifacts into one JSON-ready report dict.
@@ -279,9 +274,7 @@ def build_run_report(
 
     ``cost_path`` (a ``--cost-profile`` snapshot) adds the realized
     heaviest-roots table; ``provenance_path`` a pattern/prune-record
-    summary; ``plan_path`` (a ``ptpminer plan`` / ``--plan-out``
-    PlanReport) the predicted imbalance — and, combined with the cost
-    profile, the full plan-vs-actual calibration section.
+    summary.
     """
     if not (
         trace_path
@@ -289,12 +282,10 @@ def build_run_report(
         or live_log_path
         or cost_path
         or provenance_path
-        or plan_path
     ):
         raise ValueError(
             "build_run_report needs at least one of trace_path, "
-            "metrics_path, live_log_path, cost_path, provenance_path, "
-            "plan_path"
+            "metrics_path, live_log_path, cost_path, provenance_path"
         )
     report: dict[str, Any] = {
         "sources": {
@@ -303,7 +294,6 @@ def build_run_report(
             "live_log": live_log_path,
             "cost": cost_path,
             "provenance": provenance_path,
-            "plan": plan_path,
         }
     }
     notes: list[str] = []
@@ -392,7 +382,6 @@ def build_run_report(
             )
     elif live_log_path is None:
         notes.append("shard table omitted: no live log or trace given")
-    cost_snapshot: Optional[dict[str, Any]] = None
     if cost_path is not None:
         from repro.obs import costmodel
 
@@ -414,34 +403,6 @@ def build_run_report(
             "pruned": len(dict(prov.get("pruned", {}))),
             "labels": len(dict(prov.get("labels", {}))),
         }
-    plan: Optional[dict[str, Any]] = None
-    if plan_path is not None:
-        from repro.obs import planner
-
-        plan = planner.load_plan(plan_path)
-        assignments = dict(plan.get("assignments", {}))
-        section: dict[str, Any] = {
-            "predictor": dict(plan.get("predictor", {})),
-            "predicted_imbalance": {
-                strategy: dict(entry).get("predicted_imbalance")
-                for strategy, entry in sorted(assignments.items())
-            },
-            "realized_imbalance": report.get("shard_imbalance"),
-        }
-        if cost_snapshot is not None:
-            section["calibration"] = planner.calibration_record(
-                plan, cost_snapshot
-            )
-        else:
-            notes.append(
-                "plan-vs-actual calibration omitted: a plan was given "
-                "but no cost profile to compare it against"
-            )
-        report["plan_vs_actual"] = section
-    elif cost_path is not None:
-        notes.append(
-            "plan-vs-actual section omitted: no shard plan given"
-        )
     if notes:
         report["notes"] = notes
     return report
@@ -603,44 +564,6 @@ def render_markdown(report: Mapping[str, Any]) -> str:
                 ],
             )
         )
-        lines.append("")
-    plan_section = report.get("plan_vs_actual")
-    if plan_section:
-        lines.append("## Plan vs actual")
-        lines.append("")
-        predictor = dict(plan_section.get("predictor", {}))
-        lines.append(
-            f"- predictor: {predictor.get('source')} "
-            f"({predictor.get('history_runs', 0)} ledger run(s))"
-        )
-        predicted = dict(plan_section.get("predicted_imbalance", {}))
-        for strategy in sorted(predicted):
-            value = predicted[strategy]
-            lines.append(
-                f"- predicted imbalance ({strategy}): "
-                f"{_format_cell(value)}"
-            )
-        lines.append(
-            "- realized imbalance: "
-            f"{_format_cell(plan_section.get('realized_imbalance'))}"
-        )
-        calibration = plan_section.get("calibration")
-        if calibration:
-            lines.append(
-                f"- forecast share-MAPE: "
-                f"{_format_cell(calibration.get('mape'))}, "
-                f"rank correlation: "
-                f"{_format_cell(calibration.get('rank_corr'))} "
-                f"(over {calibration.get('roots_matched')} roots, "
-                f"actual = {calibration.get('actual_metric')})"
-            )
-            worst = calibration.get("worst_miss")
-            if worst:
-                lines.append(
-                    f"- worst miss: `{worst.get('root')}` predicted "
-                    f"share {_format_cell(worst.get('predicted_share'))} "
-                    f"vs actual {_format_cell(worst.get('actual_share'))}"
-                )
         lines.append("")
     provenance = report.get("provenance")
     if provenance:

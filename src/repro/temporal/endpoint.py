@@ -69,9 +69,9 @@ def token_name(label: str, occ: int, kind: int) -> str:
     The single source of the display grammar (occurrence suffix omitted
     when 1). :meth:`Endpoint.__str__` and every place that needs a root
     or token name without holding an :class:`Endpoint` instance — e.g.
-    :mod:`repro.engine` mapping shard-plan cost forecasts onto root
-    candidates, where constructing endpoints outside the encoder is
-    forbidden — delegate here so names always agree.
+    :mod:`repro.engine` naming the root candidates of a failed shard,
+    where constructing endpoints outside the encoder is forbidden —
+    delegate here so names always agree.
     """
     suffix = f"#{occ}" if occ != 1 else ""
     return f"{label}{suffix}{KIND_CHARS[kind]}"

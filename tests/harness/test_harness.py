@@ -590,40 +590,3 @@ class TestCollectProvenance:
             db, 0.4, [MinerSpec("ptp", lambda ms: PTPMiner(ms))]
         )
         assert "provenance" not in row
-
-
-class TestPredictedStrategyRows:
-    """Predicted-strategy sweep points build their plan in the spec."""
-
-    def predicted_spec(self, db, workers):
-        from repro.core.config import MinerConfig
-        from repro.obs import planner
-
-        def build(ms):
-            config = MinerConfig(min_sup=ms)
-            return miners.build(
-                "ptpminer",
-                config,
-                workers=workers,
-                shard_strategy="predicted",
-                plan=planner.build_plan(db, config, workers=workers),
-            )
-
-        return MinerSpec("ptpminer", build)
-
-    def test_predicted_results_match_roundrobin(self):
-        db = make_random_db(4, num_sequences=12)
-        runner = ExperimentRunner("demo")
-        (rr,) = runner.run_point(db, 0.3, [sharded_spec(workers=3)])
-        (pred,) = runner.run_point(db, 0.3, [self.predicted_spec(db, 3)])
-        assert pred["patterns"] == rr["patterns"]
-        assert pred["nodes_expanded"] == rr["nodes_expanded"]
-        assert pred["config_fingerprint"] == rr["config_fingerprint"]
-
-    def test_unknown_strategy_rejected(self):
-        db = make_random_db(3, num_sequences=6)
-        runner = ExperimentRunner("demo")
-        with pytest.raises(ValueError, match="shard_strategy"):
-            runner.run_point(
-                db, 0.3, [sharded_spec(shard_strategy="zigzag")]
-            )

@@ -515,73 +515,60 @@ class TestHistoryLimit:
 
 
 class TestSchemaV2:
-    """The v1 -> v2 migration: tolerant back-read, new optional fields."""
+    """Entries written before schema 3 (v1 and v2) read back unchanged;
+    the fields v3 dropped are carried along and ignored."""
 
-    PLAN = {
-        "workers": 2,
-        "predictor": {"source": "static", "history_runs": 0,
-                      "scale": None},
-        "predicted_imbalance": {"predicted": 1.1, "roundrobin": 1.9},
-    }
-    CALIBRATION = {
-        "schema": 1, "kind": "repro-calibration",
-        "strategy": "predicted", "predictor": "static",
-        "actual_metric": "wall_s", "roots_matched": 3,
-        "mape": 0.25, "rank_corr": 1.0,
-        "worst_miss": {"root": "e0+", "predicted_share": 0.5,
-                       "actual_share": 0.4},
-    }
-
-    def v1_line(self, run_id):
+    def old_line(self, run_id, schema):
         made = entry(run_id=run_id, cost_snapshot=cost_snapshot())
-        made["schema"] = 1
-        # Pre-bump entries stored only digest + top_roots.
-        del made["cost"]["roots"]
+        made["schema"] = schema
+        if schema == 2:
+            # What v2 entries carried and v3 dropped.
+            made["cost"]["roots"] = {"e0+": 0.1}
+            made["plan"] = {"workers": 2, "predictor": {"source": "static"}}
+            made["calibration"] = {"kind": "repro-calibration", "mape": 0.25}
         return json.dumps(made, sort_keys=True, separators=(",", ":"))
 
-    def test_cost_block_carries_full_per_root_walls(self):
+    def test_new_entries_drop_the_forecast_fields(self):
         made = entry(run_id="r1", cost_snapshot=cost_snapshot())
-        assert made["cost"]["roots"] == {"e0+": pytest.approx(0.1)}
-
-    def test_plan_and_calibration_fields_round_trip(self, tmp_path):
-        made = entry(
-            run_id="r1", plan=self.PLAN, calibration=self.CALIBRATION
-        )
-        ledger = RunLedger(tmp_path)
-        ledger.append(made)
-        (got,) = ledger.entries()
-        assert got["plan"] == self.PLAN
-        assert got["calibration"]["mape"] == 0.25
-        plain = entry(run_id="r2")
-        assert "plan" not in plain and "calibration" not in plain
+        assert made["schema"] == LEDGER_SCHEMA_VERSION == 3
+        assert set(made["cost"]) == {"digest", "top_roots"}
+        assert "plan" not in made and "calibration" not in made
 
     def test_v1_lines_read_back_without_warnings(self, tmp_path):
         ledger = RunLedger(tmp_path)
         ledger.append(entry(run_id="r2", cost_snapshot=cost_snapshot()))
         with ledger.path.open("a", encoding="utf-8") as handle:
-            handle.write(self.v1_line("r1-old") + "\n")
+            handle.write(self.old_line("r1-old", 1) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = ledger.entries()
         assert [e["run_id"] for e in got] == ["r2", "r1-old"]
         assert [e["schema"] for e in got] == [LEDGER_SCHEMA_VERSION, 1]
 
-    def test_history_trends_calibration_mape(self, tmp_path):
+    def test_v1_v2_v3_ledger_serves_every_command(self, tmp_path, capsys):
+        from repro.cli import main
+
         ledger = RunLedger(tmp_path)
-        ledger.append(
-            entry(run_id="r1", calibration=self.CALIBRATION)
-        )
         with ledger.path.open("a", encoding="utf-8") as handle:
-            handle.write(self.v1_line("r0-old") + "\n")
-        report = history_report(ledger.entries())
-        rows = {
-            row["run_id"]: row
-            for group in report["groups"]
-            for row in group["runs"]
-        }
-        assert rows["r1"]["cal_mape"] == 0.25
-        assert rows["r1"]["shard_strategy"] == "predicted"
-        assert rows["r0-old"]["cal_mape"] is None
-        text = render_history_markdown(report)
-        assert "plan MAPE" in text
-        assert "0.250" in text
+            handle.write(self.old_line("r1-v1", 1) + "\n")
+            handle.write(self.old_line("r2-v2", 2) + "\n")
+        ledger.append(entry(run_id="r3-v3", cost_snapshot=cost_snapshot()))
+        runs = ["--ledger-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["history", *runs]) == 0
+            text = capsys.readouterr().out
+            assert main(["history", "--json", *runs]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert main(["history", "--check", *runs]) == 0
+            assert main(["diff", "r1-v1", "r3-v3", *runs]) == 0
+            assert main(["diff", "r2-v2", "r3-v3", *runs]) == 0
+            err = capsys.readouterr().err
+        assert all(run in text for run in ("r1-v1", "r2-v2", "r3-v3"))
+        assert "MAPE" not in text
+        (group,) = report["groups"]
+        assert [row["run_id"] for row in group["runs"]] == [
+            "r1-v1", "r2-v2", "r3-v3"
+        ]
+        assert report["regressions"] == report["warnings"] == []
+        assert "skipped" not in err

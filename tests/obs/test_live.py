@@ -15,6 +15,7 @@ from repro.obs.live import (
     LiveSink,
     ShardLane,
     active_live,
+    imbalance,
     read_live_log,
     set_live,
     use_live,
@@ -104,6 +105,24 @@ class TestLiveSink:
             LiveSink(0, -1, lambda payload: None)
         with pytest.raises(ValueError):
             LiveSink(0, 1, lambda payload: None, min_interval_s=-0.1)
+
+    def test_last_root_arrives_only_in_the_final_frame(self):
+        published = []
+        with clock_scope(ManualClock()):
+            sink = LiveSink(0, 3, published.append, min_interval_s=0)
+            for done in range(3):
+                sink.root_done(done, {})
+            sink.finish(3, {})
+        assert [p["roots_done"] for p in published] == [1, 2, 3]
+        assert [p["final"] for p in published] == [False, False, True]
+
+
+class TestImbalance:
+    def test_imbalance_semantics(self):
+        assert imbalance([]) is None
+        assert imbalance([5.0]) is None
+        assert imbalance([5.0, 0.0]) is None
+        assert imbalance([3.0, 1.0]) == pytest.approx(1.5)
 
 
 class TestShardLane:

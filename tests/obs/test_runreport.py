@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.live import LiveFrame
+from repro.obs.live import LiveFrame, imbalance
 from repro.obs.runreport import build_run_report, render_markdown
 
 
@@ -187,28 +187,7 @@ def cost_rows():
     }
 
 
-def plan_doc():
-    return {
-        "schema": 1, "kind": "repro-plan",
-        "config": {"workers": 2},
-        "predictor": {"source": "static", "history_runs": 0,
-                      "scale": None},
-        "roots": {
-            "A+": {"order": 0, "predicted_cost": 3.0},
-            "B+": {"order": 1, "predicted_cost": 1.0},
-        },
-        "assignments": {
-            "roundrobin": {"shards": [["A+"], ["B+"]],
-                           "predicted_loads": [3.0, 1.0],
-                           "predicted_imbalance": 1.5},
-            "predicted": {"shards": [["A+"], ["B+"]],
-                          "predicted_loads": [3.0, 1.0],
-                          "predicted_imbalance": 1.5},
-        },
-    }
-
-
-class TestPlanAndCostSources:
+class TestSourceSections:
     def test_cost_source_yields_heaviest_roots(self, tmp_path):
         cost = tmp_path / "cost.json"
         cost.write_text(json.dumps(cost_rows()))
@@ -231,50 +210,14 @@ class TestPlanAndCostSources:
         }
         assert "## Provenance summary" in render_markdown(report)
 
-    def test_plan_plus_cost_calibrates_exactly(self, tmp_path):
-        plan = tmp_path / "plan.json"
-        cost = tmp_path / "cost.json"
-        plan.write_text(json.dumps(plan_doc()))
-        cost.write_text(json.dumps(cost_rows()))
-        report = build_run_report(
-            plan_path=str(plan), cost_path=str(cost)
-        )
-        section = report["plan_vs_actual"]
-        # The fixture forecast matches actual walls exactly.
-        assert section["calibration"]["mape"] == pytest.approx(0.0)
-        assert section["calibration"]["rank_corr"] == pytest.approx(1.0)
-        assert section["predicted_imbalance"]["predicted"] == 1.5
-        assert section["realized_imbalance"] is None
-        markdown = render_markdown(report)
-        assert "## Plan vs actual" in markdown
-        assert "share-MAPE" in markdown
-
     def test_live_log_fills_realized_imbalance(self, tmp_path):
-        plan = tmp_path / "plan.json"
         live = tmp_path / "frames.jsonl"
-        plan.write_text(json.dumps(plan_doc()))
         write_jsonl(live, live_rows())
-        report = build_run_report(
-            plan_path=str(plan), live_log_path=str(live)
-        )
-        section = report["plan_vs_actual"]
-        assert section["realized_imbalance"] == report["shard_imbalance"]
-        assert "calibration" not in section
+        report = build_run_report(live_log_path=str(live))
+        busy = [lane["busy_s"] for lane in report["live"]["shards"].values()]
+        assert report["shard_imbalance"] == imbalance(busy)
+        assert report["shard_imbalance"] is not None
         assert any("no cost profile" in note for note in report["notes"])
-
-    def test_plan_without_cost_or_cost_without_plan_note(self, tmp_path):
-        cost = tmp_path / "cost.json"
-        cost.write_text(json.dumps(cost_rows()))
-        report = build_run_report(cost_path=str(cost))
-        assert any(
-            "no shard plan given" in note for note in report["notes"]
-        )
-
-    def test_garbage_plan_is_rejected(self, tmp_path):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"kind": "repro-cost"}))
-        with pytest.raises(ValueError, match="not a shard plan"):
-            build_run_report(plan_path=str(plan))
 
 
 def snapshot_report(tmp_path, snapshot):

@@ -232,7 +232,7 @@ class TestStats:
 
 
 class TestUnreadableInput:
-    """mine, plan and stats report an input they cannot read the way
+    """mine and stats report an input they cannot read the way
     report/explain/diff do: one ``error:`` line and exit 2."""
 
     CASES = {
@@ -242,7 +242,7 @@ class TestUnreadableInput:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("command", ["mine", "plan", "stats"])
+    @pytest.mark.parametrize("command", ["mine", "stats"])
     def test_error_line_and_exit_two(self, command, case, tmp_path, capsys):
         content, expected = self.CASES[case]
         path = tmp_path / "db.txt"
@@ -280,7 +280,6 @@ class TestCorruptJsonSnapshots:
         "report-provenance": lambda path: main(
             ["report", "--provenance", path]
         ),
-        "report-plan": lambda path: main(["report", "--plan", path]),
         "explain": lambda path: main(
             ["explain", "(e0+) (e0-)", "--provenance", path]
         ),
@@ -764,24 +763,20 @@ class TestReportGracefulDegradation:
         log = tmp_path / "frames.jsonl"
         cost = tmp_path / "cost.json"
         prov = tmp_path / "prov.json"
-        plan = tmp_path / "plan.json"
         assert main(["mine", str(tiny_file), "--min-sup", "0.3",
                      "--workers", "2", "--live-log", str(log),
                      "--live-interval", "0", "--trace", str(trace),
                      "--metrics-out", str(metrics),
                      "--cost-profile", str(cost),
-                     "--provenance", str(prov),
-                     "--plan-out", str(plan)]) == 0
+                     "--provenance", str(prov)]) == 0
         capsys.readouterr()
         assert main(["report", "--trace", str(trace),
                      "--metrics", str(metrics),
                      "--live-log", str(log),
                      "--cost", str(cost),
-                     "--provenance", str(prov),
-                     "--plan", str(plan)]) == 0
+                     "--provenance", str(prov)]) == 0
         out = capsys.readouterr().out
         assert "## Notes" not in out
-        assert "## Plan vs actual" in out
         assert "## Heaviest roots (realized)" in out
 
     def test_legacy_three_source_report_notes_new_sources(
@@ -1064,85 +1059,37 @@ class TestHistoryLimitAndDigest:
         assert "result set drifted" in captured.out
 
 
-class TestPlanSubcommand:
-    def test_markdown_plan_renders(self, tiny_file, capsys):
-        assert main(["plan", str(tiny_file), "--min-sup", "0.3",
-                     "--workers", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "# Shard plan" in out
-        assert "## Predicted heaviest roots" in out
-        assert "## Assignments" in out
-        assert "static features only" in out
+class TestRemovedShardOptions:
+    """The engine has one deal, so nothing picks or forecasts one."""
 
-    def test_json_plan_is_loadable(self, tiny_file, tmp_path, capsys):
-        import json as _json
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "db.txt"], ["report", "--plan", "plan.json"]],
+        ids=["plan", "report-plan"],
+    )
+    def test_argparse_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
-        out_path = tmp_path / "plan.json"
-        assert main(["plan", str(tiny_file), "--min-sup", "0.3",
-                     "--workers", "2", "--json",
-                     "--out", str(out_path)]) == 0
-        plan = _json.loads(out_path.read_text())
-        assert plan["kind"] == "repro-plan"
-        assert set(plan["assignments"]) == {"roundrobin", "predicted"}
-
-    def test_ledger_history_calibrates_plan(self, tiny_file, tmp_path,
-                                            capsys):
-        ledger_dir = tmp_path / "runs"
-        assert main(["mine", str(tiny_file), "--min-sup", "0.3",
-                     "--ledger-dir", str(ledger_dir)]) == 0
-        capsys.readouterr()
-        assert main(["plan", str(tiny_file), "--min-sup", "0.3",
-                     "--ledger-dir", str(ledger_dir)]) == 0
-        assert "ledger-calibrated from 1 matching run(s)" in (
-            capsys.readouterr().out
-        )
-
-
-class TestShardStrategyFlag:
-    def mine(self, tiny_file, *extra):
-        return main(["mine", str(tiny_file), "--min-sup", "0.3",
-                     *extra])
-
-    def test_predicted_matches_default_patterns(self, tiny_file,
-                                                tmp_path, capsys):
-        out_rr = tmp_path / "rr.txt"
-        out_pred = tmp_path / "pred.txt"
-        assert self.mine(tiny_file, "--workers", "2",
-                         "--out", str(out_rr)) == 0
-        assert self.mine(tiny_file, "--workers", "2",
-                         "--shard-strategy", "predicted",
-                         "--out", str(out_pred)) == 0
-        assert out_rr.read_text() == out_pred.read_text()
-
-    def test_plan_out_writes_plan(self, tiny_file, tmp_path, capsys):
-        import json as _json
-
-        plan_path = tmp_path / "plan.json"
-        assert self.mine(tiny_file, "--plan-out", str(plan_path)) == 0
-        assert _json.loads(plan_path.read_text())["kind"] == "repro-plan"
-
-    def test_predicted_requires_ptpminer(self, tiny_file, capsys):
-        assert self.mine(tiny_file, "--miner", "bruteforce",
-                         "--shard-strategy", "predicted") == 2
-        assert "ptpminer" in capsys.readouterr().err
-
-    def test_predicted_rejects_top_k(self, tiny_file, capsys):
-        assert self.mine(tiny_file, "--top-k", "5",
-                         "--shard-strategy", "predicted") == 2
-        assert "--top-k" in capsys.readouterr().err
-
-    def test_ledger_entry_gains_plan_and_calibration(
+    def test_sharded_ledger_entry_matches_serial(
             self, tiny_file, tmp_path, capsys):
         from repro.obs.ledger import RunLedger
 
         ledger_dir = tmp_path / "runs"
-        assert self.mine(tiny_file, "--workers", "2",
-                         "--shard-strategy", "predicted",
-                         "--ledger-dir", str(ledger_dir)) == 0
-        err = capsys.readouterr().err
-        assert "plan calibration" in err
-        (entry,) = RunLedger(ledger_dir).entries()
-        assert entry["plan"]["predictor"]["source"] == "static"
-        calibration = entry["calibration"]
-        assert calibration["kind"] == "repro-calibration"
-        assert calibration["strategy"] == "predicted"
+        outs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"w{workers}.txt"
+            assert main(["mine", str(tiny_file), "--min-sup", "0.3",
+                         "--workers", workers, "--out", str(out),
+                         "--ledger-dir", str(ledger_dir)]) == 0
+            assert "calibration" not in capsys.readouterr().err
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        sharded, serial = RunLedger(ledger_dir).entries()
+        for entry in (sharded, serial):
+            assert entry["schema"] == 3
+            assert "plan" not in entry and "calibration" not in entry
+            assert "roots" not in entry["cost"]
+        assert sharded["patterns_digest"] == serial["patterns_digest"]

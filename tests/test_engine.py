@@ -22,6 +22,7 @@ from repro.core.config import MinerConfig, PruningConfig
 from repro.core.counting import PairTables
 from repro.core.ptpminer import PTPMiner, mine
 from repro.datagen import standard_dataset
+from repro.datagen.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.engine import (
     EXECUTORS,
     ShardTask,
@@ -72,6 +73,18 @@ class TestDeterminism:
         serial = PTPMiner.from_config(config).mine(tiny_db)
         sharded = mine_sharded(
             tiny_db, config, workers=2, executor="process"
+        )
+        assert_identical(sharded, serial)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_auto_and_process_executors_match_sequential(
+        self, tiny_db, executor, workers
+    ):
+        config = MinerConfig(min_sup=0.3)
+        serial = PTPMiner.from_config(config).mine(tiny_db)
+        sharded = mine_sharded(
+            tiny_db, config, workers=workers, executor=executor
         )
         assert_identical(sharded, serial)
 
@@ -166,6 +179,66 @@ class TestPlanShards:
         config, threshold, root = self._root(tiny_db)
         with pytest.raises(ValueError, match="num_shards"):
             plan_shards(root, config, threshold, 0)
+
+    def test_ties_break_on_the_candidate_tuple(self):
+        # Three roots of equal support x supporters, heaviest-first in
+        # candidate order: the point event A. precedes A+, and each
+        # shard lists its roots in canonical order.
+        db = ESequenceDatabase.from_event_lists(
+            [[(0, 4, "A"), (5, 5, "A"), (6, 9, "B")]] * 2
+        )
+        config = MinerConfig(min_sup=1.0, mode="htp")
+        mining_db, _counters, root = PTPMiner.from_config(config).plan_root(
+            db, [1.0, 1.0], 1.0
+        )
+        labels = sorted(mining_db.alphabet)
+        tasks = plan_shards(root, config, 1.0, 2)
+        assert [
+            [_candidate_name(cand, labels) for cand, _ in task.candidates]
+            for task in tasks
+        ] == [["A.", "B+"], ["A+"]]
+        assert all(
+            list(task.candidates) == sorted(task.candidates)
+            for task in tasks
+        )
+        assert tasks == plan_shards(root, config, 1.0, 2)
+
+    def test_lpt_balances_exact_states_on_skewed_input(self):
+        # Each shard's load is the exact states_created of its roots,
+        # from a serial cost profile. The LPT deal gives max/mean 1.110
+        # at 2 shards and 1.340 at 3 ([15087, 8260, 10420]); a
+        # round-robin deal in candidate order gives 1.224 and 2.166.
+        db = SyntheticGenerator(
+            SyntheticConfig(
+                num_sequences=300, num_labels=12, seed=7, label_skew=1.2
+            )
+        ).generate()
+        config = MinerConfig(min_sup=0.1)
+        with obs_costmodel.use_collector() as collector:
+            PTPMiner.from_config(config).mine(db)
+        states = {
+            name: row["states_created"]
+            for name, row in collector.snapshot()["roots"].items()
+        }
+        threshold = float(db.absolute_support(config.min_sup))
+        mining_db, _counters, root = PTPMiner.from_config(config).plan_root(
+            db, [1.0] * len(db), threshold
+        )
+        labels = sorted(mining_db.alphabet)
+
+        def max_over_mean(num_shards):
+            loads = [
+                sum(
+                    states[_candidate_name(cand, labels)]
+                    for cand, _ in task.candidates
+                )
+                for task in plan_shards(root, config, threshold, num_shards)
+            ]
+            assert len(loads) == num_shards
+            return max(loads) / (sum(loads) / len(loads))
+
+        assert max_over_mean(2) <= 1.12
+        assert max_over_mean(3) <= 1.35
 
 
 class TestPickling:
@@ -513,24 +586,6 @@ class TestSharedEncoding:
         assert result.params["shards"] == 3
         assert built == {"EncodedDatabase": 1, "PairTables": 1}
 
-    @pytest.mark.parametrize("pair", [True, False])
-    def test_planner_profiles_the_plan_encoding(
-        self, tiny_db, monkeypatch, pair
-    ):
-        # With pair pruning off the plan builds no pair tables, but the
-        # profile's pair degree still needs one.
-        from repro.obs import planner
-
-        reference = planner.profile_workload(tiny_db, MinerConfig(min_sup=0.3))
-        built = self.count_builds(monkeypatch)
-        profile = planner.profile_workload(
-            tiny_db,
-            MinerConfig(min_sup=0.3, pruning=PruningConfig(pair=pair)),
-        )
-        assert profile["roots"]
-        assert profile == reference
-        assert built == {"EncodedDatabase": 1, "PairTables": 1}
-
     def test_spawned_workers_match_serial(self, tmp_path):
         script = tmp_path / "spawn_mine.py"
         script.write_text(_SPAWN_SCRIPT)
@@ -597,7 +652,9 @@ class TestLiveMode:
         self, tiny_db, tmp_path, executor, workers
     ):
         """Roots the support check kills count as done, like expanded
-        ones: with point pruning off, infrequent roots reach the shards."""
+        ones: with point pruning off, infrequent roots reach the shards.
+        A lane's last root arrives in its final frame only, so no lane
+        ends on two complete frames."""
         config = MinerConfig(min_sup=0.3, pruning=PruningConfig(point=False))
         threshold = float(tiny_db.absolute_support(config.min_sup))
         _db, _counters, root = PTPMiner.from_config(config).plan_root(
@@ -616,7 +673,7 @@ class TestLiveMode:
             lane = [frame for frame in frames if frame.shard == task.shard]
             total = len(task.candidates)
             assert [f.roots_done for f in lane if not f.final] == list(
-                range(1, total + 1)
+                range(1, total)
             )
             (final,) = [f for f in lane if f.final]
             assert final.roots_done == final.roots_total == total
@@ -746,152 +803,3 @@ class TestShardFailures:
         assert all(
             name in message for name in self.shard_1_roots(tiny_db, config)
         )
-
-
-class TestPredictedStrategy:
-    """`shard_strategy` is an execution knob: any deal, same bits.
-
-    The predicted (LPT) deal consumes forecasts from
-    :mod:`repro.obs.planner`; a wrong — or absent, or adversarial —
-    forecast may cost wall time but never changes the merged result,
-    counters, or observability snapshots.
-    """
-
-    @staticmethod
-    def build_plan(db, config, workers):
-        from repro.obs import planner
-
-        return planner.build_plan(db, config, workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    def test_predicted_matches_serial_and_roundrobin(
-        self, tiny_db, workers, executor
-    ):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, workers)
-        # No ledger history: this exercises the static fallback
-        # predictor end to end.
-        assert plan["predictor"]["source"] == "static"
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        roundrobin = mine_sharded(
-            tiny_db, config, workers=workers, executor=executor
-        )
-        predicted = mine_sharded(
-            tiny_db, config, workers=workers, executor=executor,
-            shard_strategy="predicted", plan=plan,
-        )
-        assert_identical(predicted, serial)
-        assert_identical(roundrobin, serial)
-        assert predicted.params["shard_strategy"] == "predicted"
-
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    def test_predicted_without_plan_uses_static_proxy(
-        self, tiny_db, executor
-    ):
-        config = MinerConfig(min_sup=0.3)
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        predicted = mine_sharded(
-            tiny_db, config, workers=3, executor=executor,
-            shard_strategy="predicted",
-        )
-        assert_identical(predicted, serial)
-
-    def test_snapshots_bit_for_bit_under_predicted(self, tiny_db):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, 3)
-        with clock_scope(ManualClock()):
-            with obs_costmodel.use_collector() as serial_cost:
-                with obs_provenance.use_collector() as serial_prov:
-                    PTPMiner.from_config(config).mine(tiny_db)
-            with obs_costmodel.use_collector() as cost:
-                with obs_provenance.use_collector() as prov:
-                    mine_sharded(
-                        tiny_db, config, workers=3, executor="serial",
-                        shard_strategy="predicted", plan=plan,
-                    )
-        assert json.dumps(cost.snapshot(), sort_keys=True) == json.dumps(
-            serial_cost.snapshot(), sort_keys=True
-        )
-        assert json.dumps(prov.snapshot(), sort_keys=True) == json.dumps(
-            serial_prov.snapshot(), sort_keys=True
-        )
-
-    def test_all_zero_forecasts_keep_no_empty_shards(self, tiny_db):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, 3)
-        for entry in plan["roots"].values():
-            entry["predicted_cost"] = 0.0
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        predicted = mine_sharded(
-            tiny_db, config, workers=3, executor="serial",
-            shard_strategy="predicted", plan=plan,
-        )
-        assert_identical(predicted, serial)
-
-    def test_rejects_unknown_strategy(self, tiny_db):
-        with pytest.raises(ValueError, match="shard_strategy"):
-            mine_sharded(
-                tiny_db, MinerConfig(min_sup=0.3), workers=2,
-                executor="serial", shard_strategy="zigzag",
-            )
-        with pytest.raises(ValueError, match="shard_strategy"):
-            ShardedMiner(
-                min_sup=0.3, workers=2, shard_strategy="zigzag"
-            )
-
-    def test_sharded_miner_threads_strategy_through(self, tiny_db):
-        config = MinerConfig(min_sup=0.3)
-        plan = self.build_plan(tiny_db, config, 2)
-        miner = ShardedMiner.from_config(
-            config, workers=2, executor="serial",
-            shard_strategy="predicted", plan=plan,
-        )
-        result = miner.mine(tiny_db)
-        assert result.params["shard_strategy"] == "predicted"
-        assert result.patterns == PTPMiner.from_config(config).mine(
-            tiny_db
-        ).patterns
-
-
-class TestPredictedStrategyProperty:
-    """Hypothesis: identity holds for *any* forecast whatsoever."""
-
-    def test_arbitrary_forecasts_never_change_results(self, tiny_db):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        config = MinerConfig(min_sup=0.3)
-        serial = PTPMiner.from_config(config).mine(tiny_db)
-        base_plan = TestPredictedStrategy.build_plan(tiny_db, config, 4)
-        names = sorted(base_plan["roots"])
-
-        @settings(max_examples=12, deadline=None)
-        @given(
-            workers=st.integers(1, 4),
-            executor=st.sampled_from(sorted(EXECUTORS)),
-            costs=st.lists(
-                st.floats(
-                    min_value=-1.0,
-                    max_value=1e6,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ),
-                min_size=len(names),
-                max_size=len(names),
-            ),
-            drop=st.sets(st.sampled_from(names)) if names else st.none(),
-        )
-        def check(workers, executor, costs, drop):
-            plan = json.loads(json.dumps(base_plan))
-            for name, cost in zip(names, costs):
-                plan["roots"][name]["predicted_cost"] = cost
-            for name in drop or ():
-                del plan["roots"][name]  # unforecast root -> proxy path
-            predicted = mine_sharded(
-                tiny_db, config, workers=workers, executor=executor,
-                shard_strategy="predicted", plan=plan,
-            )
-            assert_identical(predicted, serial)
-
-        check()

@@ -4,7 +4,7 @@ Linted under the synthetic path ``src/repro/obs/demo20.py`` so the
 production pass scoping (every non-test repro module except
 ``repro.obs.ledger`` itself) applies directly. ``.append`` with a dict
 literal on a ledger receiver bypasses the schema stamp and the
-cost/plan/calibration normalisation; passing a ``build_entry(...)``
+cost-block normalisation; passing a ``build_entry(...)``
 result (or any non-literal expression) is fine.
 """
 

@@ -24,10 +24,9 @@ or the literal ``ledger.jsonl`` filename.
 
 R020 guards the layer above the file: entries appended to a ledger
 must be assembled by :func:`repro.obs.ledger.build_entry`, which stamps
-the schema version and normalises the cost/plan/calibration blocks.
-A dict literal passed straight to ``.append(...)`` on a ledger receiver
-would freeze whatever fields the call site happened to write — the
-schema bump that added ``cost.roots`` and the calibration record would
+the schema version and normalises the cost block. A dict literal
+passed straight to ``.append(...)`` on a ledger receiver would freeze
+whatever fields the call site happened to write — a schema bump would
 silently miss such entries, and ``entries()`` would then warn on (or
 misread) them forever. Flagged in the same modules R018 scans.
 """
@@ -170,6 +169,5 @@ class LedgerPass:
                     "R020",
                     "dict literal appended to a ledger; assemble the "
                     "entry with repro.obs.ledger.build_entry() so the "
-                    "schema version and cost/plan/calibration blocks "
-                    "stay consistent",
+                    "schema version and cost block stay consistent",
                 )
