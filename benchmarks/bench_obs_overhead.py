@@ -20,16 +20,20 @@ installed -- on the sparse-deep benchmark input (``sparse``, 3,000
 sequences, min-sup 0.03; about 1 s a mine). The arm that runs first
 alternates from pair to pair, so slow clock drift, thermal ramp and
 whatever the first run of a pair pays cancel out instead of biasing one
-arm. What the cost and provenance collectors cost when turned on is
-reported after, for context.
+arm. Each run records its CPU time (``time.process_time()``) beside its
+wall time: CPU time leaves out the waits a busy machine adds, so its
+per-pair spread is the one to hold against the ~1% budget. What the
+cost and provenance collectors cost when turned on is reported after,
+for context, from the same number of alternated pairs against the
+shipped miner with nothing installed.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --pairs 10
 
 Prints per-pair timings, then the median and quartiles of the per-pair
-overhead and how many pairs the shipped miner lost. Standalone (no
-pytest); run it when the search hot path changes.
+overhead, wall and CPU, and how many pairs the shipped miner lost.
+Standalone (no pytest); run it when the search hot path changes.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ import statistics
 import sys
 import time
 import types
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 import repro.core.ptpminer as _ptpminer_module
 from repro import obs
@@ -126,18 +131,56 @@ def build_stripped_miner() -> type:
     return module.PTPMiner
 
 
-def _time_mine(db, config, miner_cls, **collectors: bool) -> float:
+def _time_mine(db, config, miner_cls, **collectors: bool) -> tuple[float, float]:
+    """Wall and CPU seconds of one mine under ``collectors``."""
     miner = miner_cls.from_config(config)
     with obs.observe(**collectors):
-        t0 = time.perf_counter()
+        wall0, cpu0 = time.perf_counter(), time.process_time()
         miner.mine(db)
-        return time.perf_counter() - t0
+        return time.perf_counter() - wall0, time.process_time() - cpu0
+
+
+def _alternated_pairs(
+    pairs: int,
+    base: Callable[[], tuple[float, float]],
+    arm: Callable[[], tuple[float, float]],
+    names: tuple[str, str],
+) -> tuple[list[float], list[float]]:
+    """Per-pair overheads ``arm / base - 1``, wall and CPU, over
+    ``pairs`` pairs; the run that goes first alternates. Prints each."""
+    walls: list[float] = []
+    cpus: list[float] = []
+    for pair in range(pairs):
+        if pair % 2:
+            on = arm()
+            off = base()
+        else:
+            off = base()
+            on = arm()
+        walls.append(on[0] / off[0] - 1.0)
+        cpus.append(on[1] / off[1] - 1.0)
+        print(
+            f"pair {pair} ({names[pair % 2]} first): "
+            f"{names[0]}={off[0]:.4f}s (cpu {off[1]:.4f}s) "
+            f"{names[1]}={on[0]:.4f}s (cpu {on[1]:.4f}s) "
+            f"overhead wall {100 * walls[-1]:+.2f}% cpu {100 * cpus[-1]:+.2f}%"
+        )
+    return walls, cpus
+
+
+def _spread(ratios: Sequence[float]) -> str:
+    """Median and, from two pairs up, quartiles of per-pair overheads."""
+    text = f"median {100 * statistics.median(ratios):+.2f}%"
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        text += f", quartiles {100 * q1:+.2f}% to {100 * q3:+.2f}%"
+    return text
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--pairs", type=int, default=10, help="number of A/B pairs"
+        "--pairs", type=int, default=10, help="number of A/B pairs per arm"
     )
     args = parser.parse_args(argv)
 
@@ -155,40 +198,32 @@ def main(argv: Sequence[str] | None = None) -> int:
     assert twin.counters == reference.counters
 
     # Warm-up: one run of each arm so import/alloc effects hit neither.
-    _time_mine(db, config, stripped_cls)
-    _time_mine(db, config, PTPMiner)
+    shipped = partial(_time_mine, db, config, PTPMiner)
+    hookfree = partial(_time_mine, db, config, stripped_cls)
+    hookfree()
+    shipped()
 
-    ratios = []
-    for pair in range(args.pairs):
-        if pair % 2:
-            disabled = _time_mine(db, config, PTPMiner)
-            hookfree = _time_mine(db, config, stripped_cls)
-        else:
-            hookfree = _time_mine(db, config, stripped_cls)
-            disabled = _time_mine(db, config, PTPMiner)
-        ratios.append(disabled / hookfree - 1.0)
-        print(
-            f"pair {pair} ({'shipped' if pair % 2 else 'hook-free'} "
-            f"first): hook-free={hookfree:.4f}s "
-            f"disabled={disabled:.4f}s "
-            f"overhead={100 * ratios[-1]:+.2f}%"
-        )
-    median = statistics.median(ratios)
-    print(f"median disabled-path overhead: {100 * median:+.2f}% "
-          "(budget <= ~1%)")
-    if len(ratios) > 1:
-        q1, _, q3 = statistics.quantiles(ratios, n=4)
-        print(f"quartiles of the per-pair overhead: {100 * q1:+.2f}% "
-              f"to {100 * q3:+.2f}%")
-    lost = sum(ratio > 0 for ratio in ratios)
-    print(f"the shipped miner was slower in {lost} of {len(ratios)} pairs")
+    walls, cpus = _alternated_pairs(
+        args.pairs, hookfree, shipped, ("hook-free", "shipped")
+    )
+    print(f"disabled-path overhead, wall: {_spread(walls)} (budget <= ~1%)")
+    print(f"disabled-path overhead, cpu:  {_spread(cpus)}")
+    print(
+        f"the shipped miner was slower in {sum(r > 0 for r in walls)} of "
+        f"{len(walls)} pairs by wall time, {sum(r > 0 for r in cpus)} by "
+        "CPU time"
+    )
 
     for kind in ("cost", "provenance"):
-        on = _time_mine(db, config, PTPMiner, **{kind: True})
-        off = _time_mine(db, config, PTPMiner)
+        walls, cpus = _alternated_pairs(
+            args.pairs,
+            shipped,
+            partial(_time_mine, db, config, PTPMiner, **{kind: True}),
+            ("off", kind),
+        )
         print(
-            f"for context, the {kind} collector ON costs "
-            f"{100 * (on / off - 1.0):+.1f}%"
+            f"for context, the {kind} collector ON costs, wall: "
+            f"{_spread(walls)}; cpu: {_spread(cpus)}"
         )
     print("(provenance records every pattern's support set and every "
           "prune decision: enable it for audits, not benchmarks)")

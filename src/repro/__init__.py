@@ -24,26 +24,41 @@ Quickstart
 >>> print(result.patterns[0].pattern)
 (fever+) (fever-)
 
+Every name below is imported on first use (PEP 562; see
+:mod:`repro._lazy`): ``import repro`` loads no subpackage, and
+``from repro import PTPMiner`` loads the miner and what it runs, not
+the baselines, generators, harness or observability collectors.
+
 See ``examples/`` for realistic scenarios and ``DESIGN.md`` for the
 architecture and experiment map.
 """
 
 from __future__ import annotations
 
-from repro import contracts, obs
-from repro.core.closed import filter_closed, filter_maximal
-from repro.core.probabilistic import ProbabilisticTPMiner
-from repro.core.pruning import PruningConfig
-from repro.core.ptpminer import MiningResult, PTPMiner, mine
-from repro.core.rules import TemporalRule, generate_rules
-from repro.model.database import DatabaseStats, ESequenceDatabase
-from repro.model.event import IntervalEvent, point_event
-from repro.model.pattern import PatternWithSupport, TemporalPattern
-from repro.model.sequence import ESequence
-from repro.model.uncertain import UncertainESequenceDatabase
-from repro.temporal.allen import AllenRelation, compose, relate, relate_general
-from repro.temporal.endpoint import Endpoint, EndpointSequence
-from repro.temporal.relation_matrix import ArrangementPattern
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro import contracts, obs
+    from repro.core.closed import filter_closed, filter_maximal
+    from repro.core.probabilistic import ProbabilisticTPMiner
+    from repro.core.pruning import PruningConfig
+    from repro.core.ptpminer import MiningResult, PTPMiner, mine
+    from repro.core.rules import TemporalRule, generate_rules
+    from repro.model.database import DatabaseStats, ESequenceDatabase
+    from repro.model.event import IntervalEvent, point_event
+    from repro.model.pattern import PatternWithSupport, TemporalPattern
+    from repro.model.sequence import ESequence
+    from repro.model.uncertain import UncertainESequenceDatabase
+    from repro.temporal.allen import (
+        AllenRelation,
+        compose,
+        relate,
+        relate_general,
+    )
+    from repro.temporal.endpoint import Endpoint, EndpointSequence
+    from repro.temporal.relation_matrix import ArrangementPattern
 
 __version__ = "1.0.0"
 
@@ -80,3 +95,22 @@ __all__ = [
     "TemporalRule",
     "generate_rules",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro": ("contracts", "obs"),
+    "repro.core.closed": ("filter_closed", "filter_maximal"),
+    "repro.core.probabilistic": ("ProbabilisticTPMiner",),
+    "repro.core.pruning": ("PruningConfig",),
+    "repro.core.ptpminer": ("MiningResult", "PTPMiner", "mine"),
+    "repro.core.rules": ("TemporalRule", "generate_rules"),
+    "repro.model.database": ("DatabaseStats", "ESequenceDatabase"),
+    "repro.model.event": ("IntervalEvent", "point_event"),
+    "repro.model.pattern": ("PatternWithSupport", "TemporalPattern"),
+    "repro.model.sequence": ("ESequence",),
+    "repro.model.uncertain": ("UncertainESequenceDatabase",),
+    "repro.temporal.allen": (
+        "AllenRelation", "compose", "relate", "relate_general",
+    ),
+    "repro.temporal.endpoint": ("Endpoint", "EndpointSequence"),
+    "repro.temporal.relation_matrix": ("ArrangementPattern",),
+})

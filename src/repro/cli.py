@@ -108,61 +108,45 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from collections.abc import Sequence
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Any
 
+import repro.io as repro_io
 from repro import miners, obs
-from repro.core.closed import filter_closed, filter_maximal
 from repro.core.config import MinerConfig
 from repro.core.pruning import PruningConfig
 from repro.core.ptpminer import PTPMiner
-from repro.core.rules import generate_rules
-from repro.datagen import (
-    STANDARD_DATASETS,
-    generate_asl,
-    generate_clinical,
-    generate_library,
-    generate_stock,
-    standard_dataset,
-)
-from repro.harness.tables import render_table
-from repro.io import (
-    read_csv,
-    read_database,
-    read_jsonl,
-    read_spmf,
-    write_csv,
-    write_database,
-    write_jsonl,
-    write_patterns,
-    write_spmf,
-)
+from repro.io.text_format import write_patterns
 from repro.model.database import ESequenceDatabase
 
 __all__ = ["build_parser", "main"]
 
+# Each command imports what only it uses (generators, the other
+# formats, table rendering, closed/rule filters, logging) inside its
+# own function, so `ptpminer mine` loads only what a mine runs. The
+# tables below name functions of the lazy `repro.datagen` and
+# `repro.io` packages.
 _GENERATORS = {
-    "asl": generate_asl,
-    "clinical": generate_clinical,
-    "library": generate_library,
-    "stock": generate_stock,
+    "asl": "generate_asl",
+    "clinical": "generate_clinical",
+    "library": "generate_library",
+    "stock": "generate_stock",
 }
 
 _READERS = {
-    "text": read_database,
-    "spmf": read_spmf,
-    "jsonl": read_jsonl,
-    "csv": read_csv,
+    "text": "read_database",
+    "spmf": "read_spmf",
+    "jsonl": "read_jsonl",
+    "csv": "read_csv",
 }
 _WRITERS = {
-    "text": write_database,
-    "spmf": write_spmf,
-    "jsonl": write_jsonl,
-    "csv": write_csv,
+    "text": "write_database",
+    "spmf": "write_spmf",
+    "jsonl": "write_jsonl",
+    "csv": "write_csv",
 }
 
 
@@ -211,23 +195,26 @@ def _build_miner(args: argparse.Namespace) -> miners.Miner:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro import datagen
+
+    db: ESequenceDatabase
     if args.dataset in _GENERATORS:
-        db = _GENERATORS[args.dataset](seed=args.seed) if args.seed is not None \
-            else _GENERATORS[args.dataset]()
-    elif args.dataset in STANDARD_DATASETS:
+        generate = getattr(datagen, _GENERATORS[args.dataset])
+        db = generate(seed=args.seed) if args.seed is not None else generate()
+    elif args.dataset in datagen.STANDARD_DATASETS:
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.num_sequences is not None:
             overrides["num_sequences"] = args.num_sequences
-        db = standard_dataset(args.dataset, **overrides)
+        db = datagen.standard_dataset(args.dataset, **overrides)
     else:
-        known = sorted(STANDARD_DATASETS) + sorted(_GENERATORS)
+        known = sorted(datagen.STANDARD_DATASETS) + sorted(_GENERATORS)
         print(f"unknown dataset {args.dataset!r}; known: {known}",
               file=sys.stderr)
         return 2
     fmt = _infer_format(args.out, args.format)
-    _WRITERS[fmt](db, args.out)
+    getattr(repro_io, _WRITERS[fmt])(db, args.out)
     print(f"wrote {len(db)} sequences ({db.name or args.dataset}) "
           f"to {args.out} [{fmt}]")
     return 0
@@ -242,16 +229,15 @@ def _read_input(args: argparse.Namespace) -> ESequenceDatabase | None:
     """The database ``args.input`` holds, or ``None`` after printing
     ``error: ...`` when it cannot be read. With ``--mode tp``, point
     events are stripped (with a note)."""
+    read = getattr(repro_io, _READERS[_infer_format(args.input, args.format)])
     try:
-        db = _READERS[_infer_format(args.input, args.format)](args.input)
+        db: ESequenceDatabase = read(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     if getattr(args, "mode", None) == "tp":
         stripped = db.without_point_events()
-        if len(stripped) != len(db) or any(
-            seq.has_point_events for seq in db
-        ):
+        if stripped is not db:
             print("note: point events stripped for tp mode "
                   "(use --mode htp to keep them)", file=sys.stderr)
             db = stripped
@@ -366,7 +352,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         )
     if args.ledger_dir:
         from repro.obs import ledger as obs_ledger
-        from repro.obs import provenance as obs_provenance
 
         assert handles.registry is not None
         snapshot = result.metrics or handles.registry.snapshot()
@@ -383,7 +368,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             cost_snapshot=(
                 handles.cost.snapshot() if handles.cost is not None else None
             ),
-            patterns_digest=obs_provenance.patterns_digest(result.patterns),
+            patterns_digest=obs_ledger.patterns_digest(result.patterns),
             provenance_path=args.provenance,
         )
         run_ledger = obs_ledger.RunLedger(args.ledger_dir)
@@ -415,12 +400,18 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     for item in shown:
         print(f"{item.support:>8}  {item.pattern}")
     if args.closed:
+        from repro.core.closed import filter_closed
+
         closed = filter_closed(result)
         print(f"closed patterns: {len(closed.patterns)}")
     if args.maximal:
+        from repro.core.closed import filter_maximal
+
         maximal = filter_maximal(result)
         print(f"maximal patterns: {len(maximal.patterns)}")
     if args.rules:
+        from repro.core.rules import generate_rules
+
         rules = generate_rules(result, min_confidence=args.rules)
         print(f"temporal rules (confidence >= {args.rules:g}):")
         for rule in rules[: args.top or None]:
@@ -699,6 +690,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.harness.tables import render_table
+
     db = _read_input(args)
     if db is None:
         return 2
@@ -967,6 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging(level_name: str | None) -> None:
     if level_name is None:
         return
+    import logging
+
     logging.basicConfig(
         level=getattr(logging, level_name.upper()),
         stream=sys.stderr,

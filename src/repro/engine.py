@@ -87,9 +87,9 @@ import multiprocessing
 import queue as _queue
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro import contracts, obs
 from repro.core.config import MinerConfig
@@ -104,9 +104,12 @@ from repro.core.ptpminer import (
 from repro.model.database import ESequenceDatabase
 from repro.model.pattern import PatternWithSupport
 from repro.obs import clock as obs_clock
-from repro.obs import live as obs_live
+from repro.obs import seam
 from repro.obs import trace as obs_trace
 from repro.temporal.endpoint import EncodedDatabase, token_name
+
+if TYPE_CHECKING:
+    from repro.obs.live import LiveSink
 
 __all__ = [
     "EXECUTORS",
@@ -248,23 +251,24 @@ def _run_shard(task: ShardTask) -> ShardResult:
     pairs: Optional[PairTables] = _WORKER_PAYLOAD["pairs"]
     weights: list[float] = _WORKER_PAYLOAD["weights"]
     publish: Optional[_OnFrame] = _WORKER_PAYLOAD["live_publish"]
-    sink = (
-        None
-        if publish is None
-        else obs_live.LiveSink(
+    sink: Optional[LiveSink] = None
+    if publish is not None:
+        # Live mode only: the bus's module loads when it is used.
+        from repro.obs import live
+
+        sink = live.LiveSink(
             task.shard,
             len(task.candidates),
             publish,
             min_interval_s=_WORKER_PAYLOAD["live_interval"],
         )
-    )
     miner = PTPMiner.from_config(task.config)
     started = obs_clock.now()
     # Private collectors even on the serial executor: the parent's stay
     # shadowed during the search and the snapshot comes home through
     # ShardResult, so both executors merge identically.
     kinds = _WORKER_PAYLOAD["kinds"]
-    with obs.observe(**kinds) as handles, obs_live.use_sink(sink):
+    with obs.observe(**kinds) as handles, seam.LIVE_SINK.scope(sink):
         patterns, counters = miner.expand(
             encoded, pairs, weights, task.threshold, task.candidate_map()
         )
@@ -442,9 +446,16 @@ def mine_sharded(
         tasks = plan_shards(root, config, threshold, workers)
         live = handles.live
         parent_span = obs_trace.current_span_id()
-        with obs_live.aggregate(
-            live, {task.shard: len(task.candidates) for task in tasks}
-        ) as on_frame:
+        aggregating: AbstractContextManager[Optional[_OnFrame]]
+        if live is None:
+            aggregating = nullcontext(None)
+        else:
+            from repro.obs.live import aggregate
+
+            aggregating = aggregate(
+                live, {task.shard: len(task.candidates) for task in tasks}
+            )
+        with aggregating as on_frame:
             interval = 0.5 if live is None else live.config.interval_s
             with obs_trace.span("shards", count=len(tasks)):
                 if not tasks:

@@ -21,6 +21,7 @@ import csv
 import os
 
 from repro.io._utf8 import open_utf8
+from repro.io.text_format import _parse_number
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
 from repro.model.sequence import ESequence
@@ -38,11 +39,6 @@ def write_csv(db: ESequenceDatabase, path: str | os.PathLike) -> None:
         for seq in db:
             for ev in seq:
                 writer.writerow([seq.sid, ev.label, ev.start, ev.finish])
-
-
-def _parse_number(text: str) -> float:
-    value = float(text)
-    return int(value) if value.is_integer() else value
 
 
 def _parse_row(row: list[str]) -> tuple[int, IntervalEvent]:

@@ -15,7 +15,9 @@ triples; we follow that convention:
 Each itemset is one event: ``<label-id> <start> <finish> -1``; ``-2``
 terminates the sequence line. ``@ITEM`` header lines map integer ids back
 to labels (SPMF's standard label-mapping convention), so the format
-round-trips label names exactly.
+round-trips label names exactly. Times are written and read as in the
+native text format (:mod:`repro.io.text_format`), so they round-trip
+exactly too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import os
 
 from repro.io._utf8 import open_utf8
+from repro.io.text_format import _format_time, _parse_number
 from repro.model.database import ESequenceDatabase
 from repro.model.event import IntervalEvent
 from repro.model.sequence import ESequence
@@ -44,15 +47,11 @@ def write_spmf(db: ESequenceDatabase, path: str | os.PathLike) -> None:
             parts: list[str] = []
             for ev in seq:
                 parts.append(
-                    f"{ids[ev.label]} {ev.start:g} {ev.finish:g} -1"
+                    f"{ids[ev.label]} {_format_time(ev.start)} "
+                    f"{_format_time(ev.finish)} -1"
                 )
             parts.append("-2")
             handle.write(" ".join(parts) + "\n")
-
-
-def _parse_number(text: str) -> float:
-    value = float(text)
-    return int(value) if value.is_integer() else value
 
 
 def _parse_item(line: str) -> tuple[int, str]:

@@ -11,7 +11,9 @@ each event ``label,start,finish`` (a point event has ``start == finish``):
 
 Lines starting with ``#`` are comments; ``# name:`` in the header names
 the database. Labels may not contain ``,``, ``;`` or newlines (enforced
-at write time). Timestamps are written as integers when integral.
+at write time). Timestamps are written exactly: as integers when
+integral, otherwise by ``repr``; an integer reads back as an exact
+``int`` of any size. SPMF and CSV use the same number reader.
 
 Pattern-list format — one pattern per line, ``support<TAB>pattern`` using
 the :meth:`TemporalPattern.__str__` syntax:
@@ -43,6 +45,8 @@ _FORBIDDEN = (",", ";", "\n", "\r")
 
 
 def _format_time(value: float) -> str:
+    """A timestamp as every format writes it, exactly: integral values
+    as integers, others by ``repr``."""
     return str(int(value)) if float(value).is_integer() else repr(value)
 
 
@@ -66,8 +70,14 @@ def write_database(db: ESequenceDatabase, path: str | os.PathLike) -> None:
 
 
 def _parse_number(text: str) -> float:
-    value = float(text)
-    return int(value) if value.is_integer() else value
+    """A number as every format reads it: an integer literal exactly
+    (an ``int`` of any size); anything else as a float, which becomes
+    an ``int`` when integral."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        return int(value) if value.is_integer() else value
 
 
 def _parse_events(line: str) -> list[IntervalEvent]:

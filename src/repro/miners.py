@@ -25,12 +25,9 @@ Extending the registry (e.g. from an experiment script)::
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.baselines.bruteforce import BruteForceMiner
-from repro.baselines.hdfs import HDFSMiner
-from repro.baselines.ieminer import IEMiner
-from repro.baselines.tprefixspan import TPrefixSpanMiner
 from repro.core.config import MinerConfig
 from repro.core.ptpminer import MiningResult, PTPMiner
 from repro.model.database import ESequenceDatabase
@@ -138,8 +135,22 @@ def build(
     return factory(config)
 
 
+def _baseline(module: str, cls: str) -> MinerFactory:
+    """The factory of baseline class ``cls``, imported from ``module``
+    when the first miner is built (a P-TPMiner run loads no baseline)."""
+
+    def factory(config: MinerConfig) -> Miner:
+        miner_class: Any = getattr(importlib.import_module(module), cls)
+        miner: Miner = miner_class.from_config(config)
+        return miner
+
+    return factory
+
+
 register("ptpminer", PTPMiner.from_config)
-register("tprefixspan", TPrefixSpanMiner.from_config)
-register("hdfs", HDFSMiner.from_config)
-register("ieminer", IEMiner.from_config)
-register("bruteforce", BruteForceMiner.from_config)
+register(
+    "tprefixspan", _baseline("repro.baselines.tprefixspan", "TPrefixSpanMiner")
+)
+register("hdfs", _baseline("repro.baselines.hdfs", "HDFSMiner"))
+register("ieminer", _baseline("repro.baselines.ieminer", "IEMiner"))
+register("bruteforce", _baseline("repro.baselines.bruteforce", "BruteForceMiner"))

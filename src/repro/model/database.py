@@ -208,7 +208,13 @@ class ESequenceDatabase:
         )
 
     def without_point_events(self) -> "ESequenceDatabase":
-        """Strip instantaneous events (strict TP-mode preprocessing)."""
+        """Strip instantaneous events (strict TP-mode preprocessing).
+
+        Empty sequences are dropped too. A database with neither comes
+        back as itself: the result would equal it, and it is immutable.
+        """
+        if all(seq and not seq.has_point_events for seq in self._sequences):
+            return self
         kept = (
             ESequence(seq.interval_events(), sid=seq.sid)
             for seq in self._sequences

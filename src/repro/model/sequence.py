@@ -17,11 +17,17 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 from typing import Optional
 
 from repro.model.event import IntervalEvent, Timestamp
 
 __all__ = ["ESequence"]
+
+#: The canonical event order as a sort key: the same order as
+#: :class:`IntervalEvent`'s ``<``, without a Python-level call per
+#: comparison.
+_CANONICAL = attrgetter("start", "finish", "label")
 
 
 class ESequence:
@@ -57,7 +63,7 @@ class ESequence:
         for ev in evs:
             if not isinstance(ev, IntervalEvent):
                 raise TypeError(f"ESequence expects IntervalEvent items, got {ev!r}")
-        evs.sort()
+        evs.sort(key=_CANONICAL)
         self._events: tuple[IntervalEvent, ...] = tuple(evs)
         self.sid = sid
         self._hash: Optional[int] = None

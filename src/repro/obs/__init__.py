@@ -8,6 +8,13 @@ explicit and scoped.
 
 Submodules
 ----------
+Nothing here is imported until it is used: every export resolves on
+first access (PEP 562; :mod:`repro._lazy`), and a mine loads only the
+clock, trace, metrics, recorder and seam modules (with
+:mod:`~repro.obs.warnonce`). The collector modules — live, costmodel,
+provenance — load when one of their collectors is built, for example
+by ``observe(cost=True)``; the rest load when a command uses them.
+
 :mod:`repro.obs.clock`
     The single injectable monotonic clock every timestamp flows through.
 :mod:`repro.obs.trace`
@@ -20,29 +27,36 @@ Submodules
     The one run heartbeat, a live shard telemetry bus: worker-side
     :class:`~repro.obs.live.LiveSink` heartbeats fed by the search
     recorder, parent-side :class:`~repro.obs.live.LiveAggregator`
-    lanes/ETA/stragglers (CLI ``mine --live``, alias ``--progress``).
+    lanes/ETA/stragglers (CLI ``mine --live``, alias ``--progress``;
+    loaded in live mode only).
 :mod:`repro.obs.costmodel`
     Per-root / per-level search cost attribution: which search-tree
     roots the time, states, and prune work go to, merged
-    deterministically across shards (CLI ``mine --cost-profile``).
+    deterministically across shards (CLI ``mine --cost-profile``, and
+    every ``--ledger-dir`` mine; loaded then only).
 :mod:`repro.obs.provenance`
     Pattern provenance and prune-decision audit: per emitted pattern
     the supporting sids plus one witness embedding each, per killed
     candidate the prune site/level/root, merged deterministically
     across shards (CLI ``mine --provenance``, ``ptpminer explain`` /
-    ``why-not`` / ``diff --patterns``).
+    ``why-not`` / ``diff --patterns``; loaded then only).
 :mod:`repro.obs.recorder`
     The one path from P-TPMiner's search to every collector above: one
-    recorder per search, the only caller of ``record_*`` methods.
+    recorder per search, the only caller of ``record_*`` methods. It
+    finds the installed collectors on their seams and imports no
+    collector module.
 :mod:`repro.obs.seam`
-    The :class:`~repro.obs.seam.CollectorSeam` primitive behind every
-    module-global sink (metrics, live, costmodel, provenance):
-    ``active()``, ``install()``, and scoped ``scope()`` defined exactly
-    once.
+    One named :class:`~repro.obs.seam.CollectorSeam` per collector kind
+    (``METRICS``, ``TRACER``, ``LIVE``, ``LIVE_SINK``, ``COST``,
+    ``PROVENANCE``): where each installed collector is found, with
+    ``active()``, ``install()`` and scoped ``scope()`` defined once.
+    Each collector module's ``active_*``/``set_*``/``use_*`` names wrap
+    its seam.
 :mod:`repro.obs.ledger`
     Persistent append-only run ledger with config/environment
-    fingerprints and cross-run regression diffing (imported on
-    demand; CLI ``mine --ledger-dir``, ``ptpminer history``/``diff``).
+    fingerprints, the result-set digest (``patterns_digest``), and
+    cross-run regression diffing (imported on demand; CLI ``mine
+    --ledger-dir``, ``ptpminer history``/``diff``).
 :mod:`repro.obs.warnonce`
     Once-per-file warning dedup shared by every reader that skips
     garbage lines (trace, live log, ledger), so joined sources don't
@@ -73,37 +87,43 @@ Enabling
 ``provenance``; the CLI and the engine's shard runner
 install through it, and so does any caller of the harness's
 ``measure()``, which only measures. Each module's ``use_*()`` installs
-one.
+one. :func:`observe` and :class:`ObsHandles` read and restore every
+kind through its named seam, so they import a collector's module only
+to build a fresh collector of that kind.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+import importlib
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-from repro.obs import (
-    clock,
-    costmodel,
-    live,
-    metrics,
-    provenance,
-    seam,
-    trace,
-)
-from repro.obs.costmodel import CostCollector, use_collector
-from repro.obs.live import LiveCollector, LiveConfig, use_live
-from repro.obs.provenance import ProvenanceCollector
-from repro.obs.seam import CollectorSeam
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.trace import (
-    JsonlTraceWriter,
-    TraceCollector,
-    span,
-    traced,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
+from repro.obs import seam
+
+if TYPE_CHECKING:
+    from repro.obs import (
+        clock,
+        costmodel,
+        live,
+        metrics,
+        provenance,
+        trace,
+    )
+    from repro.obs.costmodel import CostCollector, use_collector
+    from repro.obs.live import LiveCollector, LiveConfig, use_live
+    from repro.obs.metrics import MetricsRegistry, use_registry
+    from repro.obs.provenance import ProvenanceCollector
+    from repro.obs.seam import CollectorSeam
+    from repro.obs.trace import (
+        JsonlTraceWriter,
+        TraceCollector,
+        span,
+        traced,
+        use_tracer,
+    )
 
 __all__ = [
     "CollectorSeam",
@@ -151,7 +171,7 @@ class ObsHandles:
     @classmethod
     def active(cls) -> "ObsHandles":
         """The collectors installed right now."""
-        return cls(*(active() for _factory, _install, active in _KINDS))
+        return cls(*(kind.active() for kind, _module, _class in _KINDS))
 
     def kinds(self) -> dict[str, bool]:
         """:func:`observe` arguments for fresh collectors of these kinds.
@@ -169,10 +189,12 @@ class ObsHandles:
 
     def snapshot(self) -> dict[str, Any]:
         """Every held collector's snapshot, keyed by kind (JSON-able)."""
+        from repro.obs import trace as obs_trace
+
         out: dict[str, Any] = {}
         if self.registry is not None:
             out["metrics"] = self.registry.snapshot()
-        if isinstance(self.tracer, TraceCollector):
+        if isinstance(self.tracer, obs_trace.TraceCollector):
             out["trace"] = self.tracer.events
         if self.cost is not None:
             out["cost"] = self.cost.snapshot()
@@ -216,16 +238,16 @@ class ObsHandles:
             self.provenance.absorb(snapshot["provenance"])
 
 
-#: ``(factory, install, active)`` per kind, in :func:`observe`'s
-#: argument order (metrics, tracer, live, cost, provenance).
-_KINDS: tuple[
-    tuple[Callable[[], Any], Callable[[Any], None], Callable[[], Any]], ...
-] = (
-    (MetricsRegistry, metrics.set_registry, metrics.active_registry),
-    (TraceCollector, trace.set_tracer, trace.active_tracer),
-    (LiveCollector, live.set_live, live.active_live),
-    (CostCollector, costmodel.set_collector, costmodel.active_collector),
-    (ProvenanceCollector, provenance.set_collector, provenance.active_collector),
+#: ``(seam, module, class)`` per kind, in :func:`observe`'s argument
+#: order (metrics, tracer, live, cost, provenance): where the kind is
+#: installed, and the collector class ``True`` builds a fresh one of.
+#: The class's module is imported only then.
+_KINDS: tuple[tuple[seam.CollectorSeam[Any], str, str], ...] = (
+    (seam.METRICS, "repro.obs.metrics", "MetricsRegistry"),
+    (seam.TRACER, "repro.obs.trace", "TraceCollector"),
+    (seam.LIVE, "repro.obs.live", "LiveCollector"),
+    (seam.COST, "repro.obs.costmodel", "CostCollector"),
+    (seam.PROVENANCE, "repro.obs.provenance", "ProvenanceCollector"),
 )
 
 
@@ -250,20 +272,37 @@ def observe(
     call installed (``None`` for kinds it left alone or turned off).
     """
     sinks: list[Any] = [
-        factory() if value is True else value
-        for value, (factory, _install, _active) in zip(
+        getattr(importlib.import_module(module), name)()
+        if value is True
+        else value
+        for value, (_kind, module, name) in zip(
             (metrics, tracer, live, cost, provenance), _KINDS
         )
     ]
-    previous = [active() for _factory, _install, active in _KINDS]
+    previous = [kind.active() for kind, _module, _class in _KINDS]
     try:
-        for sink, (_factory, install, _active) in zip(sinks, _KINDS):
+        for sink, (kind, _module, _class) in zip(sinks, _KINDS):
             if sink is not None:
-                install(None if sink is False else sink)
+                kind.install(None if sink is False else sink)
         yield ObsHandles(*(None if sink is False else sink for sink in sinks))
     finally:
-        for sink, before, (_factory, install, _active) in zip(
+        for sink, before, (kind, _module, _class) in zip(
             sinks, previous, _KINDS
         ):
             if sink is not None:
-                install(before)
+                kind.install(before)
+
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs": (
+        "clock", "costmodel", "live", "metrics", "provenance", "trace",
+    ),
+    "repro.obs.costmodel": ("CostCollector", "use_collector"),
+    "repro.obs.live": ("LiveCollector", "LiveConfig", "use_live"),
+    "repro.obs.metrics": ("MetricsRegistry", "use_registry"),
+    "repro.obs.provenance": ("ProvenanceCollector",),
+    "repro.obs.seam": ("CollectorSeam",),
+    "repro.obs.trace": (
+        "JsonlTraceWriter", "TraceCollector", "span", "traced", "use_tracer",
+    ),
+})

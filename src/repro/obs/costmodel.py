@@ -41,7 +41,7 @@ import json
 from contextlib import AbstractContextManager
 from typing import Any, Mapping, Optional
 
-from repro.obs.seam import CollectorSeam
+from repro.obs import seam
 
 __all__ = [
     "COST_SCHEMA_VERSION",
@@ -220,23 +220,20 @@ def top_roots(
 
 
 # ----------------------------------------------------------------------
-# installation seam (shared implementation: repro.obs.seam)
+# the public names over the named seam (repro.obs.seam.COST)
 # ----------------------------------------------------------------------
-_seam: CollectorSeam[CostCollector] = CollectorSeam(CostCollector)
-
-
 def active_collector() -> Optional[CostCollector]:
     """The installed collector, or ``None`` when cost tracking is off."""
-    return _seam.active()
+    return seam.COST.active()
 
 
 def set_collector(collector: Optional[CostCollector]) -> None:
     """Install ``collector`` process-wide (``None`` turns tracking off)."""
-    _seam.install(collector)
+    seam.COST.install(collector)
 
 
 def use_collector(
     collector: Optional[CostCollector] = None,
 ) -> AbstractContextManager[CostCollector]:
     """Scope-install a collector (a fresh one by default); restores on exit."""
-    return _seam.scope(collector)
+    return seam.COST.scope(CostCollector() if collector is None else collector)

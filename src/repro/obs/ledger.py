@@ -43,12 +43,12 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from repro.model.database import ESequenceDatabase
 from repro.obs import costmodel
 from repro.obs.warnonce import json_lines, warn_once
-from repro.perf.compare import Tolerance, classify
+from repro.perf.compare import Tolerance, classify, environment_fingerprint
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -61,6 +61,7 @@ __all__ = [
     "default_environment",
     "diff_entries",
     "history_report",
+    "patterns_digest",
     "phase_seconds",
     "render_diff_markdown",
     "render_history_markdown",
@@ -106,6 +107,29 @@ def dataset_digest(db: ESequenceDatabase) -> str:
     return hasher.hexdigest()[:12]
 
 
+def patterns_digest(patterns: Iterable[Any]) -> str:
+    """Order-independent content hash of a result's pattern set.
+
+    Accepts :class:`~repro.model.pattern.PatternWithSupport` items or
+    plain ``(pattern_text, support)`` pairs. Two runs digest identically
+    iff they emitted the same patterns with the same supports, so a
+    digest shift between ledger entries of one config fingerprint means
+    the *result set* drifted — even when the pattern count did not.
+    (Also served as :func:`repro.obs.provenance.patterns_digest`.)
+    """
+    rows: list[tuple[str, float]] = []
+    for item in patterns:
+        pattern = getattr(item, "pattern", None)
+        if pattern is not None:
+            rows.append((str(pattern), float(item.support)))
+        else:
+            text, support = item
+            rows.append((str(text), float(support)))
+    rows.sort()
+    payload = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
 def config_fingerprint(
     *,
     dataset_digest: str,
@@ -137,9 +161,8 @@ def config_fingerprint(
 
 
 def default_environment() -> dict[str, str]:
-    """The perf layer's environment fingerprint (lazy import: no cycle)."""
-    from repro.perf.baseline import environment_fingerprint
-
+    """The perf layer's environment fingerprint
+    (:func:`repro.perf.compare.environment_fingerprint`)."""
     return environment_fingerprint()
 
 

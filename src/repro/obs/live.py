@@ -8,7 +8,8 @@ telemetry bus that streams worker heartbeats to the parent **during**
 the run:
 
 * :class:`LiveSink` lives worker-side. The engine installs one around
-  each shard's search (:func:`use_sink`), and the search recorder
+  each shard's search on the ``LIVE_SINK`` seam of :mod:`repro.obs.seam`
+  (what :func:`use_sink` wraps), and the search recorder
   (:mod:`repro.obs.recorder`) reports each finished root candidate to
   it (:meth:`LiveSink.root_done`). The sink throttles those events
   through the injectable :mod:`repro.obs.clock` and publishes compact
@@ -49,7 +50,7 @@ from pathlib import Path
 from typing import Any, Optional, TextIO, Union
 
 from repro.obs import clock as _clock
-from repro.obs.seam import CollectorSeam
+from repro.obs import seam
 from repro.obs.warnonce import json_lines, warn_once
 
 __all__ = [
@@ -646,19 +647,16 @@ class LiveCollector:
 
 @contextmanager
 def aggregate(
-    collector: Optional[LiveCollector], shard_totals: Mapping[int, int]
-) -> Iterator[Optional[Callable[[dict[str, Any]], None]]]:
+    collector: LiveCollector, shard_totals: Mapping[int, int]
+) -> Iterator[Callable[[dict[str, Any]], None]]:
     """Aggregate one sharded run's frames for ``collector``.
 
     Yields the ``on_frame`` callable the engine feeds each shard's
-    frames to (``None`` when ``collector`` is ``None``: live mode off).
-    Opens the frame log, ingests and renders each frame, and on exit
-    forces the final render, closes the log and stores the run's
-    summary on ``collector``.
+    frames to. Opens the frame log, ingests and renders each frame, and
+    on exit forces the final render, closes the log and stores the run's
+    summary on ``collector``. (With live mode off the engine does not
+    call this, and does not import this module.)
     """
-    if collector is None:
-        yield None
-        return
     aggregator = LiveAggregator(collector.config, shard_totals=shard_totals)
     aggregator.open_log()
 
@@ -674,17 +672,15 @@ def aggregate(
         collector.summary = aggregator.summary()
 
 
-_seam: CollectorSeam[LiveCollector] = CollectorSeam(LiveCollector)
-
-
+# The public names over the named seams (repro.obs.seam.LIVE, LIVE_SINK).
 def active_live() -> Optional[LiveCollector]:
     """The installed live collector, or ``None`` when live mode is off."""
-    return _seam.active()
+    return seam.LIVE.active()
 
 
 def set_live(collector: Optional[LiveCollector]) -> None:
     """Install ``collector`` process-wide (``None`` turns live mode off)."""
-    _seam.install(collector)
+    seam.LIVE.install(collector)
 
 
 def use_live(
@@ -696,21 +692,16 @@ def use_live(
     """
     if isinstance(collector, LiveConfig):
         collector = LiveCollector(config=collector)
-    return _seam.scope(collector)
-
-
-#: The sink of the shard searching now (none by default); the search
-#: recorder reads it.
-_sink_seam: CollectorSeam[Optional[LiveSink]] = CollectorSeam(lambda: None)
+    return seam.LIVE.scope(LiveCollector() if collector is None else collector)
 
 
 def active_sink() -> Optional[LiveSink]:
     """The sink of the shard searching right now, or ``None``."""
-    return _sink_seam.active()
+    return seam.LIVE_SINK.active()
 
 
 def use_sink(
     sink: Optional[LiveSink],
 ) -> AbstractContextManager[Optional[LiveSink]]:
     """Scope-install a shard's sink (``None``: no sink) around its search."""
-    return _sink_seam.scope(sink)
+    return seam.LIVE_SINK.scope(sink)

@@ -28,7 +28,7 @@ from collections.abc import Mapping, Sequence
 from contextlib import AbstractContextManager
 from typing import Any, Optional, Union
 
-from repro.obs.seam import CollectorSeam
+from repro.obs import seam
 
 __all__ = [
     "Counter",
@@ -279,23 +279,21 @@ def _tidy(value: float) -> float:
     return int(value) if float(value).is_integer() else value
 
 
-# Installation seam: one shared implementation (repro.obs.seam) behind
-# the module's established public names.
-_seam: CollectorSeam[MetricsRegistry] = CollectorSeam(MetricsRegistry)
-
-
+# The established public names over the named seam (repro.obs.seam).
 def active_registry() -> Optional[MetricsRegistry]:
     """The installed registry, or ``None`` when metrics are off."""
-    return _seam.active()
+    return seam.METRICS.active()
 
 
 def set_registry(registry: Optional[MetricsRegistry]) -> None:
     """Install ``registry`` process-wide (``None`` turns metrics off)."""
-    _seam.install(registry)
+    seam.METRICS.install(registry)
 
 
 def use_registry(
     registry: Optional[MetricsRegistry] = None,
 ) -> AbstractContextManager[MetricsRegistry]:
     """Scope-install a registry (a fresh one by default); restores on exit."""
-    return _seam.scope(registry)
+    return seam.METRICS.scope(
+        MetricsRegistry() if registry is None else registry
+    )

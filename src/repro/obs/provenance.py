@@ -40,14 +40,13 @@ serial run's for any worker count and any arrival order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from contextlib import AbstractContextManager
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.pruning import PRUNE_SITES
 from repro.model.pattern import TemporalPattern
-from repro.obs.seam import CollectorSeam
+from repro.obs import seam
+from repro.obs.ledger import patterns_digest
 from repro.temporal.endpoint import POINT
 
 __all__ = [
@@ -200,28 +199,6 @@ class ProvenanceCollector:
             self._pruned[key] = dict(entry)
         for key, entry in sorted(dict(snapshot.get("labels", {})).items()):
             self._labels[key] = dict(entry)
-
-
-def patterns_digest(patterns: Iterable[Any]) -> str:
-    """Order-independent content hash of a result's pattern set.
-
-    Accepts :class:`~repro.model.pattern.PatternWithSupport` items or
-    plain ``(pattern_text, support)`` pairs. Two runs digest identically
-    iff they emitted the same patterns with the same supports, so a
-    digest shift between ledger entries of one config fingerprint means
-    the *result set* drifted — even when the pattern count did not.
-    """
-    rows: list[tuple[str, float]] = []
-    for item in patterns:
-        pattern = getattr(item, "pattern", None)
-        if pattern is not None:
-            rows.append((str(pattern), float(item.support)))
-        else:
-            text, support = item
-            rows.append((str(text), float(support)))
-    rows.sort()
-    payload = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -585,23 +562,22 @@ def render_patterns_diff_markdown(diff: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# installation seam (shared implementation: repro.obs.seam)
+# the public names over the named seam (repro.obs.seam.PROVENANCE)
 # ----------------------------------------------------------------------
-_seam: CollectorSeam[ProvenanceCollector] = CollectorSeam(ProvenanceCollector)
-
-
 def active_collector() -> Optional[ProvenanceCollector]:
     """The installed collector, or ``None`` when provenance is off."""
-    return _seam.active()
+    return seam.PROVENANCE.active()
 
 
 def set_collector(collector: Optional[ProvenanceCollector]) -> None:
     """Install ``collector`` process-wide (``None`` turns recording off)."""
-    _seam.install(collector)
+    seam.PROVENANCE.install(collector)
 
 
 def use_collector(
     collector: Optional[ProvenanceCollector] = None,
 ) -> AbstractContextManager[ProvenanceCollector]:
     """Scope-install a collector (a fresh one by default); restores on exit."""
-    return _seam.scope(collector)
+    return seam.PROVENANCE.scope(
+        ProvenanceCollector() if collector is None else collector
+    )

@@ -16,9 +16,10 @@ frequent, patterns, states]`` per candidate level (the pattern length
 an extension would reach), and flushed when the search finishes into
 the registry's per-depth counters and the cost collector's funnel.
 
-Collector modules are imported as modules, not names:
-:mod:`repro.obs.provenance` imports :mod:`repro.core.pruning`, whose
-package imports the miner, which imports this module.
+The recorder finds the installed collectors on their named seams
+(:mod:`repro.obs.seam`) and imports no collector module: a collector
+that is installed was built, so its module is already loaded, and a
+search with none installed loads none of them.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro import contracts
 from repro.model.pattern import TemporalPattern
 from repro.obs import clock as obs_clock
-from repro.obs import costmodel as obs_costmodel
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
-from repro.obs import provenance as obs_provenance
+from repro.obs import seam
 
 if TYPE_CHECKING:
     from repro.core.pruning import PruneCounters
@@ -72,10 +70,10 @@ class SearchRecorder:
         self._weights = weights
         self._counters = counters
         self._pointsets = pointsets
-        self._registry = obs_metrics.active_registry()
-        self._cost = obs_costmodel.active_collector()
-        self._prov = obs_provenance.active_collector()
-        self._sink = obs_live.active_sink()
+        self._registry = seam.METRICS.active()
+        self._cost = seam.COST.active()
+        self._prov = seam.PROVENANCE.active()
+        self._sink = seam.LIVE_SINK.active()
         self._levels: dict[int, list[int]] = {}
         # [candidates, pair-pruned] per extension kind (registry only).
         self._by_ext = [[0, 0], [0, 0]]
@@ -101,10 +99,10 @@ class SearchRecorder:
     ) -> Optional[SearchRecorder]:
         """A recorder for one search, or ``None`` when nothing listens."""
         if (
-            obs_metrics.active_registry() is None
-            and obs_costmodel.active_collector() is None
-            and obs_provenance.active_collector() is None
-            and obs_live.active_sink() is None
+            seam.METRICS.active() is None
+            and seam.COST.active() is None
+            and seam.PROVENANCE.active() is None
+            and seam.LIVE_SINK.active() is None
         ):
             return None
         return cls(encoded, weights, counters, pointsets)
@@ -260,10 +258,14 @@ class SearchRecorder:
                     self.dedupe_stats.get("states_deduped", 0)
                 )
         if self._cost is not None:
-            fields = obs_costmodel.LEVEL_FIELDS
+            # Loaded already: the installed collector is one of its own.
+            from repro.obs.costmodel import COST_SCHEMA_VERSION, LEVEL_FIELDS
+
             self._cost.absorb({
-                "schema": obs_costmodel.COST_SCHEMA_VERSION,
-                "levels": {str(lv): dict(zip(fields, row)) for lv, row in levels},
+                "schema": COST_SCHEMA_VERSION,
+                "levels": {
+                    str(lv): dict(zip(LEVEL_FIELDS, row)) for lv, row in levels
+                },
             })
         if self._sink is not None:
             counters = self._counters
@@ -308,7 +310,7 @@ def labels_pruned(
     It runs once, in the parent (shard workers get the pruned database),
     so these records are never duplicated across shard snapshots.
     """
-    prov = obs_provenance.active_collector()
+    prov = seam.PROVENANCE.active()
     if prov is None:
         return
     for label in sorted(set(df) - set(keep)):

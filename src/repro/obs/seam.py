@@ -1,22 +1,26 @@
-"""The shared collector-installation seam.
+"""The named collector seams: where every installed collector is found.
 
-Every opt-in observability collector in this package — the metrics
-registry, the live collector and a shard's live sink, the cost
-collector, the provenance collector — hangs off the same
-three-function surface: ``active_*()``
-returns the installed instance or ``None``, ``set_*()`` installs one
-process-wide, and ``use_*()`` scope-installs a fresh (or given)
-instance and restores the previous one on exit. P-TPMiner's search
-reads them once per search, through :mod:`repro.obs.recorder`, and
-guards every event with a single ``is not None`` branch, so the
-disabled path costs one branch (the :mod:`repro.contracts`
-discipline).
+Every opt-in observability collector — the metrics registry, the
+tracer, the live collector and a shard's live sink, the cost collector,
+the provenance collector — is installed on one named
+:class:`CollectorSeam` defined here: :data:`METRICS`, :data:`TRACER`,
+:data:`LIVE`, :data:`LIVE_SINK`, :data:`COST` and :data:`PROVENANCE`.
+``active()`` returns the installed instance or ``None``, ``install()``
+installs one process-wide, and ``scope()`` installs one and restores
+the previous one on exit.
 
-This module is that surface, written once: each collector module owns a
-private :class:`CollectorSeam` and re-exports thin wrappers under its
-established public names (``active_registry``/``active_collector``,
-…), so callers never see the seam object itself and the per-module
-APIs stay exactly as they were.
+Because the seams live here and not in the collector modules, readers
+find the installed collectors without importing a collector's module:
+P-TPMiner's search reads them once per search through
+:mod:`repro.obs.recorder` and guards every event with a single
+``is not None`` branch (the :mod:`repro.contracts` discipline), and
+:func:`repro.obs.observe` reads and restores them all. A collector
+module is imported only when something builds one of its collectors.
+
+Each collector module keeps its established public wrappers over its
+seam (``active_registry``/``set_registry``/``use_registry``,
+``active_collector``, ``use_sink``, …), so callers never need the
+seam objects themselves.
 
 Workers never inherit a seam's state usefully across a ``fork`` — the
 engine scopes private collectors per shard, shadowing inherited ones;
@@ -26,25 +30,35 @@ see :mod:`repro.engine`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Generic, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Generic, Iterator, Optional, TypeVar
 
-__all__ = ["CollectorSeam"]
+if TYPE_CHECKING:
+    from repro.obs.costmodel import CostCollector
+    from repro.obs.live import LiveCollector, LiveSink
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.provenance import ProvenanceCollector
+    from repro.obs.trace import Tracer
+
+__all__ = [
+    "COST",
+    "CollectorSeam",
+    "LIVE",
+    "LIVE_SINK",
+    "METRICS",
+    "PROVENANCE",
+    "TRACER",
+]
 
 T = TypeVar("T")
 
 
 class CollectorSeam(Generic[T]):
-    """One module-global installation point for a collector type.
+    """One process-wide installation point for a collector kind."""
 
-    ``factory`` builds the default instance :meth:`scope` installs when
-    called without an argument (e.g. the collector class itself).
-    """
+    __slots__ = ("_active",)
 
-    __slots__ = ("_active", "_factory")
-
-    def __init__(self, factory: Callable[[], T]) -> None:
+    def __init__(self) -> None:
         self._active: Optional[T] = None
-        self._factory = factory
 
     def active(self) -> Optional[T]:
         """The installed collector, or ``None`` when collection is off."""
@@ -55,15 +69,23 @@ class CollectorSeam(Generic[T]):
         self._active = collector
 
     @contextmanager
-    def scope(self, collector: Optional[T] = None) -> Iterator[T]:
-        """Scope-install a collector (a fresh one by default).
+    def scope(self, collector: T) -> Iterator[T]:
+        """Install ``collector`` for a scope.
 
         Restores whatever was installed before on exit, so scopes nest.
         """
-        fresh = collector if collector is not None else self._factory()
         previous = self._active
-        self.install(fresh)
+        self.install(collector)
         try:
-            yield fresh
+            yield collector
         finally:
             self.install(previous)
+
+
+METRICS: CollectorSeam[MetricsRegistry] = CollectorSeam()
+TRACER: CollectorSeam[Tracer] = CollectorSeam()
+LIVE: CollectorSeam[LiveCollector] = CollectorSeam()
+#: The sink of the shard searching right now (none outside a shard).
+LIVE_SINK: CollectorSeam[Optional[LiveSink]] = CollectorSeam()
+COST: CollectorSeam[CostCollector] = CollectorSeam()
+PROVENANCE: CollectorSeam[ProvenanceCollector] = CollectorSeam()

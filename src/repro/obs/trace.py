@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from functools import wraps
 from pathlib import Path
 from typing import Any, Optional, Protocol, TextIO, TypeVar, Union, overload
 
 from repro.obs import clock as _clock
-from repro.obs import metrics as _metrics
+from repro.obs import seam
 from repro.obs.warnonce import json_lines, warn_once
 
 __all__ = [
@@ -162,14 +162,18 @@ def read_trace(path: Union[str, Path]) -> list[dict[str, Any]]:
     return events
 
 
-_tracer: Optional[Tracer] = None
+# The seams every span reads (the metrics registry's for the
+# phase_seconds counter), bound here because span() runs once per
+# search node and extension.
+_TRACER = seam.TRACER
+_METRICS = seam.METRICS
 _span_stack: list[int] = []
 _next_id = 1
 
 
 def active_tracer() -> Optional[Tracer]:
     """The installed tracer, or ``None`` when tracing is off."""
-    return _tracer
+    return _TRACER.active()
 
 
 def current_span_id() -> Optional[int]:
@@ -184,19 +188,12 @@ def current_span_id() -> Optional[int]:
 
 def set_tracer(tracer: Optional[Tracer]) -> None:
     """Install ``tracer`` process-wide (``None`` turns tracing off)."""
-    global _tracer
-    _tracer = tracer
+    _TRACER.install(tracer)
 
 
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
+def use_tracer(tracer: Tracer) -> AbstractContextManager[Tracer]:
     """Scope-install a tracer; restores the previous one on exit."""
-    previous = _tracer
-    set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
+    return _TRACER.scope(tracer)
 
 
 @contextmanager
@@ -210,8 +207,8 @@ def span(name: str, **attrs: object) -> Iterator[None]:
     fires, tagged with the exception type, and the exception propagates.
     """
     global _next_id
-    tracer = _tracer
-    registry = _metrics.active_registry()
+    tracer = _TRACER.active()
+    registry = _METRICS.active()
     if tracer is None and registry is None:
         yield
         return
@@ -285,7 +282,7 @@ def traced(
 
         @wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if _tracer is None and _metrics.active_registry() is None:
+            if _TRACER.active() is None and _METRICS.active() is None:
                 return func(*args, **kwargs)
             with span(label):
                 return func(*args, **kwargs)

@@ -22,28 +22,37 @@ repository root) and tooling to regenerate and compare it:
     perf-smoke job runs ``compare`` on the quick matrix and fails on
     regression.
 
+Every export is imported on first access (:mod:`repro._lazy`), so the
+run ledger's ``import repro.perf.compare`` loads no workload, harness or
+miner module.
+
 See ``docs/observability.md`` for how to read reports and ``DESIGN.md``
 for the baseline-update policy.
 """
 
 from __future__ import annotations
 
-from repro.perf.baseline import (
-    BASELINE_FILENAME,
-    SCHEMA_VERSION,
-    environment_fingerprint,
-    load_report,
-    run_matrix,
-    write_report,
-)
-from repro.perf.compare import (
-    ComparisonResult,
-    Finding,
-    Tolerance,
-    compare_reports,
-    render_markdown,
-)
-from repro.perf.workloads import MATRICES, WorkloadCell, matrix_cells
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.perf.baseline import (
+        BASELINE_FILENAME,
+        SCHEMA_VERSION,
+        load_report,
+        run_matrix,
+        write_report,
+    )
+    from repro.perf.compare import (
+        ComparisonResult,
+        Finding,
+        Tolerance,
+        compare_reports,
+        environment_fingerprint,
+        render_markdown,
+    )
+    from repro.perf.workloads import MATRICES, WorkloadCell, matrix_cells
 
 __all__ = [
     "BASELINE_FILENAME",
@@ -61,3 +70,15 @@ __all__ = [
     "run_matrix",
     "write_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.baseline": (
+        "BASELINE_FILENAME", "SCHEMA_VERSION", "load_report", "run_matrix",
+        "write_report",
+    ),
+    "repro.perf.compare": (
+        "ComparisonResult", "Finding", "Tolerance", "compare_reports",
+        "environment_fingerprint", "render_markdown",
+    ),
+    "repro.perf.workloads": ("MATRICES", "WorkloadCell", "matrix_cells"),
+})

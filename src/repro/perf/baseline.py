@@ -31,7 +31,6 @@ Report shape (schema-versioned; see ``BENCH_PTPMINER.json``)::
 from __future__ import annotations
 
 import json
-import platform
 import sys
 from collections.abc import Callable, Mapping
 from pathlib import Path
@@ -40,6 +39,7 @@ from typing import Any, Optional, Union
 from repro.harness.metrics import measure
 from repro.io._utf8 import load_json_object
 from repro.model.database import ESequenceDatabase
+from repro.perf.compare import environment_fingerprint
 from repro.perf.workloads import WorkloadCell, build_database, matrix_cells
 
 __all__ = [
@@ -59,22 +59,6 @@ SCHEMA_VERSION = 1
 
 #: Canonical committed-baseline filename (lives at the repository root).
 BASELINE_FILENAME = "BENCH_PTPMINER.json"
-
-
-def environment_fingerprint() -> dict[str, str]:
-    """Identify the machine/runtime a report was measured on.
-
-    Compared (as a whole) against the baseline's fingerprint when
-    diffing: search counters transfer across environments, wall time
-    and peak memory do not — :mod:`repro.perf.compare` downgrades
-    timing/memory findings to warnings on a fingerprint mismatch.
-    """
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "system": platform.system(),
-        "machine": platform.machine(),
-    }
 
 
 def run_cell(

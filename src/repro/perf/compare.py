@@ -23,6 +23,7 @@ Improvements beyond the same thresholds are reported (never fatal) so
 
 from __future__ import annotations
 
+import platform
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -33,8 +34,27 @@ __all__ = [
     "Tolerance",
     "classify",
     "compare_reports",
+    "environment_fingerprint",
     "render_markdown",
 ]
+
+
+def environment_fingerprint() -> dict[str, str]:
+    """Identify the machine/runtime a report was measured on.
+
+    Compared (as a whole) against the baseline's fingerprint when
+    diffing: search counters transfer across environments, wall time
+    and peak memory do not — :func:`compare_reports` downgrades
+    timing/memory findings to warnings on a fingerprint mismatch. The
+    run ledger stamps it on every entry, so it lives here, with no
+    import of the benchmark runner.
+    """
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "system": platform.system(),
+        "machine": platform.machine(),
+    }
 
 
 @dataclass(frozen=True, slots=True)

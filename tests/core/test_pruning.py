@@ -75,25 +75,34 @@ class TestPruneCountersMerge:
 class TestImportsWithoutPackageInit:
     def test_core_and_engine_import_without_repro_init(self):
         # A bare `repro` package module, so repro/__init__.py never runs
-        # and cannot pre-import `repro.obs` ahead of the core: the core
-        # must import on its own, without a core -> obs -> core cycle.
+        # and cannot pre-import `repro.obs` ahead of the core. Each of
+        # the core, the engine and the formats must import on its own,
+        # first thing in a fresh interpreter, without a core -> obs ->
+        # core or model <-> temporal cycle.
         import pathlib
         import subprocess
         import sys
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        script = (
-            "import sys, types\n"
-            "package = types.ModuleType('repro')\n"
-            f"package.__path__ = [{str(src / 'repro')!r}]\n"
-            "sys.modules['repro'] = package\n"
-            "import repro.core.ptpminer\n"
-            "import repro.engine\n"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert completed.returncode == 0, completed.stderr[-2000:]
+        for module, check in (
+            ("repro.core.ptpminer", "repro.core.ptpminer.PTPMiner"),
+            ("repro.engine", "repro.engine.mine_sharded"),
+            ("repro.io", "repro.io.read_database"),
+        ):
+            script = (
+                "import sys, types\n"
+                "package = types.ModuleType('repro')\n"
+                f"package.__path__ = [{str(src / 'repro')!r}]\n"
+                "sys.modules['repro'] = package\n"
+                f"import {module}\n"
+                f"assert callable({check})\n"
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert completed.returncode == 0, (
+                module, completed.stderr[-2000:]
+            )

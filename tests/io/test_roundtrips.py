@@ -73,6 +73,39 @@ class TestRoundTrips:
             write(db, path)
             assert read(path) == db, fmt
 
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_exact_timestamps_round_trip(self, fmt, tmp_path):
+        # Integers past 2**53 (nanosecond Unix times), 7-digit integers
+        # and floats with more than six significant digits all come back
+        # exactly; `==` on events compares int against float exactly.
+        db = ESequenceDatabase.from_event_lists([
+            [(1_700_000_000_123_456_789, 1_700_000_000_123_456_800, "A"),
+             (1_700_000_000_123_456_801, 1_700_000_000_123_456_900, "B")],
+            [(1234567, 1234568, "A"), (12.3456789, 1234567.5, "C")],
+        ])
+        write, read = FORMATS[fmt]
+        path = tmp_path / f"exact.{fmt}"
+        write(db, path)
+        back = read(path)
+        assert back == db
+        assert type(back[0][0].start) is int
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_tp_mine_of_read_back_file_matches_in_memory(self, fmt, tmp_path):
+        from repro.core.ptpminer import PTPMiner
+
+        db = ESequenceDatabase.from_event_lists([
+            [(1_700_000_000_123_456_789, 1_700_000_000_123_456_800, "A"),
+             (1_700_000_000_123_456_801, 1_700_000_000_123_456_900, "B")],
+        ])
+        write, read = FORMATS[fmt]
+        path = tmp_path / f"mine.{fmt}"
+        write(db, path)
+        miner = PTPMiner(min_sup=1, mode="tp")
+        expected = miner.mine(db).patterns
+        assert "(A+) (A-) (B+) (B-)" in {str(p.pattern) for p in expected}
+        assert miner.mine(read(path)).patterns == expected
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_text_round_trip_property(self, seed, tmp_path_factory):

@@ -41,6 +41,7 @@ FIXTURES = {
     "r018.py": "src/repro/obs/demo18.py",
     "r019.py": "src/repro/core/demo19.py",
     "r020.py": "src/repro/obs/demo20.py",
+    "r021.py": "src/repro/core/demo21.py",
 }
 
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(R\d{3})")
@@ -93,6 +94,38 @@ class TestFixtures:
         source = (FIXTURE_DIR / "r019.py").read_text()
         found = deep_findings("src/repro/obs/recorder.py", source)
         assert [v for v in found if v.code == "R019"] == []
+
+    def test_r021_only_binds_the_search_core(self):
+        # The same imports are fine outside the core packages.
+        source = (FIXTURE_DIR / "r021.py").read_text()
+        found = deep_findings("src/repro/obs/demo21.py", source)
+        assert [v for v in found if v.code == "R021"] == []
+
+    @pytest.mark.parametrize(
+        "path", ["src/repro/obs/recorder.py", "src/repro/obs/__init__.py"]
+    )
+    def test_r021_seam_readers_import_no_collector_at_module_level(self, path):
+        source = textwrap.dedent('''
+            from typing import TYPE_CHECKING
+
+            from repro.obs import clock, live, seam  # expect: R021
+            from repro.obs.costmodel import LEVEL_FIELDS  # expect: R021
+            from repro.obs.ledger import RunLedger
+            import repro.obs.provenance  # expect: R021
+
+            if TYPE_CHECKING:
+                from repro.obs.live import LiveSink
+
+
+            def finish(sink: "LiveSink") -> object:
+                from repro.obs.costmodel import COST_SCHEMA_VERSION
+
+                return (clock, live, seam, LEVEL_FIELDS, RunLedger, sink,
+                        COST_SCHEMA_VERSION)
+        ''')
+        found = deep_findings(path, source)
+        got = {(v.line, v.code) for v in found if v.code == "R021"}
+        assert got == expected_markers(source)
 
     def test_fixture_files_lint_clean_in_shallow_repo_gate(self):
         # The physical fixture files live under tests/ and are swept by
@@ -288,9 +321,9 @@ class TestDataflow:
 
 
 class TestDriverAndBudget:
-    def test_catalog_is_contiguous_r001_to_r020(self):
+    def test_catalog_is_contiguous_r001_to_r021(self):
         assert sorted(rule_catalog(deep=True)) == [
-            f"R{i:03d}" for i in range(1, 21)
+            f"R{i:03d}" for i in range(1, 22)
         ]
         assert sorted(rule_catalog(deep=False)) == [
             f"R{i:03d}" for i in range(1, 10)

@@ -177,6 +177,46 @@ def test_r004_passes_consistent_module():
     assert codes(snippet, "src/repro/core/demo.py") == []
 
 
+_LAZY_PACKAGE = '''
+    """Doc."""
+
+    from typing import TYPE_CHECKING
+
+    from repro._lazy import lazy_exports
+
+    if TYPE_CHECKING:
+        from repro.core import pruning
+        from repro.core.ptpminer import PTPMiner, mine
+
+    __all__ = ["PTPMiner", "mine", "pruning"]
+
+    __getattr__, __dir__ = lazy_exports(__name__, {
+        "repro.core": ("pruning",),
+        "repro.core.ptpminer": (SERVED),
+    })
+'''
+
+
+def test_r004_lazy_exports_count_when_the_mapping_serves_them():
+    lazy = _LAZY_PACKAGE.replace("SERVED", '"PTPMiner", "mine"')
+    assert codes(lazy, "src/repro/core/__init__.py") == []
+
+
+def test_r004_lazy_export_missing_from_the_mapping_is_flagged():
+    # Imported for type checkers but never served: at runtime the
+    # package's __getattr__ would raise AttributeError for it.
+    missing = _LAZY_PACKAGE.replace("SERVED", '"PTPMiner",')
+    assert codes(missing, "src/repro/core/__init__.py") == ["R004"]
+    # Served from another module than the one it is imported from.
+    elsewhere = _LAZY_PACKAGE.replace("SERVED", '"PTPMiner",').replace(
+        '"repro.core": ("pruning",),', '"repro.core": ("pruning", "mine"),'
+    )
+    assert codes(elsewhere, "src/repro/core/__init__.py") == ["R004"]
+    # No mapping at all: a TYPE_CHECKING import defines nothing.
+    unmapped = _LAZY_PACKAGE.split("__getattr__")[0]
+    assert codes(unmapped, "src/repro/core/__init__.py") == ["R004"] * 3
+
+
 def test_r004_suppressible():
     # The missing-__all__ violation anchors at line 1, so the suppression
     # comment must sit on the file's first line.

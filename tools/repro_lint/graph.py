@@ -166,6 +166,23 @@ class ModuleInfo:
     assignments: dict[str, ast.expr] = field(default_factory=dict)
 
 
+def _import_bindings(node: ast.Import | ast.ImportFrom) -> dict[str, str]:
+    """``{local name: dotted target}`` for one import statement."""
+    if isinstance(node, ast.Import):
+        return {
+            alias.asname or alias.name.split(".")[0]: (
+                alias.name if alias.asname else alias.name.split(".")[0]
+            )
+            for alias in node.names
+        }
+    if not node.module or node.level:
+        return {}  # relative imports are not used in this repo
+    return {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for alias in node.names
+    }
+
+
 class ProjectGraph:
     """Cross-module index over a set of parsed python sources."""
 
@@ -184,18 +201,8 @@ class ProjectGraph:
             return
         info = ModuleInfo(name=ctx.module, ctx=ctx)
         for node in ctx.tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    info.imports[local] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.level:
-                    continue  # relative imports are not used in this repo
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    info.imports[local] = f"{node.module}.{alias.name}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                info.imports.update(_import_bindings(node))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -203,6 +210,14 @@ class ProjectGraph:
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 if isinstance(node.target, ast.Name):
                     info.assignments[node.target.id] = node.value
+        # Imports inside functions (a lazily loaded module) resolve
+        # calls too; a module-level binding of the same name wins.
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        for local, target in _import_bindings(inner).items():
+                            info.imports.setdefault(local, target)
         self.modules[ctx.module] = info
         for node in ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

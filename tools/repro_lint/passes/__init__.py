@@ -17,6 +17,7 @@ from __future__ import annotations
 from tools.repro_lint.passes.boundary import BoundaryPass
 from tools.repro_lint.passes.coverage import CoveragePass
 from tools.repro_lint.passes.determinism import DeterminismPass
+from tools.repro_lint.passes.layering import LayeringPass
 from tools.repro_lint.passes.ledger import LedgerPass
 from tools.repro_lint.passes.purity import PurityPass
 from tools.repro_lint.passes.recorder import RecorderPass
@@ -29,6 +30,7 @@ __all__ = [
     "BoundaryPass",
     "CoveragePass",
     "DeterminismPass",
+    "LayeringPass",
     "LedgerPass",
     "PurityPass",
     "RecorderPass",
@@ -43,6 +45,7 @@ ALL_PASSES = (
     CoveragePass(),
     LedgerPass(),
     RecorderPass(),
+    LayeringPass(),
 )
 
 #: code -> one-line summary for every deep rule, R017 included. The

@@ -26,6 +26,7 @@ __all__ = [
     "ProfilingImportRule",
     "ProcessPoolRule",
     "MultiprocessingPrimitiveRule",
+    "is_type_checking",
 ]
 
 #: Module that owns canonical Endpoint construction (exempt from R001).
@@ -270,6 +271,14 @@ class PublicApiRule:
             )
 
 
+def is_type_checking(test: ast.expr) -> bool:
+    """True for the test of an ``if TYPE_CHECKING:`` block (the bare name
+    or ``typing.TYPE_CHECKING``)."""
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
 class DunderAllRule:
     """R004 — ``__all__`` exists and matches the module's public names.
 
@@ -277,6 +286,14 @@ class DunderAllRule:
     public top-level function/class must be listed in it, and every
     listed name must actually be defined (or imported) at top level.
     Public constants and type aliases may stay out of ``__all__``.
+
+    A package with lazy exports (:mod:`repro._lazy`) imports its names
+    only under ``if TYPE_CHECKING:`` and serves them through the
+    mapping it hands to ``lazy_exports`` when it binds its module-level
+    ``__getattr__``. Such an import defines a name only when that
+    mapping serves the name from the module it is imported from, so a
+    name missing from the mapping (which would raise ``AttributeError``
+    at runtime) is still reported.
     """
 
     code = "R004"
@@ -296,7 +313,7 @@ class DunderAllRule:
                 message="module defines no literal __all__",
             )
             return
-        defined = self._top_level_names(ctx.tree)
+        defined = self._top_level_names(ctx.tree) | self._lazy_names(ctx.tree)
         public_defs = {
             node.name
             for node in ctx.tree.body
@@ -339,6 +356,45 @@ class DunderAllRule:
                         return names, node
                     return set(), node
         return set(), None
+
+    @staticmethod
+    def _lazy_names(tree: ast.Module) -> set[str]:
+        """Names imported under ``if TYPE_CHECKING:`` that the module's
+        ``__getattr__`` mapping serves from the same module."""
+        served: set[tuple[str, str]] = set()
+        for node in tree.body:
+            if not (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and any(
+                    isinstance(name, ast.Name) and name.id == "__getattr__"
+                    for target in node.targets
+                    for name in ast.walk(target)
+                )
+            ):
+                continue
+            for arg in node.value.args:
+                if not isinstance(arg, ast.Dict):
+                    continue
+                for key, value in zip(arg.keys, arg.values):
+                    if isinstance(key, ast.Constant) and isinstance(
+                        value, (ast.Tuple, ast.List)
+                    ):
+                        served.update(
+                            (key.value, elt.value)
+                            for elt in value.elts
+                            if isinstance(elt, ast.Constant)
+                        )
+        return {
+            alias.name
+            for node in tree.body
+            if isinstance(node, ast.If) and is_type_checking(node.test)
+            for stmt in node.body
+            if isinstance(stmt, ast.ImportFrom) and not stmt.level
+            for alias in stmt.names
+            if alias.asname in (None, alias.name)
+            and (stmt.module, alias.name) in served
+        }
 
     @staticmethod
     def _top_level_names(tree: ast.Module) -> set[str]:
