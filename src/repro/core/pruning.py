@@ -6,7 +6,7 @@ three, individually switchable for the ablation experiment (bench F5):
 
 ``point``
     *Global point pruning.* Labels whose document frequency is below the
-    threshold are deleted from the database before the search: by
+    threshold are left out of the encoding the search runs on: by
     anti-monotonicity no pattern that mentions them can be frequent, so
     every scan afterwards is over shorter pointsets.
 
@@ -17,7 +17,9 @@ three, individually switchable for the ablation experiment (bench F5):
     bound against the tokens already in the pattern falls below the
     threshold (S-pairs against all pattern symbols for sequence
     extensions; I-pairs against the current pointset plus S-pairs against
-    earlier pointsets for itemset extensions).
+    earlier pointsets for itemset extensions). The search evaluates the
+    bound once per node, as one bit mask per extension kind
+    (:meth:`~repro.core.counting.PairRows.masks`).
 
 ``postfix``
     *Postfix pruning.* Two parts: (a) an O(1) branch bound — a branch

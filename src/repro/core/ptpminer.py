@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 
 from repro import contracts
 from repro.core.config import MinerConfig
-from repro.core.counting import PairTables
+from repro.core.counting import PairRows, PairTables
 from repro.core.projection import (
     EMPTY_STATE,
     NO_FINISH,
@@ -53,7 +53,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.temporal.endpoint import FINISH, START, EncodedDatabase
+from repro.temporal.endpoint import FINISH, START, EncodedDatabase, KeptLabels
 
 __all__ = ["PTPMiner", "MiningResult", "mine"]
 
@@ -326,29 +326,29 @@ class PTPMiner:
         counters: PruneCounters,
         *,
         point_prune: bool = True,
-    ) -> tuple[ESequenceDatabase, EncodedDatabase, Optional[PairTables]]:
+    ) -> tuple[Optional[KeptLabels], EncodedDatabase, Optional[PairTables]]:
         """Shared pre-search pipeline: point prune, encode, pair tables.
 
-        Returns the (possibly point-pruned) mining database alongside
-        its encoding and pair tables. ``point_prune=False`` is for
-        :meth:`search_shard`, whose database :meth:`plan_root` already
-        pruned, and whose pruning the parent already accounted.
+        Point pruning only decides which labels stay; the encoder skips
+        every other event as it encodes, so no pruned copy of ``db`` is
+        built. Returns the kept labels (``None`` when point pruning did
+        not run) with the encoding and pair tables. ``point_prune=False``
+        is for :meth:`search_shard`, whose database :meth:`plan_root`
+        already pruned, and whose pruning the parent already accounted.
         """
         db.require_mode(self.mode)
-        mining_db = db
+        keep: Optional[KeptLabels] = None
         if point_prune and self.pruning.point:
             with obs_trace.span("prune", technique="point"):
-                mining_db = self._point_prune(
-                    db, weights, threshold, counters
-                )
+                keep = self._point_prune(db, weights, threshold, counters)
         with obs_trace.span("encode"):
-            encoded = EncodedDatabase(mining_db)
+            encoded = EncodedDatabase(db, keep)
         if self.pruning.pair:
             with obs_trace.span("pair_tables"):
                 pairs: Optional[PairTables] = PairTables(encoded, weights)
         else:
             pairs = None
-        return mining_db, encoded, pairs
+        return keep, encoded, pairs
 
     # ------------------------------------------------------------------
     # sharded execution hooks (used by repro.engine)
@@ -359,7 +359,7 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
     ) -> tuple[
-        ESequenceDatabase,
+        Optional[KeptLabels],
         EncodedDatabase,
         Optional[PairTables],
         PruneCounters,
@@ -369,9 +369,10 @@ class PTPMiner:
 
         Validates inputs, applies point pruning, encodes, builds the
         pair tables, and gathers the level-1 (root) candidate extensions
-        with full root-node accounting. Returns the pruned database, its
-        encoding and pair tables (which every shard's :meth:`expand`
-        searches), the parent's share of the final merged
+        with full root-node accounting. Returns the labels point pruning
+        kept (``None`` when it is off), the encoding and pair tables
+        (which every shard's :meth:`expand` searches), the parent's
+        share of the final merged
         :class:`~repro.core.pruning.PruneCounters`, and the candidate
         map :mod:`repro.engine` partitions into ``ShardTask``s.
 
@@ -381,9 +382,7 @@ class PTPMiner:
         """
         self._validate_weighted(db, weights, threshold)
         counters = PruneCounters()
-        mining_db, encoded, pairs = self._prepare(
-            db, weights, threshold, counters
-        )
+        keep, encoded, pairs = self._prepare(db, weights, threshold, counters)
         plan_out: list[RootCandidates] = []
         with obs_trace.span("plan_root"):
             self._search(
@@ -395,7 +394,7 @@ class PTPMiner:
                 root_plan_out=plan_out,
             )
         root = plan_out[0] if plan_out else {}
-        return mining_db, encoded, pairs, counters, root
+        return keep, encoded, pairs, counters, root
 
     def plan_root(
         self,
@@ -403,11 +402,14 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
     ) -> tuple[ESequenceDatabase, PruneCounters, RootCandidates]:
-        """:meth:`plan` without the encoding and pair tables."""
-        mining_db, _encoded, _pairs, counters, root = self.plan(
+        """:meth:`plan`, returning the point-pruned database in place of
+        the kept labels, the encoding and the pair tables."""
+        keep, _encoded, _pairs, counters, root = self.plan(
             db, weights, threshold
         )
-        return mining_db, counters, root
+        if keep is not None and counters.pruned_point_labels:
+            db = _kept_events(db, keep)
+        return db, counters, root
 
     def search_shard(
         self,
@@ -498,7 +500,6 @@ class PTPMiner:
             if len(heap) == k:
                 threshold_box[0] = max(threshold_box[0], heap[0])
 
-        db.require_mode(self.mode)
         with obs_trace.span(
             "mine", miner="P-TPMiner(top-k)", mode=self.mode, k=k
         ):
@@ -618,23 +619,22 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
         counters: PruneCounters,
-    ) -> ESequenceDatabase:
-        """Delete events whose (label, flavour) cannot be frequent.
+    ) -> KeptLabels:
+        """The (label, flavour)s that can be frequent: the events to keep.
 
         Interval and point flavours of a label are counted separately
         because patterns reference them through different endpoint kinds.
-        Sequences are kept (possibly empty) so sids stay aligned with the
-        weight vector.
+        Returns the interval labels and the point labels to keep; the
+        encoder drops every other event (:class:`EncodedDatabase`).
         """
         interval_df: dict[str, float] = {}
         point_df: dict[str, float] = {}
         for seq in db:
             weight = weights[seq.sid]
-            ilabels = {ev.label for ev in seq if ev.is_interval}
-            plabels = {ev.label for ev in seq if ev.is_point}
-            for label in ilabels:
+            events = seq.events
+            for label in {ev.label for ev in events if ev.start != ev.finish}:
                 interval_df[label] = interval_df.get(label, 0.0) + weight
-            for label in plabels:
+            for label in {ev.label for ev in events if ev.start == ev.finish}:
                 point_df[label] = point_df.get(label, 0.0) + weight
         keep_interval = {
             label for label, w in interval_df.items() if w + _EPS >= threshold
@@ -652,24 +652,7 @@ class PTPMiner:
             "interval", interval_df, keep_interval, threshold
         )
         obs_recorder.labels_pruned("point", point_df, keep_point, threshold)
-        if counters.pruned_point_labels == 0:
-            return db
-        filtered = [
-            ESequence(
-                (
-                    ev
-                    for ev in seq
-                    if (
-                        ev.label in keep_interval
-                        if ev.is_interval
-                        else ev.label in keep_point
-                    )
-                ),
-                sid=seq.sid,
-            )
-            for seq in db
-        ]
-        return ESequenceDatabase(filtered, name=db.name)
+        return keep_interval, keep_point
 
     # ------------------------------------------------------------------
     # the depth-first search
@@ -727,39 +710,24 @@ class PTPMiner:
         dedupe_stats = rec.dedupe_stats if rec is not None else None
         obs_span = obs_trace.span
 
-        def make_pair_ok() -> Optional[Callable[[_Candidate], bool]]:
-            """Pair pruning: sym-level upper bounds vs pattern symbols.
+        # Pair pruning's rows, built at the first node that needs them
+        # and raised with a moving threshold (mine_top_k).
+        pair_rows: Optional[PairRows] = None
 
-            The pattern's symbol sets are hoisted out here (once per
-            search node) so the per-candidate check is a few dict
-            lookups.
-            """
+        def pair_masks() -> tuple[int, int]:
+            """Pair pruning at this node: the admissible symbols as
+            ``(I-mask, S-mask)`` bit sets (:meth:`PairRows.masks`).
+            Without pair pruning, and at the root, every symbol is
+            admissible."""
+            nonlocal pair_rows
             if pairs is None or not pointsets:
-                return None
-            all_syms = frozenset(s for ps in pointsets for s, _ in ps)
-            current_syms = frozenset(s for s, _ in pointsets[-1])
-            earlier_syms = frozenset(
-                s for ps in pointsets[:-1] for s, _ in ps
-            )
-            s_pair = pairs.s_pair
-            i_pair = pairs.i_pair
-
-            def pair_ok(cand: _Candidate) -> bool:
-                threshold = threshold_box[0]
-                ext, sym, _pocc = cand
-                if ext == _S_EXT:
-                    return all(
-                        s_pair(a, sym) + _EPS >= threshold for a in all_syms
-                    )
-                if not all(
-                    i_pair(a, sym) + _EPS >= threshold for a in current_syms
-                ):
-                    return False
-                return all(
-                    s_pair(a, sym) + _EPS >= threshold for a in earlier_syms
-                )
-
-            return pair_ok
+                return -1, -1
+            threshold = threshold_box[0]
+            if pair_rows is None or threshold < pair_rows.threshold:
+                pair_rows = pairs.rows(threshold)
+            elif threshold > pair_rows.threshold:
+                pair_rows.raise_to(threshold)
+            return pair_rows.masks(pointsets)
 
         def decode_pattern() -> TemporalPattern:
             return TemporalPattern(
@@ -777,26 +745,17 @@ class PTPMiner:
             """Phase 1: one scan yielding candidate -> (weight, sids).
 
             Point tokens need no mode check: ``_prepare`` rejects a tp
-            database that holds point events.
+            database that holds point events. Each newly found candidate
+            is counted, and pair-pruned unless its symbol's bit is set in
+            its extension kind's mask.
             """
-            pair_ok = make_pair_ok()
-
-            def admit(cand: _Candidate) -> bool:
-                """Count a newly found candidate; False if pair-pruned."""
-                counters.candidates_considered += 1
-                if pair_ok is None or pair_ok(cand):
-                    return True
-                counters.pruned_pair += 1
-                if rec is not None:
-                    rec.pruned(
-                        "pair", num_tokens + 1, cand, threshold=threshold_box[0]
-                    )
-                return False
-
+            masks = pair_masks()
+            s_mask = masks[_S_EXT]
+            considered = pruned = 0
             # Supporter sids per candidate (None if pair-pruned); those of
             # S-extension starts and points are collected per symbol.
             sids_of: dict[_Candidate, Optional[list[int]]] = {}
-            start_sids: dict[int, list[int]] = {}
+            start_sids: dict[int, Optional[list[int]]] = {}
             # Candidates rejected by the max_span window during the scan,
             # reported after it, minus any that another state *did*
             # discover (those were generated).
@@ -832,9 +791,13 @@ class PTPMiner:
                         if last <= frontier:
                             break
                         if sym in start_sids:
-                            start_sids[sym].append(sid)
+                            sids = start_sids[sym]
+                            if sids is not None:
+                                sids.append(sid)
                         else:
-                            start_sids[sym] = [sid]
+                            start_sids[sym] = (
+                                [sid] if s_mask >> sym & 1 else None
+                            )
                 for pos, binds, used, _min_finish, wstart in states:
                     limit = (
                         wstart + max_span
@@ -854,8 +817,11 @@ class PTPMiner:
                         ):
                             found.add((_I_EXT, fsym, pocc))
                     # --- I-extension starts and points at the frontier --
-                    if last_token is not None:
-                        for sym, e in seq.occ_pointsets[pos]:
+                    # A one-token frontier holds just the token the state
+                    # matched last: used, or a finish.
+                    frontier_set = seq.occ_pointsets[pos]
+                    if last_token is not None and len(frontier_set) > 1:
+                        for sym, e in frontier_set:
                             if sym % 3 == FINISH:
                                 continue
                             pocc = next_occ.get(sym // 3, 0) + 1
@@ -895,12 +861,33 @@ class PTPMiner:
                     if cand in sids_of:
                         sids = sids_of[cand]
                     else:
-                        sids = sids_of[cand] = [] if admit(cand) else None
+                        considered += 1
+                        if masks[cand[0]] >> cand[1] & 1:
+                            sids = sids_of[cand] = []
+                        else:
+                            sids = sids_of[cand] = None
+                            pruned += 1
+                            if rec is not None:
+                                rec.pruned(
+                                    "pair",
+                                    num_tokens + 1,
+                                    cand,
+                                    threshold=threshold_box[0],
+                                )
                     if sids is not None:
                         sids.append(sid)
             for sym, sids in start_sids.items():
                 cand = (_S_EXT, sym, next_occ.get(sym // 3, 0) + 1)
-                sids_of[cand] = sids if admit(cand) else None
+                considered += 1
+                if sids is None:
+                    pruned += 1
+                    if rec is not None:
+                        rec.pruned(
+                            "pair", num_tokens + 1, cand, threshold=threshold_box[0]
+                        )
+                sids_of[cand] = sids
+            counters.candidates_considered += considered
+            counters.pruned_pair += pruned
             if rec is not None and span_skipped:
                 # Candidates no state discovered at all: window-rejected
                 # everywhere, so the search never generated them.
@@ -1187,6 +1174,32 @@ def _check_emitted_pattern(pattern: TemporalPattern, num_tokens: int) -> None:
         pattern.is_canonical,
         "emitted pattern is not in canonical form",
         details=lambda: str(pattern),
+    )
+
+
+def _kept_events(
+    db: ESequenceDatabase, keep: KeptLabels
+) -> ESequenceDatabase:
+    """``db`` without the events point pruning dropped.
+
+    Sequences are kept (possibly empty) so sids stay aligned with the
+    weight vector.
+    """
+    keep_interval, keep_point = keep
+    return ESequenceDatabase(
+        (
+            ESequence(
+                (
+                    ev
+                    for ev in seq
+                    if ev.label
+                    in (keep_point if ev.start == ev.finish else keep_interval)
+                ),
+                sid=seq.sid,
+            )
+            for seq in db
+        ),
+        name=db.name,
     )
 
 

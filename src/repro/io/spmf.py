@@ -25,9 +25,9 @@ from __future__ import annotations
 import os
 
 from repro.io._utf8 import open_utf8
-from repro.io.text_format import _format_time, _parse_number
+from repro.io.text_format import _parse_number
 from repro.model.database import ESequenceDatabase
-from repro.model.event import IntervalEvent
+from repro.model.event import IntervalEvent, format_time
 from repro.model.sequence import ESequence
 
 __all__ = ["write_spmf", "read_spmf"]
@@ -47,8 +47,8 @@ def write_spmf(db: ESequenceDatabase, path: str | os.PathLike) -> None:
             parts: list[str] = []
             for ev in seq:
                 parts.append(
-                    f"{ids[ev.label]} {_format_time(ev.start)} "
-                    f"{_format_time(ev.finish)} -1"
+                    f"{ids[ev.label]} {format_time(ev.start)} "
+                    f"{format_time(ev.finish)} -1"
                 )
             parts.append("-2")
             handle.write(" ".join(parts) + "\n")

@@ -11,9 +11,10 @@ each event ``label,start,finish`` (a point event has ``start == finish``):
 
 Lines starting with ``#`` are comments; ``# name:`` in the header names
 the database. Labels may not contain ``,``, ``;`` or newlines (enforced
-at write time). Timestamps are written exactly: as integers when
-integral, otherwise by ``repr``; an integer reads back as an exact
-``int`` of any size. SPMF and CSV use the same number reader.
+at write time). Timestamps are written exactly, by
+:func:`repro.model.event.format_time`: as integers when integral,
+otherwise by ``repr``; an integer reads back as an exact ``int`` of any
+size. SPMF and CSV use the same number reader.
 
 Pattern-list format — one pattern per line, ``support<TAB>pattern`` using
 the :meth:`TemporalPattern.__str__` syntax:
@@ -30,7 +31,7 @@ from collections.abc import Iterable
 
 from repro.io._utf8 import open_utf8
 from repro.model.database import ESequenceDatabase
-from repro.model.event import IntervalEvent
+from repro.model.event import IntervalEvent, format_time
 from repro.model.pattern import PatternWithSupport, TemporalPattern
 from repro.model.sequence import ESequence
 
@@ -42,12 +43,6 @@ __all__ = [
 ]
 
 _FORBIDDEN = (",", ";", "\n", "\r")
-
-
-def _format_time(value: float) -> str:
-    """A timestamp as every format writes it, exactly: integral values
-    as integers, others by ``repr``."""
-    return str(int(value)) if float(value).is_integer() else repr(value)
 
 
 def write_database(db: ESequenceDatabase, path: str | os.PathLike) -> None:
@@ -63,8 +58,8 @@ def write_database(db: ESequenceDatabase, path: str | os.PathLike) -> None:
                         f"label {ev.label!r} contains a reserved character"
                     )
                 parts.append(
-                    f"{ev.label},{_format_time(ev.start)},"
-                    f"{_format_time(ev.finish)}"
+                    f"{ev.label},{format_time(ev.start)},"
+                    f"{format_time(ev.finish)}"
                 )
             handle.write(";".join(parts) + "\n")
 

@@ -22,11 +22,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["IntervalEvent", "point_event"]
+__all__ = ["IntervalEvent", "format_time", "point_event"]
 
 #: Type alias for timestamps. Integers are preferred for exactness but any
 #: totally ordered numeric type works.
 Timestamp = float
+
+
+def format_time(value: Timestamp) -> str:
+    """A timestamp written exactly: integral values as integers, others
+    by ``repr``.
+
+    The one rule for showing a time, in event strings and in every file
+    format that writes times as text, so distinct times never print
+    alike (``1700000000`` and ``1700000001`` stay apart).
+
+    >>> format_time(3), format_time(2.0), format_time(0.1)
+    ('3', '2', '0.1')
+    """
+    if isinstance(value, int) or float(value).is_integer():
+        return str(int(value))
+    return repr(value)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -118,8 +134,11 @@ class IntervalEvent:
 
     def __str__(self) -> str:
         if self.is_point:
-            return f"{self.label}@{self.start:g}"
-        return f"{self.label}[{self.start:g},{self.finish:g}]"
+            return f"{self.label}@{format_time(self.start)}"
+        return (
+            f"{self.label}[{format_time(self.start)},"
+            f"{format_time(self.finish)}]"
+        )
 
 
 def point_event(t: Timestamp, label: str) -> IntervalEvent:

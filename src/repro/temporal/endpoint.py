@@ -31,7 +31,9 @@ Two layers live here:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Set as AbstractSet
+from operator import attrgetter
 from typing import Any, NamedTuple, Optional
 
 from repro.model.database import ESequenceDatabase
@@ -48,6 +50,7 @@ __all__ = [
     "EndpointSequence",
     "EncodedSequence",
     "EncodedDatabase",
+    "KeptLabels",
     "endpoint_sequence_of",
 ]
 
@@ -243,6 +246,9 @@ Token = tuple[int, int]
 #: equal tuple seen, so a database stores each distinct value once.
 InternPool = dict[tuple[Any, ...], tuple[Any, ...]]
 
+#: An event's ``(start, finish, label)``, read in one call.
+_EVENT_FIELDS = attrgetter("start", "finish", "label")
+
 
 def _pooled(pool: InternPool, tokens: tuple[Token, ...]) -> tuple[Token, ...]:
     """The pooled copy of a tuple of tokens; a new one pools its tokens."""
@@ -267,8 +273,8 @@ class EncodedSequence:
     Attributes
     ----------
     pointsets:
-        ``tuple`` of pointsets; each pointset is a sorted ``tuple`` of
-        ``(sym, occ)`` tokens.
+        ``tuple`` of pointsets; each pointset is a non-empty sorted
+        ``tuple`` of ``(sym, occ)`` tokens.
     times:
         The original timestamp of each pointset (same length as
         ``pointsets``); used by the time-constrained (``max_span``)
@@ -313,10 +319,30 @@ class EncodedSequence:
         times: Sequence[float] = (),
         pool: Optional[InternPool] = None,
     ) -> None:
-        if pool is None:
-            pool = {}
+        quads = [
+            (pos, sym, occ, (sym // 3, occ))
+            for pos, pointset in enumerate(pointsets)
+            for sym, occ in pointset
+        ]
+        quads.sort()
+        self._fill(sid, quads, {} if pool is None else pool)
+        self.times = tuple(times)
+
+    def _fill(
+        self,
+        sid: int,
+        quads: Iterable[tuple[Any, int, int, Hashable]],
+        pool: InternPool,
+    ) -> None:
+        """Fill every field in one walk over ``(time, sym, occ, event)``
+        endpoint quads sorted by their first three fields.
+
+        Equal times make one pointset, and :attr:`times` holds each
+        pointset's time. ``event`` names the event an endpoint belongs
+        to, so that a finish finds the occurrence its start opened.
+        """
         intern = pool.setdefault
-        occ_of: dict[Token, int] = {}  # (start or point sym, occ) -> e
+        occ_of: dict[Hashable, int] = {}  # event -> e
         keys: list[tuple[int, int]] = []
         starts: list[int] = []
         finishes: list[int] = []
@@ -324,26 +350,39 @@ class EncodedSequence:
         last: dict[int, int] = {}
         sets: list[tuple[Token, ...]] = []
         occ_sets: list[tuple[Token, ...]] = []
-        for pos, unsorted in enumerate(pointsets):
-            pointset = tuple(sorted(unsorted))
-            occ_tokens: list[Token] = []
-            for sym, occ in pointset:
-                if sym % 3 == FINISH:
-                    e = occ_of[sym - 1, occ]
-                    finishes[e] = pos
+        times: list[Any] = []
+        tokens: list[Token] = []
+        occ_tokens: list[Token] = []
+        pos = -1
+        current: Any = None  # no pointset yet
+        for time, sym, occ, event in quads:
+            if time != current:
+                if tokens:
+                    sets.append(_pooled(pool, tuple(tokens)))
+                    occ_sets.append(_pooled(pool, tuple(occ_tokens)))
+                    tokens = []
+                    occ_tokens = []
+                current = time
+                times.append(time)
+                pos += 1
+            if sym % 3 == FINISH:
+                e = occ_of[event]
+                finishes[e] = pos
+            else:
+                e = occ_of[event] = len(keys)
+                key = (sym // 3, occ)
+                keys.append(intern(key, key))
+                starts.append(pos)
+                finishes.append(pos)
+                if sym in sym_occs:
+                    sym_occs[sym].append(e)
                 else:
-                    e = occ_of[sym, occ] = len(keys)
-                    key = (sym // 3, occ)
-                    keys.append(intern(key, key))
-                    starts.append(pos)
-                    finishes.append(pos)
-                    if sym in sym_occs:
-                        sym_occs[sym].append(e)
-                    else:
-                        sym_occs[sym] = [e]
-                    last[sym] = pos
-                occ_tokens.append((sym, e))
-            sets.append(_pooled(pool, pointset))
+                    sym_occs[sym] = [e]
+                last[sym] = pos
+            tokens.append((sym, occ))
+            occ_tokens.append((sym, e))
+        if tokens:
+            sets.append(_pooled(pool, tuple(tokens)))
             occ_sets.append(_pooled(pool, tuple(occ_tokens)))
         self.sid = sid
         self.pointsets = tuple(sets)
@@ -367,6 +406,11 @@ class EncodedSequence:
         return len(self.pointsets)
 
 
+#: What point pruning keeps: the labels whose interval events stay, and
+#: the labels whose point events stay.
+KeptLabels = tuple[AbstractSet[str], AbstractSet[str]]
+
+
 class EncodedDatabase:
     """A whole database interned for mining.
 
@@ -380,43 +424,60 @@ class EncodedDatabase:
     most of them recur from sequence to sequence — are stored once. The
     pool belongs to this database alone and is dropped once every
     sequence is encoded.
+
+    ``keep`` applies point pruning as the database is encoded: only
+    interval events whose label is in ``keep[0]`` and point events whose
+    label is in ``keep[1]`` are encoded, and occurrences are numbered
+    over those events alone. The result equals the encoding of the
+    database with every other event deleted (empty sequences included),
+    provided each kept label has an event of its kept flavour in ``db``,
+    as the miner's point pruning guarantees.
     """
 
     __slots__ = ("labels", "label_ids", "sequences", "size")
 
-    def __init__(self, db: ESequenceDatabase) -> None:
-        self.labels: tuple[str, ...] = tuple(sorted(db.alphabet))
+    def __init__(
+        self, db: ESequenceDatabase, keep: Optional[KeptLabels] = None
+    ) -> None:
+        labels = db.alphabet if keep is None else keep[0] | keep[1]
+        self.labels: tuple[str, ...] = tuple(sorted(labels))
         self.label_ids: dict[str, int] = {
             label: i for i, label in enumerate(self.labels)
         }
         self.size = len(db)
         pool: InternPool = {}
         self.sequences: list[EncodedSequence] = [
-            self._encode_sequence(seq, pool) for seq in db
+            self._encode_sequence(seq, pool, keep) for seq in db
         ]
 
     def _encode_sequence(
-        self, seq: ESequence, pool: InternPool
+        self, seq: ESequence, pool: InternPool, keep: Optional[KeptLabels]
     ) -> EncodedSequence:
-        by_time: dict[float, list[Token]] = {}
-        for event, occ in seq.occurrence_indexed():
-            label_id = self.label_ids[event.label]
-            if event.is_point:
-                by_time.setdefault(event.start, []).append(
-                    (label_id * 3 + POINT, occ)
-                )
+        """Number the kept events' occurrences in canonical event order,
+        sort their endpoints once, and fill the :class:`EncodedSequence`
+        in one walk over them."""
+        label_ids = self.label_ids
+        seen: dict[str, int] = {}
+        quads: list[tuple[Any, int, int, Hashable]] = []
+        for event, (start, finish, label) in enumerate(
+            map(_EVENT_FIELDS, seq.events)
+        ):
+            if keep is not None and label not in (
+                keep[1] if start == finish else keep[0]
+            ):
+                continue
+            occ = seen[label] = seen.get(label, 0) + 1
+            sym = label_ids[label] * 3
+            if start == finish:
+                quads.append((start, sym + POINT, occ, event))
             else:
-                by_time.setdefault(event.start, []).append(
-                    (label_id * 3 + START, occ)
-                )
-                by_time.setdefault(event.finish, []).append(
-                    (label_id * 3 + FINISH, occ)
-                )
-        times = sorted(by_time)
+                quads.append((start, sym + START, occ, event))
+                quads.append((finish, sym + FINISH, occ, event))
+        quads.sort()
         assert seq.sid is not None
-        return EncodedSequence(
-            seq.sid, [by_time[t] for t in times], times, pool
-        )
+        encoded = EncodedSequence.__new__(EncodedSequence)
+        encoded._fill(seq.sid, quads, pool)
+        return encoded
 
     # -- sym helpers -------------------------------------------------------
     def sym(self, label: str, kind: int) -> int:

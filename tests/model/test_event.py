@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.model.event import IntervalEvent, point_event
+from repro.model.event import IntervalEvent, format_time, point_event
+from repro.model.sequence import ESequence
 
 
 class TestConstruction:
@@ -133,3 +134,39 @@ def test_scale_multiplies_duration(start, duration, factor):
 def test_point_iff_zero_duration(start, duration):
     ev = IntervalEvent(start, start + duration, "A")
     assert ev.is_point == (duration == 0)
+
+
+class TestExactDisplay:
+    """Event strings show times exactly, by the file formats' rule."""
+
+    def test_unix_second_times_print_apart(self):
+        first = IntervalEvent(1700000000, 1700000100, "A")
+        second = IntervalEvent(1700000001, 1700000050, "A")
+        assert str(first) == "A[1700000000,1700000100]"
+        assert str(second) == "A[1700000001,1700000050]"
+
+    def test_sequence_repr_is_exact(self):
+        seq = ESequence([IntervalEvent(1234567, 1234568, "B")], sid=0)
+        assert repr(seq) == "ESequence(sid=0, <B[1234567,1234568]>)"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (3, "3"),
+            (2.0, "2"),
+            (0.1, "0.1"),
+            (2.5, "2.5"),
+            (10**400, str(10**400)),
+            (1e-07, "1e-07"),
+            (-4.0, "-4"),
+        ],
+    )
+    def test_format_time(self, value, text):
+        assert format_time(value) == text
+
+    def test_writers_use_the_model_rule(self):
+        import repro.io.spmf as spmf
+        import repro.io.text_format as text_format
+
+        assert text_format.format_time is format_time
+        assert spmf.format_time is format_time
