@@ -24,18 +24,19 @@ Subcommands
     instead of erroring.
 ``history``
     Trend table over a run ledger (``mine --ledger-dir``), grouped by
-    config fingerprint, with noise-aware regression flags reusing the
-    perf tolerances; ``--check`` exits 1 when the latest run of any
-    config regressed (for CI); ``--limit N`` shows only the most
+    config fingerprint, with each consecutive pair of runs judged by
+    ``perf compare``'s rule; ``--check`` exits 1 when the latest run of
+    any config regressed (for CI); ``--limit N`` shows only the most
     recent N runs per config (flags are still computed over all runs).
 ``diff``
-    Compare two ledger runs by id (or unique id prefix): exact counter
-    deltas, phase-wall deltas with tolerance verdicts, heaviest-root
-    shifts. Exits 1 when the diff shows a hard regression. With
-    ``--patterns`` the two arguments are provenance snapshot files
-    (``mine --provenance``) or ledger run ids whose entries recorded
-    one, and the diff is pattern-level: every added/removed pattern is
-    attributed to the prune decision that killed it in the other run.
+    Compare two ledger runs by id (or unique id prefix) by the same
+    rule: exact counter deltas, display-only phase-wall verdicts,
+    heaviest-root shifts. Exits 1 when the pair regressed, a digest
+    drift included. With ``--patterns`` the two arguments are
+    provenance snapshot files (``mine --provenance``) or ledger run ids
+    whose entries recorded one, and the diff is pattern-level: every
+    added/removed pattern is attributed to the prune decision that
+    killed it in the other run.
 ``explain``
     Why is this pattern in the result? Reads a provenance snapshot
     (``mine --provenance``) and reports the pattern's support set, one
@@ -449,7 +450,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             live_log_path=args.live_log,
             cost_path=args.cost,
             provenance_path=args.provenance,
-            straggler_factor=args.straggler_factor,
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -467,18 +467,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tolerance_from_args(args: argparse.Namespace):  # type: ignore[no-untyped-def]
-    """A perf Tolerance from optional --time-rtol/--time-abs overrides."""
-    from repro.perf.compare import Tolerance
-
-    overrides = {}
-    if args.time_rtol is not None:
-        overrides["time_rtol"] = args.time_rtol
-    if args.time_abs is not None:
-        overrides["time_abs_s"] = args.time_abs
-    return Tolerance(**overrides)
-
-
 def _emit_text(text: str, out: str | None, what: str) -> None:
     """Write ``text`` to ``out`` (noting it on stderr) or to stdout."""
     if out:
@@ -494,9 +482,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
     run_ledger = obs_ledger.RunLedger(args.ledger_dir)
     entries = run_ledger.entries()
-    report = obs_ledger.history_report(
-        entries, tolerance=_tolerance_from_args(args), limit=args.limit
-    )
+    report = obs_ledger.history_report(entries, limit=args.limit)
     if args.json:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
@@ -529,9 +515,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    diff = obs_ledger.diff_entries(
-        entry_a, entry_b, tolerance=_tolerance_from_args(args)
-    )
+    diff = obs_ledger.diff_entries(entry_a, entry_b)
     if args.json:
         text = json.dumps(diff, indent=2, sort_keys=True) + "\n"
     else:
@@ -841,21 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit the report as JSON instead of markdown")
     report_p.add_argument("--out", metavar="FILE", default=None,
                           help="write the report here instead of stdout")
-    report_p.add_argument("--straggler-factor", type=float, default=0.5,
-                          metavar="K",
-                          help="straggler rule: lane throughput < K x "
-                               "median (default 0.5)")
     report_p.set_defaults(func=_cmd_report)
-
-    def add_tolerance_args(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--time-rtol", type=float, default=None,
-                         metavar="FRAC",
-                         help="wall-time relative tolerance (default: the "
-                              "perf layer's)")
-        cmd.add_argument("--time-abs", type=float, default=None,
-                         metavar="SECONDS",
-                         help="wall-time absolute floor (default: the "
-                              "perf layer's)")
 
     history_p = sub.add_parser(
         "history",
@@ -876,7 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="show only the most recent N runs per "
                                 "config (flags/--check still consider "
                                 "all runs)")
-    add_tolerance_args(history_p)
     history_p.set_defaults(func=_cmd_history)
 
     diff_p = sub.add_parser(
@@ -905,7 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the diff as JSON instead of markdown")
     diff_p.add_argument("--out", metavar="FILE", default=None,
                         help="write the diff here instead of stdout")
-    add_tolerance_args(diff_p)
     diff_p.set_defaults(func=_cmd_diff)
 
     def add_provenance_query_args(cmd: argparse.ArgumentParser) -> None:

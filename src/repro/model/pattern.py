@@ -386,6 +386,78 @@ class TemporalPattern:
         return lines
 
 
+_Index = dict[tuple[str, int], tuple[int, ...]]
+
+
+def _index_target(target: Sequence[Sequence[Endpoint]]) -> list[_Index]:
+    """Index each target pointset: (label, kind) -> tuple of occs present."""
+    indexed: list[_Index] = []
+    for ps in target:
+        idx: dict[tuple[str, int], list[int]] = {}
+        for ep in ps:
+            idx.setdefault((ep.label, ep.kind), []).append(ep.occ)
+        indexed.append({k: tuple(v) for k, v in idx.items()})
+    return indexed
+
+
+def _match_pointset(
+    ps: Sequence[Endpoint],
+    available: _Index,
+    phi: dict[_OccKey, int],
+    used: set[_OccKey],
+) -> Iterator[tuple[dict[_OccKey, int], set[_OccKey]]]:
+    """Yield (phi additions, used additions) for injective assignments."""
+    free: list[Endpoint] = []
+    for ep in ps:
+        if ep.kind == FINISH:
+            socc = phi.get((ep.label, ep.occ))
+            if socc is None or socc not in available.get(
+                (ep.label, FINISH), ()
+            ):
+                return
+        else:
+            free.append(ep)
+    # The finish tokens are fixed by phi and never collide with each
+    # other or with the free tokens (distinct (label, kind, occ) triples).
+    if not free:
+        yield {}, set()
+        return
+    choice_lists: list[tuple[Endpoint, list[int]]] = []
+    for ep in free:
+        kind = START if ep.kind == START else POINT
+        candidates = [
+            socc
+            for socc in available.get((ep.label, kind), ())
+            if (ep.label, socc) not in used
+        ]
+        if not candidates:
+            return
+        choice_lists.append((ep, candidates))
+    yield from _assign(choice_lists, 0, {}, set())
+
+
+def _assign(
+    choice_lists: list[tuple[Endpoint, list[int]]],
+    i: int,
+    phi_add: dict[_OccKey, int],
+    used_add: set[_OccKey],
+) -> Iterator[tuple[dict[_OccKey, int], set[_OccKey]]]:
+    """Enumerate injective combinations over a pointset's free tokens."""
+    if i == len(choice_lists):
+        yield dict(phi_add), set(used_add)
+        return
+    ep, candidates = choice_lists[i]
+    for socc in candidates:
+        key = (ep.label, socc)
+        if key in used_add:
+            continue
+        phi_add[(ep.label, ep.occ)] = socc
+        used_add.add(key)
+        yield from _assign(choice_lists, i + 1, phi_add, used_add)
+        del phi_add[(ep.label, ep.occ)]
+        used_add.discard(key)
+
+
 def _iter_embeddings(
     pattern: Sequence[Sequence[Endpoint]],
     target: Sequence[Sequence[Endpoint]],
@@ -400,66 +472,9 @@ def _iter_embeddings(
     if not pattern:
         yield {}
         return
-
-    indexed: list[dict[tuple[str, int], tuple[int, ...]]] = []
-    for ps in target:
-        idx: dict[tuple[str, int], list[int]] = {}
-        for ep in ps:
-            idx.setdefault((ep.label, ep.kind), []).append(ep.occ)
-        indexed.append({k: tuple(v) for k, v in idx.items()})
-
+    indexed = _index_target(target)
     n_pattern, n_target = len(pattern), len(target)
     seen: set[tuple[tuple[_OccKey, int], ...]] = set()
-
-    def match_pointset(
-        ps: Sequence[Endpoint],
-        available: dict[tuple[str, int], tuple[int, ...]],
-        phi: dict[_OccKey, int],
-        used: set[_OccKey],
-    ) -> Iterator[tuple[dict[_OccKey, int], set[_OccKey]]]:
-        deterministic: list[tuple[str, int]] = []
-        for ep in ps:
-            if ep.kind == FINISH:
-                socc = phi.get((ep.label, ep.occ))
-                if socc is None or socc not in available.get(
-                    (ep.label, FINISH), ()
-                ):
-                    return
-                deterministic.append((ep.label, socc))
-        free = [ep for ep in ps if ep.kind != FINISH]
-        if not free:
-            yield {}, set()
-            return
-        choice_lists: list[tuple[Endpoint, list[int]]] = []
-        for ep in free:
-            kind = START if ep.kind == START else POINT
-            candidates = [
-                socc
-                for socc in available.get((ep.label, kind), ())
-                if (ep.label, socc) not in used
-            ]
-            if not candidates:
-                return
-            choice_lists.append((ep, candidates))
-
-        def assign(
-            i: int, phi_add: dict[_OccKey, int], used_add: set[_OccKey]
-        ) -> Iterator[tuple[dict[_OccKey, int], set[_OccKey]]]:
-            if i == len(choice_lists):
-                yield dict(phi_add), set(used_add)
-                return
-            ep, candidates = choice_lists[i]
-            for socc in candidates:
-                key = (ep.label, socc)
-                if key in used_add:
-                    continue
-                phi_add[(ep.label, ep.occ)] = socc
-                used_add.add(key)
-                yield from assign(i + 1, phi_add, used_add)
-                del phi_add[(ep.label, ep.occ)]
-                used_add.discard(key)
-
-        yield from assign(0, {}, set())
 
     def search(
         pi: int, t_from: int, phi: dict[_OccKey, int], used: set[_OccKey]
@@ -472,7 +487,7 @@ def _iter_embeddings(
             return
         remaining = n_pattern - pi
         for ti in range(t_from, n_target - remaining + 1):
-            for phi_add, used_add in match_pointset(
+            for phi_add, used_add in _match_pointset(
                 pattern[pi], indexed[ti], phi, used
             ):
                 phi.update(phi_add)
@@ -492,72 +507,8 @@ def _match(
     """Backtracking containment check of pattern pointsets in target."""
     if not pattern:
         return True
-
-    # Index each target pointset: (label, kind) -> tuple of occs present.
-    indexed: list[dict[tuple[str, int], tuple[int, ...]]] = []
-    for ps in target:
-        idx: dict[tuple[str, int], list[int]] = {}
-        for ep in ps:
-            idx.setdefault((ep.label, ep.kind), []).append(ep.occ)
-        indexed.append({k: tuple(v) for k, v in idx.items()})
-
+    indexed = _index_target(target)
     n_pattern, n_target = len(pattern), len(target)
-
-    def match_pointset(
-        ps: Sequence[Endpoint],
-        available: dict[tuple[str, int], tuple[int, ...]],
-        phi: dict[_OccKey, int],
-        used: set[_OccKey],
-    ) -> Iterator[tuple[dict[_OccKey, int], set[_OccKey]]]:
-        """Yield (phi additions, used additions) for injective assignments."""
-        deterministic: list[tuple[str, int]] = []
-        free: list[Endpoint] = []
-        for ep in ps:
-            if ep.kind == FINISH:
-                socc = phi.get((ep.label, ep.occ))
-                if socc is None or socc not in available.get(
-                    (ep.label, FINISH), ()
-                ):
-                    return
-                deterministic.append((ep.label, socc))
-            else:
-                free.append(ep)
-        # The deterministic finish tokens never collide with each other or
-        # with the free tokens (distinct (label, kind, occ) triples).
-        if not free:
-            yield {}, set()
-            return
-        choice_lists: list[tuple[Endpoint, list[int]]] = []
-        for ep in free:
-            kind = START if ep.kind == START else POINT
-            candidates = [
-                socc
-                for socc in available.get((ep.label, kind), ())
-                if (ep.label, socc) not in used
-            ]
-            if not candidates:
-                return
-            choice_lists.append((ep, candidates))
-
-        # Enumerate injective combinations over free tokens.
-        def assign(
-            i: int, phi_add: dict[_OccKey, int], used_add: set[_OccKey]
-        ) -> Iterator[tuple[dict[_OccKey, int], set[_OccKey]]]:
-            if i == len(choice_lists):
-                yield dict(phi_add), set(used_add)
-                return
-            ep, candidates = choice_lists[i]
-            for socc in candidates:
-                key = (ep.label, socc)
-                if key in used_add:
-                    continue
-                phi_add[(ep.label, ep.occ)] = socc
-                used_add.add(key)
-                yield from assign(i + 1, phi_add, used_add)
-                del phi_add[(ep.label, ep.occ)]
-                used_add.discard(key)
-
-        yield from assign(0, {}, set())
 
     def search(
         pi: int, t_from: int, phi: dict[_OccKey, int], used: set[_OccKey]
@@ -566,7 +517,7 @@ def _match(
             return True
         remaining = n_pattern - pi
         for ti in range(t_from, n_target - remaining + 1):
-            for phi_add, used_add in match_pointset(
+            for phi_add, used_add in _match_pointset(
                 pattern[pi], indexed[ti], phi, used
             ):
                 phi.update(phi_add)

@@ -49,7 +49,6 @@ __all__ = [
     "LEVEL_FIELDS",
     "active_collector",
     "profile_digest",
-    "set_collector",
     "top_roots",
     "use_collector",
 ]
@@ -225,11 +224,6 @@ def top_roots(
 def active_collector() -> Optional[CostCollector]:
     """The installed collector, or ``None`` when cost tracking is off."""
     return seam.COST.active()
-
-
-def set_collector(collector: Optional[CostCollector]) -> None:
-    """Install ``collector`` process-wide (``None`` turns tracking off)."""
-    seam.COST.install(collector)
 
 
 def use_collector(

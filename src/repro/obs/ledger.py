@@ -16,17 +16,17 @@ entry per mining or bench run, recording
   :mod:`repro.obs.costmodel`), so "the search changed shape" is
   detectable without storing full profiles.
 
-Two consumers sit on top:
+Two consumers sit on top, and both judge a pair of runs by
+:func:`repro.perf.compare.judge`, the rule ``perf compare`` applies to
+its cells: the pattern count, counters and both digests **exactly**
+(the miners are deterministic), wall time only beyond
+:class:`repro.perf.compare.Tolerance` (and downgraded to a warning when
+the environment fingerprints differ).
 
-* :func:`history_report` — a per-fingerprint trend table with
-  noise-aware regression flags. Counter and pattern drift between
-  consecutive runs of one fingerprint is flagged **exactly** (the miners
-  are deterministic); wall-time drift is flagged only beyond
-  :class:`repro.perf.compare.Tolerance` (and downgraded to a warning
-  when the environment fingerprints differ).
+* :func:`history_report` — a per-fingerprint trend table with those
+  flags on each consecutive pair of runs.
 * :func:`diff_entries` — a two-run diff: exact counter deltas,
-  phase-wall deltas with the same tolerance verdicts, and heaviest-root
-  rank shifts.
+  display-only phase-wall verdicts, and heaviest-root rank shifts.
 
 The file is written **only** through :class:`RunLedger.append` — lint
 rule R018 enforces that no other module opens a ledger path for
@@ -48,7 +48,12 @@ from typing import Any, Iterable, Mapping, Optional, Union
 from repro.model.database import ESequenceDatabase
 from repro.obs import costmodel
 from repro.obs.warnonce import json_lines, warn_once
-from repro.perf.compare import Tolerance, classify, environment_fingerprint
+from repro.perf.compare import (
+    Tolerance,
+    classify,
+    environment_fingerprint,
+    judge,
+)
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -58,7 +63,6 @@ __all__ = [
     "build_entry",
     "config_fingerprint",
     "dataset_digest",
-    "default_environment",
     "diff_entries",
     "history_report",
     "patterns_digest",
@@ -160,12 +164,6 @@ def config_fingerprint(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def default_environment() -> dict[str, str]:
-    """The perf layer's environment fingerprint
-    (:func:`repro.perf.compare.environment_fingerprint`)."""
-    return environment_fingerprint()
-
-
 def phase_seconds(metrics_snapshot: Mapping[str, Any]) -> dict[str, float]:
     """Extract ``{phase: seconds}`` from a metrics snapshot's counters."""
     counters = metrics_snapshot.get("counters", {})
@@ -230,7 +228,7 @@ def build_entry(
         "fingerprint": fingerprint,
         "config": config,
         "environment": dict(
-            environment if environment is not None else default_environment()
+            environment_fingerprint() if environment is None else environment
         ),
         "wall_s": float(wall_s),
         "patterns": int(patterns),
@@ -359,97 +357,8 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # history: per-fingerprint trends with noise-aware flags
 # ----------------------------------------------------------------------
-def _wall_verdict(
-    base: float, fresh: float, tolerance: Tolerance, env_match: bool
-) -> str:
-    """Classify a wall-time change by ``repro.perf.compare``'s rule.
-
-    A regression across differing environments downgrades to a warning.
-    """
-    verdict = classify(base, fresh, tolerance.time_rtol, tolerance.time_abs_s)
-    return "warning" if verdict == "regression" and not env_match else verdict
-
-
-def _pair_flags(
-    prev: Mapping[str, Any],
-    cur: Mapping[str, Any],
-    tolerance: Tolerance,
-) -> list[dict[str, Any]]:
-    """Flags for one consecutive pair of same-fingerprint runs."""
-    flags: list[dict[str, Any]] = []
-    if int(cur.get("patterns", 0)) != int(prev.get("patterns", 0)):
-        flags.append(
-            {
-                "metric": "patterns",
-                "severity": "regression",
-                "base": prev.get("patterns"),
-                "fresh": cur.get("patterns"),
-                "detail": "pattern count drifted (exact check)",
-            }
-        )
-    prev_counters = dict(prev.get("counters", {}))
-    cur_counters = dict(cur.get("counters", {}))
-    for key in sorted(set(prev_counters) | set(cur_counters)):
-        if prev_counters.get(key) != cur_counters.get(key):
-            flags.append(
-                {
-                    "metric": f"counters.{key}",
-                    "severity": "regression",
-                    "base": prev_counters.get(key),
-                    "fresh": cur_counters.get(key),
-                    "detail": "search counter drifted (exact check)",
-                }
-            )
-    prev_digest = (prev.get("cost") or {}).get("digest")
-    cur_digest = (cur.get("cost") or {}).get("digest")
-    if prev_digest and cur_digest and prev_digest != cur_digest:
-        flags.append(
-            {
-                "metric": "cost.digest",
-                "severity": "regression",
-                "base": prev_digest,
-                "fresh": cur_digest,
-                "detail": "search-space cost profile changed shape",
-            }
-        )
-    prev_patterns = prev.get("patterns_digest")
-    cur_patterns = cur.get("patterns_digest")
-    if prev_patterns and cur_patterns and prev_patterns != cur_patterns:
-        flags.append(
-            {
-                "metric": "patterns_digest",
-                "severity": "regression",
-                "base": prev_patterns,
-                "fresh": cur_patterns,
-                "detail": "result set drifted (exact content check: "
-                "patterns and supports)",
-            }
-        )
-    env_match = dict(prev.get("environment", {})) == dict(
-        cur.get("environment", {})
-    )
-    verdict = _wall_verdict(
-        float(prev.get("wall_s", 0.0)),
-        float(cur.get("wall_s", 0.0)),
-        tolerance,
-        env_match,
-    )
-    if verdict in ("regression", "warning"):
-        flags.append(
-            {
-                "metric": "wall_s",
-                "severity": verdict,
-                "base": prev.get("wall_s"),
-                "fresh": cur.get("wall_s"),
-                "detail": (
-                    "wall time beyond tolerance"
-                    if env_match
-                    else "wall time beyond tolerance, but environment "
-                    "fingerprints differ — downgraded to warning"
-                ),
-            }
-        )
-    return flags
+def _same_environment(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
+    return dict(a.get("environment", {})) == dict(b.get("environment", {}))
 
 
 def history_report(
@@ -461,15 +370,14 @@ def history_report(
     """Trend report over ledger entries, grouped by config fingerprint.
 
     Within a group (entries kept in append order), each consecutive run
-    pair is compared: counters/patterns/cost-digest/patterns-digest
-    exactly, wall time with the perf layer's noise tolerance.
+    pair is judged by :func:`repro.perf.compare.judge`, and every
+    finding but an improvement becomes a flag on the later run.
     ``regressions`` collects the hard flags of the *latest* pair of
     every group — that is what ``ptpminer history --check`` gates on —
     while older flags stay visible on their runs. ``limit`` truncates
     each group's *displayed* rows to the most recent N **after** flag
     computation, so ``--check`` semantics are unaffected by it.
     """
-    tol = tolerance if tolerance is not None else Tolerance()
     groups: dict[str, list[dict[str, Any]]] = {}
     for entry in entries:
         groups.setdefault(str(entry.get("fingerprint")), []).append(entry)
@@ -480,9 +388,25 @@ def history_report(
         runs = groups[fingerprint]
         rows: list[dict[str, Any]] = []
         for index, entry in enumerate(runs):
-            flags = (
-                _pair_flags(runs[index - 1], entry, tol) if index else []
-            )
+            flags: list[dict[str, Any]] = []
+            if index:
+                prev = runs[index - 1]
+                flags = [
+                    {
+                        "metric": finding.metric,
+                        "severity": finding.severity,
+                        "base": finding.baseline,
+                        "fresh": finding.fresh,
+                        "detail": finding.detail,
+                    }
+                    for finding in judge(
+                        prev,
+                        entry,
+                        env_match=_same_environment(prev, entry),
+                        tolerance=tolerance,
+                    )
+                    if finding.severity != "improvement"
+                ]
             rows.append(
                 {
                     "run_id": entry.get("run_id"),
@@ -503,7 +427,7 @@ def history_report(
                 }
                 if flag["severity"] == "regression" and is_latest_pair:
                     regressions.append(record)
-                elif flag["severity"] in ("regression", "warning"):
+                else:
                     warnings_out.append(record)
         if limit is not None and limit >= 0:
             rows = rows[-limit:] if limit else []
@@ -585,27 +509,29 @@ def diff_entries(
 ) -> dict[str, Any]:
     """Structured diff of two ledger entries (``b`` relative to ``a``).
 
-    Counters and pattern counts diff exactly; wall time and per-phase
-    wall get tolerance verdicts (downgraded to ``warning`` when the two
-    environments differ); the stored heaviest-roots lists are joined by
-    root name to show rank and cost shifts.
+    One :func:`repro.perf.compare.judge` call gives the verdict
+    (``has_regressions``), the wall-time verdict and the counter rows.
+    Per-phase wall gets display-only :func:`repro.perf.compare.classify`
+    verdicts; the stored heaviest-roots lists are joined by root name to
+    show rank and cost shifts.
     """
     tol = tolerance if tolerance is not None else Tolerance()
-    env_match = dict(entry_a.get("environment", {})) == dict(
-        entry_b.get("environment", {})
-    )
-    counters_a = dict(entry_a.get("counters", {}))
-    counters_b = dict(entry_b.get("counters", {}))
+    env_match = _same_environment(entry_a, entry_b)
+    findings = {
+        finding.metric: finding
+        for finding in judge(
+            entry_a, entry_b, env_match=env_match, tolerance=tol
+        )
+    }
     counter_diffs = [
         {
-            "counter": key,
-            "a": counters_a.get(key),
-            "b": counters_b.get(key),
-            "delta": int(counters_b.get(key, 0) or 0)
-            - int(counters_a.get(key, 0) or 0),
+            "counter": metric[len("counters."):],
+            "a": finding.baseline,
+            "b": finding.fresh,
+            "delta": int(finding.fresh or 0) - int(finding.baseline or 0),
         }
-        for key in sorted(set(counters_a) | set(counters_b))
-        if counters_a.get(key) != counters_b.get(key)
+        for metric, finding in findings.items()
+        if metric.startswith("counters.")
     ]
     wall_a = float(entry_a.get("wall_s", 0.0))
     wall_b = float(entry_b.get("wall_s", 0.0))
@@ -621,7 +547,10 @@ def diff_entries(
                 "a": a_val,
                 "b": b_val,
                 "delta": b_val - a_val,
-                "verdict": _wall_verdict(a_val, b_val, tol, env_match),
+                "verdict": classify(
+                    a_val, b_val, tol.time_rtol, tol.time_abs_s,
+                    env_match=env_match,
+                ),
             }
         )
     roots_a = {
@@ -651,14 +580,9 @@ def diff_entries(
                 "wall_b": row_b.get("wall_s"),
             }
         )
-    digest_a = (entry_a.get("cost") or {}).get("digest")
-    digest_b = (entry_b.get("cost") or {}).get("digest")
     patterns_a = int(entry_a.get("patterns", 0))
     patterns_b = int(entry_b.get("patterns", 0))
-    regressions = len(counter_diffs) > 0 or patterns_a != patterns_b
-    wall_verdict = _wall_verdict(wall_a, wall_b, tol, env_match)
-    if wall_verdict == "regression":
-        regressions = True
+    wall = findings.get("wall_s")
     return {
         "schema": LEDGER_SCHEMA_VERSION,
         "kind": "repro-diff",
@@ -671,22 +595,27 @@ def diff_entries(
             "a": patterns_a,
             "b": patterns_b,
             "delta": patterns_b - patterns_a,
+            "digest_a": entry_a.get("patterns_digest"),
+            "digest_b": entry_b.get("patterns_digest"),
+            "digest_changed": "patterns_digest" in findings,
         },
         "wall_s": {
             "a": wall_a,
             "b": wall_b,
             "delta": wall_b - wall_a,
-            "verdict": wall_verdict,
+            "verdict": "ok" if wall is None else wall.severity,
         },
         "counters": counter_diffs,
         "phases": phase_rows,
         "cost": {
-            "digest_a": digest_a,
-            "digest_b": digest_b,
-            "changed": bool(digest_a and digest_b and digest_a != digest_b),
+            "digest_a": (entry_a.get("cost") or {}).get("digest"),
+            "digest_b": (entry_b.get("cost") or {}).get("digest"),
+            "changed": "cost.digest" in findings,
             "top_roots": root_rows,
         },
-        "has_regressions": regressions,
+        "has_regressions": any(
+            finding.severity == "regression" for finding in findings.values()
+        ),
     }
 
 
@@ -714,6 +643,11 @@ def render_diff_markdown(diff: Mapping[str, Any]) -> str:
         f"- patterns: {patterns.get('a')} -> {patterns.get('b')} "
         f"(delta {patterns.get('delta')})"
     )
+    if patterns.get("digest_changed"):
+        lines.append(
+            f"- patterns digest: `{patterns.get('digest_a')}` -> "
+            f"`{patterns.get('digest_b')}` (the result set drifted)"
+        )
     lines.append(
         f"- wall_s: {wall.get('a', 0.0):.3f} -> {wall.get('b', 0.0):.3f} "
         f"({wall.get('verdict')})"

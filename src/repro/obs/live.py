@@ -8,8 +8,8 @@ telemetry bus that streams worker heartbeats to the parent **during**
 the run:
 
 * :class:`LiveSink` lives worker-side. The engine installs one around
-  each shard's search on the ``LIVE_SINK`` seam of :mod:`repro.obs.seam`
-  (what :func:`use_sink` wraps), and the search recorder
+  each shard's search on the ``LIVE_SINK`` seam of :mod:`repro.obs.seam`,
+  and the search recorder
   (:mod:`repro.obs.recorder`) reports each finished root candidate to
   it (:meth:`LiveSink.root_done`). The sink throttles those events
   through the injectable :mod:`repro.obs.clock` and publishes compact
@@ -61,13 +61,11 @@ __all__ = [
     "LiveSink",
     "ShardLane",
     "active_live",
-    "active_sink",
     "aggregate",
     "imbalance",
     "read_live_log",
     "set_live",
     "use_live",
-    "use_sink",
 ]
 
 
@@ -693,15 +691,3 @@ def use_live(
     if isinstance(collector, LiveConfig):
         collector = LiveCollector(config=collector)
     return seam.LIVE.scope(LiveCollector() if collector is None else collector)
-
-
-def active_sink() -> Optional[LiveSink]:
-    """The sink of the shard searching right now, or ``None``."""
-    return seam.LIVE_SINK.active()
-
-
-def use_sink(
-    sink: Optional[LiveSink],
-) -> AbstractContextManager[Optional[LiveSink]]:
-    """Scope-install a shard's sink (``None``: no sink) around its search."""
-    return seam.LIVE_SINK.scope(sink)

@@ -60,7 +60,6 @@ __all__ = [
     "render_explain_markdown",
     "render_patterns_diff_markdown",
     "render_why_not_markdown",
-    "set_collector",
     "use_collector",
     "why_not",
 ]
@@ -567,11 +566,6 @@ def render_patterns_diff_markdown(diff: Mapping[str, Any]) -> str:
 def active_collector() -> Optional[ProvenanceCollector]:
     """The installed collector, or ``None`` when provenance is off."""
     return seam.PROVENANCE.active()
-
-
-def set_collector(collector: Optional[ProvenanceCollector]) -> None:
-    """Install ``collector`` process-wide (``None`` turns recording off)."""
-    seam.PROVENANCE.install(collector)
 
 
 def use_collector(

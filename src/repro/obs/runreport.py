@@ -259,7 +259,6 @@ def build_run_report(
     live_log_path: Optional[str] = None,
     cost_path: Optional[str] = None,
     provenance_path: Optional[str] = None,
-    straggler_factor: float = 0.5,
 ) -> dict[str, Any]:
     """Join the given artifacts into one JSON-ready report dict.
 
@@ -269,8 +268,8 @@ def build_run_report(
     but empty. Missing *files* still raise — a wrong path is a caller
     error, not a degraded run. The live log is re-aggregated
     through :class:`repro.obs.live.LiveAggregator` (rendering off) with
-    ``straggler_factor``, so the report's straggler callouts use the
-    same rule as the live display.
+    the default :class:`repro.obs.live.LiveConfig`, so the report's
+    straggler callouts use the same rule as the live display.
 
     ``cost_path`` (a ``--cost-profile`` snapshot) adds the realized
     heaviest-roots table; ``provenance_path`` a pattern/prune-record
@@ -349,9 +348,7 @@ def build_run_report(
     live_summary: Optional[dict[str, Any]] = None
     if live_log_path is not None:
         frames = read_live_log(live_log_path)
-        aggregator = LiveAggregator(
-            LiveConfig(render=False, straggler_factor=straggler_factor)
-        )
+        aggregator = LiveAggregator(LiveConfig(render=False))
         for frame in frames:
             aggregator.ingest(frame)
         if aggregator.frames_ingested:

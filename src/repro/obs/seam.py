@@ -17,10 +17,10 @@ P-TPMiner's search reads them once per search through
 :func:`repro.obs.observe` reads and restores them all. A collector
 module is imported only when something builds one of its collectors.
 
-Each collector module keeps its established public wrappers over its
-seam (``active_registry``/``set_registry``/``use_registry``,
-``active_collector``, ``use_sink``, …), so callers never need the
-seam objects themselves.
+Collector modules keep the public wrappers over their seams that
+callers use (``active_registry``/``use_registry``, ``active_collector``,
+``use_collector``, …); the engine and the search recorder use the seam
+objects directly (``LIVE_SINK.scope``, ``COST.active()``).
 
 Workers never inherit a seam's state usefully across a ``fork`` — the
 engine scopes private collectors per shard, shadowing inherited ones;

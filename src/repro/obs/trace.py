@@ -49,7 +49,6 @@ __all__ = [
     "active_tracer",
     "current_span_id",
     "read_trace",
-    "set_tracer",
     "span",
     "traced",
     "use_tracer",
@@ -184,11 +183,6 @@ def current_span_id() -> Optional[int]:
     off the span that dispatched them.
     """
     return _span_stack[-1] if _span_stack else None
-
-
-def set_tracer(tracer: Optional[Tracer]) -> None:
-    """Install ``tracer`` process-wide (``None`` turns tracing off)."""
-    _TRACER.install(tracer)
 
 
 def use_tracer(tracer: Tracer) -> AbstractContextManager[Tracer]:

@@ -33,7 +33,7 @@ from repro.perf.baseline import (
     stderr_progress,
     write_report,
 )
-from repro.perf.compare import Tolerance, compare_reports, render_markdown
+from repro.perf.compare import compare_reports, render_markdown
 
 __all__ = ["build_parser", "main"]
 
@@ -96,35 +96,6 @@ def build_parser(prog: str = "repro.perf") -> argparse.ArgumentParser:
         default=None,
         help="also write the fresh report JSON here (CI artifact)",
     )
-    cmp_p.add_argument(
-        "--time-rtol",
-        type=float,
-        default=None,
-        help=f"relative wall-time tolerance (default: {Tolerance().time_rtol})",
-    )
-    cmp_p.add_argument(
-        "--time-abs",
-        type=float,
-        default=None,
-        help=f"absolute wall-time floor, seconds (default: {Tolerance().time_abs_s})",
-    )
-    cmp_p.add_argument(
-        "--mem-rtol",
-        type=float,
-        default=None,
-        help=f"relative peak-memory tolerance (default: {Tolerance().mem_rtol})",
-    )
-    cmp_p.add_argument(
-        "--mem-abs",
-        type=float,
-        default=None,
-        help=f"absolute peak-memory floor, MiB (default: {Tolerance().mem_abs_mib})",
-    )
-    cmp_p.add_argument(
-        "--strict-env",
-        action="store_true",
-        help="fail on timing/memory even across environments",
-    )
 
     upd_p = sub.add_parser(
         "update-baseline", help="re-run the matrix and rewrite the baseline"
@@ -136,24 +107,6 @@ def build_parser(prog: str = "repro.perf") -> argparse.ArgumentParser:
         help=f"baseline file to rewrite (default: {BASELINE_FILENAME})",
     )
     return parser
-
-
-def _tolerance_from(args: argparse.Namespace) -> Tolerance:
-    defaults = Tolerance()
-    return Tolerance(
-        time_rtol=(
-            defaults.time_rtol if args.time_rtol is None else args.time_rtol
-        ),
-        time_abs_s=(
-            defaults.time_abs_s if args.time_abs is None else args.time_abs
-        ),
-        mem_rtol=(
-            defaults.mem_rtol if args.mem_rtol is None else args.mem_rtol
-        ),
-        mem_abs_mib=(
-            defaults.mem_abs_mib if args.mem_abs is None else args.mem_abs
-        ),
-    )
 
 
 def _run_fresh(args: argparse.Namespace) -> dict[str, Any]:
@@ -204,12 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _maybe_append_ledger(args, fresh)
             if args.fresh_out is not None:
                 write_report(fresh, args.fresh_out)
-            result = compare_reports(
-                baseline,
-                fresh,
-                tolerance=_tolerance_from(args),
-                strict_env=args.strict_env,
-            )
+            result = compare_reports(baseline, fresh)
             markdown = render_markdown(result)
             print(markdown, end="")
             if args.report_out is not None:

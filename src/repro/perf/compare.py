@@ -1,23 +1,28 @@
-"""Diff a fresh benchmark report against the committed baseline.
+"""Judge a pair of runs: a fresh benchmark report against the baseline,
+or two run-ledger entries of one configuration.
 
-Metric classes get different treatment, because they have different
-noise characteristics:
+:func:`judge` is the one rule, and every gate calls it (``perf
+compare`` through :func:`compare_reports`, ``ptpminer history --check``
+and ``ptpminer diff`` through :mod:`repro.obs.ledger`). Metric classes
+get different treatment, because they have different noise
+characteristics:
 
-* **counters** (``nodes_expanded``, ``pruned_*``, ``states_created``,
-  …) and **pattern counts** are exact: the miners are deterministic, so
-  any difference is a real behavioural change — always a hard failure.
-* **wall time** is noisy: a cell only regresses when it is slower than
-  the baseline by *both* a relative factor (``time_rtol``) and an
-  absolute floor (``time_abs_s`` — sub-100ms cells jitter by whole
-  multiples).
-* **peak memory** is stable on one interpreter but shifts across
-  Python versions; it gets its own (tighter) tolerance pair.
+* **exact**: the pattern count, every search counter
+  (``nodes_expanded``, ``pruned_*``, ``states_created``, …), and the
+  patterns digest and cost digest when both runs carry one. The miners
+  are deterministic, so any difference is a real behavioural change —
+  always a regression.
+* **tolerant**: wall time and peak memory, judged by :func:`classify`.
+  A run only regresses when it is slower than the base by *both* a
+  relative factor (``time_rtol``) and an absolute floor (``time_abs_s``
+  — sub-100ms cells jitter by whole multiples); peak memory gets its
+  own (tighter) pair, because it is stable on one interpreter but
+  shifts across Python versions.
 
-When the fresh report's environment fingerprint differs from the
-baseline's, timing and memory findings are *downgraded to warnings* by
-default (``strict_env=True`` restores hard failures) — a laptop cannot
-meaningfully gate on CI-runner milliseconds, but counters still can.
-Improvements beyond the same thresholds are reported (never fatal) so
+When the two runs' environment fingerprints differ, a tolerant
+regression is *downgraded to a warning* — a laptop cannot meaningfully
+gate on CI-runner milliseconds, but counters still can. Improvements
+beyond the same thresholds are reported (never fatal) so
 ``update-baseline`` runs have evidence attached.
 """
 
@@ -35,6 +40,7 @@ __all__ = [
     "classify",
     "compare_reports",
     "environment_fingerprint",
+    "judge",
     "render_markdown",
 ]
 
@@ -44,8 +50,8 @@ def environment_fingerprint() -> dict[str, str]:
 
     Compared (as a whole) against the baseline's fingerprint when
     diffing: search counters transfer across environments, wall time
-    and peak memory do not — :func:`compare_reports` downgrades
-    timing/memory findings to warnings on a fingerprint mismatch. The
+    and peak memory do not — :func:`judge` downgrades timing/memory
+    regressions to warnings on a fingerprint mismatch. The
     run ledger stamps it on every entry, so it lives here, with no
     import of the benchmark runner.
     """
@@ -69,20 +75,18 @@ class Tolerance:
 
 @dataclass(frozen=True, slots=True)
 class Finding:
-    """One comparison outcome for one metric of one cell."""
+    """One judged difference in one metric between two runs.
+
+    ``severity`` is ``"regression"``, ``"warning"`` (a tolerant
+    regression across differing environments) or ``"improvement"``.
+    """
 
     cell: str
     metric: str
     baseline: Any
     fresh: Any
     detail: str
-
-    def render(self) -> str:
-        """One-line human-readable form."""
-        return (
-            f"{self.cell} · {self.metric}: "
-            f"{self.baseline} -> {self.fresh} ({self.detail})"
-        )
+    severity: str = "regression"
 
 
 @dataclass(slots=True)
@@ -109,22 +113,108 @@ def _rel_change(baseline: float, fresh: float) -> float:
 
 
 def classify(
-    baseline: float, fresh: float, rtol: float, abs_floor: float
+    baseline: float,
+    fresh: float,
+    rtol: float,
+    abs_floor: float,
+    *,
+    env_match: bool = True,
 ) -> str:
-    """``"regression"``, ``"improvement"`` or ``"ok"`` for a tolerant metric.
+    """``"regression"``, ``"warning"``, ``"improvement"`` or ``"ok"``.
 
     A change counts only beyond *both* tolerances: the absolute floor
-    and the relative factor (infinite growth from a zero baseline). The
-    one rule for :func:`compare_reports` and the run ledger's
-    ``history``/``diff`` verdicts.
+    and the relative factor (infinite growth from a zero baseline). A
+    regression measured across differing environments is a
+    ``"warning"``. The rule :func:`judge` applies to wall time and peak
+    memory, and ``ptpminer diff`` to its display-only phase rows.
     """
     delta = fresh - baseline
     rel = _rel_change(baseline, fresh)
     if delta > abs_floor and rel > rtol:
-        return "regression"
+        return "regression" if env_match else "warning"
     if -delta > abs_floor and -rel > rtol:
         return "improvement"
     return "ok"
+
+
+def judge(
+    base: Mapping[str, Any],
+    fresh: Mapping[str, Any],
+    *,
+    env_match: bool,
+    tolerance: Optional[Tolerance] = None,
+) -> list[Finding]:
+    """Every finding between two runs of one configuration.
+
+    ``base`` and ``fresh`` are two cells of benchmark reports or two
+    run-ledger entries: both carry ``patterns``, ``counters`` and
+    ``wall_s``; report cells add ``peak_mib`` and their ``cell`` id,
+    ledger entries the ``patterns_digest`` and ``cost.digest``. Fields
+    absent from either run are not judged. ``env_match`` says whether
+    the two runs' environment fingerprints are equal. See the module
+    docstring for the rule.
+    """
+    tol = tolerance if tolerance is not None else Tolerance()
+    cell = str(fresh.get("cell", ""))
+    findings: list[Finding] = []
+
+    # --- exact classes: pattern count, counters, digests ----------------
+    if base.get("patterns") != fresh.get("patterns"):
+        findings.append(
+            Finding(cell, "patterns", base.get("patterns"),
+                    fresh.get("patterns"),
+                    "pattern count drifted (exact check)")
+        )
+    base_counters = dict(base.get("counters", {}))
+    fresh_counters = dict(fresh.get("counters", {}))
+    for name in sorted(set(base_counters) | set(fresh_counters)):
+        if base_counters.get(name) != fresh_counters.get(name):
+            findings.append(
+                Finding(cell, f"counters.{name}", base_counters.get(name),
+                        fresh_counters.get(name),
+                        "search counter drifted (exact check)")
+            )
+    for metric, base_digest, fresh_digest, detail in (
+        ("patterns_digest", base.get("patterns_digest"),
+         fresh.get("patterns_digest"),
+         "result set drifted (exact content check: patterns and "
+         "supports)"),
+        ("cost.digest", (base.get("cost") or {}).get("digest"),
+         (fresh.get("cost") or {}).get("digest"),
+         "search-space cost profile changed shape"),
+    ):
+        if base_digest and fresh_digest and base_digest != fresh_digest:
+            findings.append(
+                Finding(cell, metric, base_digest, fresh_digest, detail)
+            )
+
+    # --- tolerant classes: wall time + peak memory ----------------------
+    for metric, rtol, abs_floor, unit in (
+        ("wall_s", tol.time_rtol, tol.time_abs_s, "s"),
+        ("peak_mib", tol.mem_rtol, tol.mem_abs_mib, "MiB"),
+    ):
+        base_value = base.get(metric)
+        fresh_value = fresh.get(metric)
+        if base_value is None or fresh_value is None:
+            continue
+        verdict = classify(
+            float(base_value), float(fresh_value), rtol, abs_floor,
+            env_match=env_match,
+        )
+        if verdict == "ok":
+            continue
+        delta = float(fresh_value) - float(base_value)
+        rel = _rel_change(float(base_value), float(fresh_value))
+        detail = (
+            f"{delta:+.3f}{unit}, {rel:+.1%} vs rtol {rtol:.0%} / "
+            f"floor {abs_floor}{unit}"
+        )
+        if verdict == "warning":
+            detail += "; environments differ"
+        findings.append(
+            Finding(cell, metric, base_value, fresh_value, detail, verdict)
+        )
+    return findings
 
 
 def _index_cells(report: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
@@ -139,16 +229,13 @@ def compare_reports(
     fresh: Mapping[str, Any],
     *,
     tolerance: Optional[Tolerance] = None,
-    strict_env: bool = False,
 ) -> ComparisonResult:
-    """Compare ``fresh`` against ``baseline``; classify every difference.
+    """Compare ``fresh`` against ``baseline``, one :func:`judge` per cell.
 
     Cells are matched by ``cell`` id; a cell present on only one side is
     a hard failure (the workload matrix itself changed — re-run
-    ``update-baseline`` deliberately). See the module docstring for the
-    per-metric-class rules.
+    ``update-baseline`` deliberately).
     """
-    tol = tolerance if tolerance is not None else Tolerance()
     env_match = dict(baseline.get("environment", {})) == dict(
         fresh.get("environment", {})
     )
@@ -156,11 +243,11 @@ def compare_reports(
         matrix=str(fresh.get("matrix", baseline.get("matrix", "?"))),
         env_match=env_match,
     )
-    soft_sink = (
-        result.regressions
-        if (env_match or strict_env)
-        else result.warnings
-    )
+    buckets = {
+        "regression": result.regressions,
+        "warning": result.warnings,
+        "improvement": result.improvements,
+    }
 
     base_cells = _index_cells(baseline)
     fresh_cells = _index_cells(fresh)
@@ -176,50 +263,14 @@ def compare_reports(
         )
 
     for cell_id in sorted(set(base_cells) & set(fresh_cells)):
-        base, new = base_cells[cell_id], fresh_cells[cell_id]
         result.cells_compared += 1
-
-        # --- exact classes: counters + pattern count -------------------
-        if base.get("patterns") != new.get("patterns"):
-            result.regressions.append(
-                Finding(cell_id, "patterns", base.get("patterns"),
-                        new.get("patterns"),
-                        "deterministic output changed")
-            )
-        base_counters = dict(base.get("counters", {}))
-        new_counters = dict(new.get("counters", {}))
-        for name in sorted(set(base_counters) | set(new_counters)):
-            if base_counters.get(name) != new_counters.get(name):
-                result.regressions.append(
-                    Finding(cell_id, f"counters.{name}",
-                            base_counters.get(name),
-                            new_counters.get(name),
-                            "counters are exact-match (deterministic)")
-                )
-
-        # --- tolerant classes: wall time + peak memory -----------------
-        for metric, rtol, abs_floor, unit in (
-            ("wall_s", tol.time_rtol, tol.time_abs_s, "s"),
-            ("peak_mib", tol.mem_rtol, tol.mem_abs_mib, "MiB"),
+        for finding in judge(
+            base_cells[cell_id],
+            fresh_cells[cell_id],
+            env_match=env_match,
+            tolerance=tolerance,
         ):
-            base_value = base.get(metric)
-            new_value = new.get(metric)
-            if base_value is None or new_value is None:
-                continue
-            delta = float(new_value) - float(base_value)
-            rel = _rel_change(float(base_value), float(new_value))
-            detail = (
-                f"{'+' if delta >= 0 else ''}{delta:.3f}{unit}, "
-                f"{rel:+.1%} vs rtol {rtol:.0%} / floor {abs_floor}{unit}"
-            )
-            finding = Finding(cell_id, metric, base_value, new_value, detail)
-            verdict = classify(
-                float(base_value), float(new_value), rtol, abs_floor
-            )
-            if verdict == "regression":
-                soft_sink.append(finding)
-            elif verdict == "improvement":
-                result.improvements.append(finding)
+            buckets[finding.severity].append(finding)
     return result
 
 

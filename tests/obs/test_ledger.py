@@ -435,6 +435,78 @@ def test_ledger_verdicts_agree_with_perf_compare(base, fresh, rtol, abs_s):
     assert flagged == (["wall_s"] if expected == "regression" else [])
 
 
+def one_cell_report(made):
+    """A ledger entry's judged fields as a one-cell bench report."""
+    return {
+        "matrix": "m",
+        "environment": made["environment"],
+        "cells": [
+            {
+                "cell": "c",
+                "patterns": made["patterns"],
+                "counters": made["counters"],
+                "wall_s": made["wall_s"],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "base_kw, fresh_kw, regressed, in_perf_cell",
+    [
+        ({}, {"patterns": 11}, True, True),
+        (
+            {},
+            {"counters": {"nodes_expanded": 41, "states_created": 8}},
+            True,
+            True,
+        ),
+        (
+            {"patterns_digest": "a" * 16},
+            {"patterns_digest": "b" * 16},
+            True,
+            False,
+        ),
+        (
+            {"cost_snapshot": cost_snapshot(states=3)},
+            {"cost_snapshot": cost_snapshot(states=4)},
+            True,
+            False,
+        ),
+        ({"wall_s": 1.0}, {"wall_s": 1.2}, False, True),
+        ({"wall_s": 1.0}, {"wall_s": 11.0}, True, True),
+        (
+            {"wall_s": 1.0},
+            {"wall_s": 11.0, "environment": OTHER_ENV},
+            False,
+            True,
+        ),
+    ],
+    ids=[
+        "patterns",
+        "counter",
+        "patterns-digest",
+        "cost-digest",
+        "wall-inside-tolerance",
+        "wall-beyond-tolerance",
+        "wall-beyond-tolerance-other-env",
+    ],
+)
+def test_three_commands_judge_one_drifted_field_alike(
+    base_kw, fresh_kw, regressed, in_perf_cell
+):
+    # `diff`, `history --check` and `perf compare` give one verdict on
+    # a pair of runs that differ in exactly one judged field.
+    a = entry(run_id="a", **base_kw)
+    b = entry(run_id="b", **fresh_kw)
+    has_regressions = diff_entries(a, b)["has_regressions"]
+    assert has_regressions is regressed
+    assert bool(history_report([a, b])["regressions"]) is regressed
+    if in_perf_cell:
+        result = compare_reports(one_cell_report(a), one_cell_report(b))
+        assert (not result.ok) is regressed
+
+
 class TestPatternsDigestField:
     def test_build_entry_stores_digest_and_provenance_path(self):
         made = entry(

@@ -117,9 +117,7 @@ class TestBuildRunReport:
     def test_skewed_workload_triggers_exactly_one_straggler(self, tmp_path):
         live = tmp_path / "frames.jsonl"
         write_jsonl(live, live_rows(skewed=True))
-        report = build_run_report(
-            live_log_path=str(live), straggler_factor=0.5
-        )
+        report = build_run_report(live_log_path=str(live))
         assert report["stragglers"] == [2]
         markdown = render_markdown(report)
         callouts = [

@@ -175,9 +175,6 @@ class TestCompare:
         result = compare_reports(tiny_report, fresh)
         assert result.ok and not result.env_match
         assert [f.metric for f in result.warnings] == ["wall_s"]
-        # strict_env restores the hard failure.
-        strict = compare_reports(tiny_report, fresh, strict_env=True)
-        assert not strict.ok
 
     def test_env_mismatch_keeps_counters_fatal(self, tiny_report):
         fresh = copy.deepcopy(tiny_report)

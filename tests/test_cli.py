@@ -723,6 +723,21 @@ class TestDiffSubcommand:
         assert "+7" in out
         assert "**Regressions detected.**" in out
 
+    def test_diff_fails_on_patterns_digest_drift(self, two_runs, capsys):
+        from repro.obs.ledger import RunLedger
+
+        ledger_dir, a, b = two_runs
+        drifted = dict(b)
+        drifted["run_id"] = "drifted-run"
+        drifted["patterns_digest"] = "0" * 16
+        RunLedger(ledger_dir).append(drifted)
+        assert main(["diff", a["run_id"], "drifted-run",
+                     "--ledger-dir", str(ledger_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "Counters identical." in out
+        assert "result set drifted" in out
+        assert out.rstrip().endswith("**Regressions detected.**")
+
     def test_diff_json_output(self, two_runs, tmp_path, capsys):
         import json
 
@@ -1057,6 +1072,42 @@ class TestHistoryLimitAndDigest:
         captured = capsys.readouterr()
         assert "patterns_digest" in captured.out
         assert "result set drifted" in captured.out
+
+
+class TestRetiredToleranceFlags:
+    """One judge, one rule: no command tunes its tolerance."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["history", "--ledger-dir", "d", "--time-rtol", "0.5"],
+            ["history", "--ledger-dir", "d", "--time-abs", "0.5"],
+            ["diff", "a", "b", "--ledger-dir", "d", "--time-rtol", "0.5"],
+            ["diff", "a", "b", "--ledger-dir", "d", "--time-abs", "0.5"],
+            ["report", "--metrics", "m.json", "--straggler-factor", "0.5"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_argparse_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--time-rtol", "0.5"],
+            ["--time-abs", "0.5"],
+            ["--mem-rtol", "0.5"],
+            ["--mem-abs", "0.5"],
+            ["--strict-env"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_perf_compare_exits_two(self, flag, capsys):
+        assert main(["perf", "compare", "--fresh", "f.json", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRemovedShardOptions:

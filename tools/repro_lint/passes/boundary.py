@@ -21,8 +21,9 @@ construction and pool dispatch site in the engine module:
 * functions reachable from worker entries (within the engine module) do
   not write module-level state, except names matching the sanctioned
   per-process payload convention (``_WORKER*``). Cross-module writes via
-  setter seams (e.g. ``repro.obs.trace.set_tracer``) are outside strict
-  resolution and are sanctioned by design — workers silence obs first.
+  the collector seams (e.g. ``repro.obs.seam.LIVE_SINK.scope``) are
+  outside strict resolution and are sanctioned by design — workers
+  silence obs first.
 """
 
 from __future__ import annotations
