@@ -14,8 +14,8 @@ help:
 	@echo "  test-contracts tier-1 suite with runtime contracts forced on"
 	@echo "  check          repro-lint + lint + typecheck + test-contracts"
 	@echo "  bench          benchmark suite (pytest-benchmark)"
-	@echo "  perf           rewrite BENCH_PTPMINER.json from a fresh quick-matrix run"
-	@echo "  perf-check     compare a fresh quick-matrix run against BENCH_PTPMINER.json"
+	@echo "  perf           replace the BENCH_PTPMINER.jsonl ledger with a fresh quick-matrix run"
+	@echo "  perf-check     judge a fresh quick-matrix run against BENCH_PTPMINER.jsonl"
 	@echo "  profile        profile a sparse mine; writes profile.json + profile.folded"
 
 lint:

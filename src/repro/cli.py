@@ -23,7 +23,8 @@ Subcommands
     inputs the report is partial and says so in a Notes section
     instead of erroring.
 ``history``
-    Trend table over a run ledger (``mine --ledger-dir``), grouped by
+    Trend table over a run ledger (``mine --ledger-dir``, or the
+    committed perf baseline ``BENCH_PTPMINER.jsonl``), grouped by
     config fingerprint, with each consecutive pair of runs judged by
     ``perf compare``'s rule; ``--check`` exits 1 when the latest run of
     any config regressed (for CI); ``--limit N`` shows only the most
@@ -833,7 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
              "noise-aware regression flags",
     )
     history_p.add_argument("--ledger-dir", metavar="DIR", required=True,
-                           help="ledger directory (mine --ledger-dir)")
+                           help="ledger directory (mine --ledger-dir) or "
+                                ".jsonl ledger file (BENCH_PTPMINER.jsonl)")
     history_p.add_argument("--json", action="store_true",
                            help="emit the report as JSON instead of "
                                 "markdown")
@@ -861,9 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       "run to compare (same forms as "
                                       "run_a)")
     diff_p.add_argument("--ledger-dir", metavar="DIR", default=None,
-                        help="ledger directory (mine --ledger-dir); "
-                             "required unless --patterns compares two "
-                             "snapshot files directly")
+                        help="ledger directory (mine --ledger-dir) or "
+                             ".jsonl ledger file; required unless "
+                             "--patterns compares two snapshot files "
+                             "directly")
     diff_p.add_argument("--patterns", action="store_true",
                         help="pattern-level diff of two provenance "
                              "snapshots: added/removed patterns "

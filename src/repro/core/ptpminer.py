@@ -45,7 +45,7 @@ from repro.core.projection import (
     dedupe_states,
 )
 from repro.core.pruning import PruneCounters, PruningConfig
-from repro.model.database import ESequenceDatabase
+from repro.model.database import POINT_EVENTS_IN_TP, ESequenceDatabase
 from repro.model.pattern import PatternWithSupport, TemporalPattern
 from repro.model.sequence import ESequence
 from repro.obs import clock as obs_clock
@@ -331,16 +331,21 @@ class PTPMiner:
 
         Point pruning only decides which labels stay; the encoder skips
         every other event as it encodes, so no pruned copy of ``db`` is
-        built. Returns the kept labels (``None`` when point pruning did
+        built. Its pass over the events also rejects a point event in a
+        ``"tp"`` mine; without it, :meth:`ESequenceDatabase.require_mode`
+        does. Returns the kept labels (``None`` when point pruning did
         not run) with the encoding and pair tables. ``point_prune=False``
         is for :meth:`search_shard`, whose database :meth:`plan_root`
         already pruned, and whose pruning the parent already accounted.
         """
-        db.require_mode(self.mode)
         keep: Optional[KeptLabels] = None
         if point_prune and self.pruning.point:
             with obs_trace.span("prune", technique="point"):
-                keep = self._point_prune(db, weights, threshold, counters)
+                keep = self._point_prune(
+                    db, weights, threshold, counters, tp=self.mode == "tp"
+                )
+        else:
+            db.require_mode(self.mode)
         with obs_trace.span("encode"):
             encoded = EncodedDatabase(db, keep)
         if self.pruning.pair:
@@ -619,6 +624,8 @@ class PTPMiner:
         weights: Sequence[float],
         threshold: float,
         counters: PruneCounters,
+        *,
+        tp: bool = False,
     ) -> KeptLabels:
         """The (label, flavour)s that can be frequent: the events to keep.
 
@@ -626,6 +633,9 @@ class PTPMiner:
         because patterns reference them through different endpoint kinds.
         Returns the interval labels and the point labels to keep; the
         encoder drops every other event (:class:`EncodedDatabase`).
+        With ``tp``, a point event raises
+        :meth:`ESequenceDatabase.require_mode`'s error instead, so a TP
+        mine walks the events once before it encodes.
         """
         interval_df: dict[str, float] = {}
         point_df: dict[str, float] = {}
@@ -636,6 +646,8 @@ class PTPMiner:
                 interval_df[label] = interval_df.get(label, 0.0) + weight
             for label in {ev.label for ev in events if ev.start == ev.finish}:
                 point_df[label] = point_df.get(label, 0.0) + weight
+        if tp and point_df:
+            raise ValueError(POINT_EVENTS_IN_TP)
         keep_interval = {
             label for label, w in interval_df.items() if w + _EPS >= threshold
         }

@@ -35,8 +35,10 @@ Executors
     The parent's encoding and pair tables reach each worker once,
     through the pool initializer: ``fork`` passes them without
     pickling, ``spawn`` and ``forkserver`` pickle them once per worker.
-    Tasks themselves stay small. This module is the **only** place in
-    the repository allowed to construct a process pool (lint rule R008).
+    Tasks themselves stay small. Each worker moves onto its own CPU of
+    the parent's allowed set before its shard, where the host offers
+    more than one. This module is the **only** place in the repository
+    allowed to construct a process pool (lint rule R008).
 
 Observability merge semantics
 -----------------------------
@@ -69,9 +71,9 @@ heartbeats stream to the parent **during** the run over the
 reports every finished root candidate to it, the sink publishes
 throttled frames, and the parent feeds them to
 :func:`repro.obs.live.aggregate` from its result-collection loop (a
-``multiprocessing`` manager queue for the process executor, a direct
-callback for the serial one). The bus is never constructed unless a
-collector is installed.
+queue from the process pool's own ``multiprocessing`` context for the
+process executor, a direct callback for the serial one). The bus is
+never constructed unless a collector is installed.
 
 Shard failures
 --------------
@@ -84,10 +86,12 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import os
 import queue as _queue
+import threading
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import AbstractContextManager, ExitStack, nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -331,6 +335,34 @@ def _run_serial(
         _WORKER_PAYLOAD.clear()
 
 
+def _worker_cpus() -> tuple[int, ...]:
+    """The CPUs pool workers are spread over, one shard each in turn.
+
+    The parent's allowed set, or none where the platform cannot set a
+    process's affinity or only one CPU is allowed.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return ()
+    allowed = tuple(sorted(os.sched_getaffinity(0)))
+    return allowed if len(allowed) > 1 else ()
+
+
+def _run_placed_shard(task: ShardTask, cpu: Optional[int]) -> ShardResult:
+    """:func:`_run_shard` in a pool worker, moved onto ``cpu`` first.
+
+    Where the host does not balance load across CPUs, a forked worker
+    starts on the parent's CPU and often stays there, so two shards can
+    share one CPU while another idles. Pinning the worker to ``cpu``
+    moves it there; its allowed set goes back at once, so the scheduler
+    stays free to move it again.
+    """
+    if cpu is not None:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    return _run_shard(task)
+
+
 def _run_process(
     tasks: list[ShardTask],
     encoded: EncodedDatabase,
@@ -343,47 +375,58 @@ def _run_process(
 ) -> list[ShardResult]:
     """Run shards on a process pool, handing each worker the encoding once.
 
-    Every task is submitted up front. In live mode the parent drains
-    heartbeat frames off a manager queue *while* the shards run — the
-    telemetry bus needs no extra thread, just this loop's blocking
-    ``get(timeout=...)``.
+    Every task is submitted up front, shard ``i`` on the ``i``-th of
+    :func:`_worker_cpus` (in turn). In live mode the parent drains
+    heartbeat frames off a queue from the pool's own context *while*
+    the shards run, with a blocking ``get(timeout=...)``, and until the
+    pool has shut down: a worker's ``put`` hands each frame to a feeder
+    thread, and the worker exits only once that thread has written them
+    all, so the parent reads on while a helper thread joins the workers
+    and then takes what is left, a shard's final frame included.
     """
-    with ExitStack() as stack:
-        frames: Any = None
-        if on_frame is not None:
-            # Manager-queue proxies survive the executor's pickling
-            # initargs; plain mp.Queue does not.
-            frames = stack.enter_context(multiprocessing.Manager()).Queue()
-        # The one sanctioned process-pool construction site (lint rule R008).
-        pool = stack.enter_context(
-            ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks)),
-                initializer=_init_payload_inline,
-                initargs=(
-                    encoded,
-                    pairs,
-                    weights,
-                    kinds,
-                    None if frames is None else frames.put,
-                    live_interval,
-                ),
+    context = multiprocessing.get_context()
+    frames: Any = None if on_frame is None else context.Queue()
+    cpus = _worker_cpus()
+    # The one sanctioned process-pool construction site (lint rule R008).
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        mp_context=context,
+        initializer=_init_payload_inline,
+        initargs=(
+            encoded,
+            pairs,
+            weights,
+            kinds,
+            None if frames is None else frames.put,
+            live_interval,
+        ),
+    ) as pool:
+        futures = {
+            task.shard: pool.submit(
+                _run_placed_shard,
+                task,
+                cpus[task.shard % len(cpus)] if cpus else None,
             )
-        )
-        futures = {task.shard: pool.submit(_run_shard, task) for task in tasks}
-        # In live mode, drain until every shard is done and the queue is
-        # empty: a finished shard has queued all its frames.
-        poll_s = max(0.05, live_interval / 2)
-        while on_frame is not None:
-            finished = all(future.done() for future in futures.values())
-            try:
-                payload = frames.get_nowait() if finished else frames.get(
-                    timeout=poll_s
-                )
-            except _queue.Empty:
-                if finished:
+            for task in tasks
+        }
+        if on_frame is not None:
+            closing = threading.Thread(target=pool.shutdown)
+            closing.start()
+            poll_s = max(0.05, live_interval / 2)
+            while True:
+                shutting_down = closing.is_alive()
+                try:
+                    payload = (
+                        frames.get(timeout=poll_s)
+                        if shutting_down
+                        else frames.get_nowait()
+                    )
+                except _queue.Empty:
+                    if shutting_down:
+                        continue
                     break
-                continue
-            on_frame(payload)
+                on_frame(payload)
+            frames.close()
         return _collect(
             tasks, lambda task: futures[task.shard].result(), encoded.labels
         )
@@ -537,7 +580,7 @@ def _init_payload_inline(
     that scope also shadows any collector a forked child inherited.
     ``live_publish`` (live mode only) feeds the shard's frames to the
     parent aggregator: inline on the serial path, which has no queue; a
-    manager-queue ``put`` in a pool worker.
+    ``put`` on a queue from the pool's context in a pool worker.
     """
     _WORKER_PAYLOAD["encoded"] = encoded
     _WORKER_PAYLOAD["pairs"] = pairs

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from repro.model.event import IntervalEvent
 from repro.model.sequence import ESequence
 
-__all__ = ["ESequenceDatabase", "DatabaseStats"]
+__all__ = ["ESequenceDatabase", "DatabaseStats", "POINT_EVENTS_IN_TP"]
+
+#: The error a ``"tp"`` mine of a database holding point events raises.
+POINT_EVENTS_IN_TP = (
+    'database contains point events; mine with mode="htp" or strip them '
+    "with db.without_point_events()"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,17 +140,15 @@ class ESequenceDatabase:
         ``"tp"`` mining rejects databases containing point events (strip
         them with :meth:`without_point_events` or mine with
         ``mode="htp"``). This is the single home of the check every
-        miner used to duplicate at the top of its ``mine()``.
+        miner used to duplicate at the top of its ``mine()``; P-TPMiner's
+        point pruning, when it runs, makes it in its own pass over the
+        events instead, raising :data:`POINT_EVENTS_IN_TP` too.
         """
         if mode != "tp":
             return
         for seq in self._sequences:
             if seq.has_point_events:
-                raise ValueError(
-                    "database contains point events; mine with "
-                    'mode="htp" or strip them with '
-                    "db.without_point_events()"
-                )
+                raise ValueError(POINT_EVENTS_IN_TP)
 
     # ------------------------------------------------------------------
     # statistics

@@ -2,8 +2,9 @@
 
 Every other observability surface in this repo sees *one run at a time*.
 The ledger is the longitudinal memory: an append-only, schema-versioned
-JSONL file (``ledger.jsonl`` under a caller-chosen directory) with one
-entry per mining or bench run, recording
+JSONL file (``ledger.jsonl`` under a caller-chosen directory, or any
+``.jsonl`` file named directly) with one entry per mining run or
+benchmark cell, recording
 
 * a **config fingerprint** — a short hash over (dataset digest, miner,
   min_sup, mode, workers, …) that makes runs of the same configuration
@@ -11,18 +12,20 @@ entry per mining or bench run, recording
 * an **environment fingerprint** (``repro.perf``'s), so timing drift on
   a different machine is never mistaken for a code regression;
 * **phase timings** (from ``phase_seconds[phase=...]`` counters),
-  **search counters**, pattern count, and wall time;
+  **search counters**, pattern count, wall time, and — for a
+  benchmark cell — peak MiB;
 * a **cost-profile digest** plus the top-N heaviest roots (from
   :mod:`repro.obs.costmodel`), so "the search changed shape" is
   detectable without storing full profiles.
 
-Two consumers sit on top, and both judge a pair of runs by
-:func:`repro.perf.compare.judge`, the rule ``perf compare`` applies to
-its cells: the pattern count, counters and both digests **exactly**
-(the miners are deterministic), wall time only beyond
-:class:`repro.perf.compare.Tolerance` (and downgraded to a warning when
-the environment fingerprints differ).
+Three consumers sit on top, and all judge a pair of runs by
+:func:`repro.perf.compare.judge`: the pattern count, counters and both
+digests **exactly** (the miners are deterministic), wall time and peak
+memory only beyond :class:`repro.perf.compare.Tolerance` (and
+downgraded to a warning when the environment fingerprints differ).
 
+* ``perf compare`` — each benchmark cell of a fresh run against its
+  entry in the committed baseline ledger (``BENCH_PTPMINER.jsonl``).
 * :func:`history_report` — a per-fingerprint trend table with those
   flags on each consecutive pair of runs.
 * :func:`diff_entries` — a two-run diff: exact counter deltas,
@@ -30,8 +33,10 @@ the environment fingerprints differ).
 
 The file is written **only** through :class:`RunLedger.append` — lint
 rule R018 enforces that no other module opens a ledger path for
-writing — and is never rewritten: corrupt trailing lines (a crashed
-writer) are tolerated on read, like every other JSONL surface here.
+writing — and is never rewritten (``perf update-baseline`` replaces the
+baseline with a new ledger it appended in full): corrupt trailing lines
+(a crashed writer) are tolerated on read, like every other JSONL
+surface here.
 Wall-clock timestamps use :mod:`datetime` rather than ``time`` (R006);
 they are provenance, not measurements, so the injectable clock is not
 involved.
@@ -53,6 +58,7 @@ from repro.perf.compare import (
     classify,
     environment_fingerprint,
     judge,
+    same_environment,
 )
 
 __all__ = [
@@ -190,6 +196,7 @@ def build_entry(
     wall_s: float,
     patterns: int,
     counters: Mapping[str, int],
+    peak_mib: Optional[float] = None,
     phases: Optional[Mapping[str, float]] = None,
     cost_snapshot: Optional[Mapping[str, Any]] = None,
     patterns_digest: Optional[str] = None,
@@ -203,6 +210,8 @@ def build_entry(
     ``run_id``/``timestamp`` are injectable for tests; by default the
     timestamp is the current UTC time and the run id is derived from it
     plus a content hash, so ids are unique even within one second.
+    ``peak_mib`` (a benchmark cell's peak heap, from a separate
+    tracemalloc run) is stored only when given.
     """
     config: dict[str, Any] = {
         "dataset_digest": dataset_digest,
@@ -240,6 +249,8 @@ def build_entry(
             for name, secs in sorted(dict(phases or {}).items())
         },
     }
+    if peak_mib is not None:
+        entry["peak_mib"] = float(peak_mib)
     if cost_snapshot is not None:
         entry["cost"] = {
             "digest": costmodel.profile_digest(cost_snapshot),
@@ -269,7 +280,8 @@ def build_entry(
 
 
 class RunLedger:
-    """Append-only JSONL ledger in one directory.
+    """Append-only JSONL ledger: ``ledger.jsonl`` in a directory, or a
+    ``.jsonl`` file named directly (the committed perf baseline).
 
     All writes go through :meth:`append` — one ``json.dumps`` line per
     run, flushed per append, never rewritten. Everything else is read
@@ -283,6 +295,8 @@ class RunLedger:
     @property
     def path(self) -> Path:
         """The ledger file this instance reads and appends to."""
+        if self.directory.suffix == ".jsonl":
+            return self.directory
         return self.directory / LEDGER_FILENAME
 
     def append(self, entry: Mapping[str, Any]) -> dict[str, Any]:
@@ -297,7 +311,7 @@ class RunLedger:
             raise ValueError(f"entry kind {stored.get('kind')!r}")
         if not stored.get("run_id") or not stored.get("fingerprint"):
             raise ValueError("entry missing run_id or fingerprint")
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(stored, sort_keys=True, separators=(",", ":"))
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
@@ -357,10 +371,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # history: per-fingerprint trends with noise-aware flags
 # ----------------------------------------------------------------------
-def _same_environment(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
-    return dict(a.get("environment", {})) == dict(b.get("environment", {}))
-
-
 def history_report(
     entries: list[dict[str, Any]],
     *,
@@ -402,7 +412,7 @@ def history_report(
                     for finding in judge(
                         prev,
                         entry,
-                        env_match=_same_environment(prev, entry),
+                        env_match=same_environment(prev, entry),
                         tolerance=tolerance,
                     )
                     if finding.severity != "improvement"
@@ -516,7 +526,7 @@ def diff_entries(
     show rank and cost shifts.
     """
     tol = tolerance if tolerance is not None else Tolerance()
-    env_match = _same_environment(entry_a, entry_b)
+    env_match = same_environment(entry_a, entry_b)
     findings = {
         finding.metric: finding
         for finding in judge(
@@ -583,6 +593,7 @@ def diff_entries(
     patterns_a = int(entry_a.get("patterns", 0))
     patterns_b = int(entry_b.get("patterns", 0))
     wall = findings.get("wall_s")
+    peak = findings.get("peak_mib")
     return {
         "schema": LEDGER_SCHEMA_VERSION,
         "kind": "repro-diff",
@@ -604,6 +615,12 @@ def diff_entries(
             "b": wall_b,
             "delta": wall_b - wall_a,
             "verdict": "ok" if wall is None else wall.severity,
+        },
+        # Benchmark cells carry a peak; judge compares it when both do.
+        "peak_mib": {
+            "a": entry_a.get("peak_mib"),
+            "b": entry_b.get("peak_mib"),
+            "verdict": "ok" if peak is None else peak.severity,
         },
         "counters": counter_diffs,
         "phases": phase_rows,
@@ -628,7 +645,8 @@ def render_diff_markdown(diff: Mapping[str, Any]) -> str:
     if not diff.get("same_fingerprint", True):
         lines.append(
             "> Config fingerprints differ — these runs mined different "
-            "configurations; exact comparisons below are informational."
+            "configurations (a different worker count alone does); the "
+            "exact rows below still gate the verdict."
         )
         lines.append("")
     if not diff.get("env_match", True):
@@ -652,6 +670,12 @@ def render_diff_markdown(diff: Mapping[str, Any]) -> str:
         f"- wall_s: {wall.get('a', 0.0):.3f} -> {wall.get('b', 0.0):.3f} "
         f"({wall.get('verdict')})"
     )
+    peak = diff.get("peak_mib") or {}
+    if peak.get("a") is not None and peak.get("b") is not None:
+        lines.append(
+            f"- peak_mib: {peak['a']:.3f} -> {peak['b']:.3f} "
+            f"({peak.get('verdict')})"
+        )
     counters = list(diff.get("counters", []))
     if counters:
         lines += ["", "## Counter drift (exact)", ""]

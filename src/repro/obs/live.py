@@ -16,8 +16,8 @@ the run:
   :class:`LiveFrame` payloads (shard id, roots done / total, patterns
   found, cumulative prune-counter totals, rss) onto whatever
   ``publish`` callable it was built with — a direct function for the
-  serial executor, a ``multiprocessing`` manager queue's ``put`` for
-  the process executor.
+  serial executor, the ``put`` of a queue from the process pool's own
+  ``multiprocessing`` context for the process executor.
 * :class:`LiveAggregator` lives parent-side and is drained from the
   engine's result-collection loop (no extra thread) through
   :func:`aggregate`. It merges frames into per-shard *lanes*, enforces

@@ -1,19 +1,24 @@
 """Command-line entry points for the performance baseline tooling.
 
-Reachable as ``python -m repro.perf <cmd>`` or ``ptpminer perf <cmd>``:
+Reachable as ``python -m repro.perf <cmd>`` or ``ptpminer perf <cmd>``.
+Every measured cell is a run-ledger entry, and every baseline or fresh
+run is read back through :class:`repro.obs.ledger.RunLedger`:
 
 ``run``
-    Execute a matrix and write the report to ``--out`` (default: print
-    to stdout). Never compares anything.
+    Measure a matrix and print its entries as JSON lines. Never
+    compares anything.
 ``compare``
-    Execute a matrix (or take a prebuilt report via ``--fresh``) and
-    diff it against ``--baseline``. Exits 1 on regression, 0 otherwise;
-    always prints the markdown regression report.
+    Measure a matrix (or read a prebuilt run's ledger via ``--fresh``)
+    and judge it against ``--baseline``. Exits 1 on regression, 0
+    otherwise; always prints the markdown regression report.
 ``update-baseline``
-    Execute a matrix and overwrite the committed baseline file —
+    Measure a matrix and replace the committed baseline ledger with it —
     printing the comparison against the old baseline (when one exists)
     as the evidence to paste into the commit message. See DESIGN.md for
     when updating is legitimate.
+
+``--ledger-dir`` appends every cell a command measures to a run ledger
+(see ``ptpminer history``).
 """
 
 from __future__ import annotations
@@ -25,13 +30,12 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.obs.ledger import RunLedger
 from repro.perf.baseline import (
     BASELINE_FILENAME,
-    append_report_to_ledger,
-    load_report,
     run_matrix,
     stderr_progress,
-    write_report,
+    write_baseline,
 )
 from repro.perf.compare import compare_reports, render_markdown
 
@@ -60,72 +64,72 @@ def build_parser(prog: str = "repro.perf") -> argparse.ArgumentParser:
         p.add_argument(
             "--ledger-dir",
             default=None,
-            help="also append every fresh cell to the run ledger here "
+            help="also append every measured cell to the run ledger here "
             "(see 'ptpminer history')",
         )
 
-    run_p = sub.add_parser("run", help="run a matrix, emit the report")
+    run_p = sub.add_parser("run", help="measure a matrix, print its entries")
     add_matrix(run_p)
-    run_p.add_argument(
-        "--out",
-        default=None,
-        help="write report JSON here (default: stdout)",
-    )
 
     cmp_p = sub.add_parser(
-        "compare", help="diff a fresh run against a baseline"
+        "compare", help="judge a fresh run against a baseline"
     )
     add_matrix(cmp_p)
     cmp_p.add_argument(
         "--baseline",
         default=BASELINE_FILENAME,
-        help=f"baseline report to diff against (default: {BASELINE_FILENAME})",
+        help=f"baseline ledger to judge against (default: {BASELINE_FILENAME})",
     )
     cmp_p.add_argument(
         "--fresh",
         default=None,
-        help="prebuilt fresh report (skips running the matrix)",
+        help="ledger of a prebuilt fresh run, e.g. a 'perf run "
+        "--ledger-dir' directory (skips running the matrix)",
     )
     cmp_p.add_argument(
         "--report-out",
         default=None,
         help="also write the markdown regression report here",
     )
-    cmp_p.add_argument(
-        "--fresh-out",
-        default=None,
-        help="also write the fresh report JSON here (CI artifact)",
-    )
 
     upd_p = sub.add_parser(
-        "update-baseline", help="re-run the matrix and rewrite the baseline"
+        "update-baseline", help="re-run the matrix and replace the baseline"
     )
     add_matrix(upd_p)
     upd_p.add_argument(
         "--baseline",
         default=BASELINE_FILENAME,
-        help=f"baseline file to rewrite (default: {BASELINE_FILENAME})",
+        help=f"baseline ledger to replace (default: {BASELINE_FILENAME})",
     )
     return parser
 
 
-def _run_fresh(args: argparse.Namespace) -> dict[str, Any]:
+def _read_ledger(path: str) -> list[dict[str, Any]]:
+    """The entries of the ledger at ``path``; ``ValueError`` when it is
+    neither a ``.jsonl`` file nor a directory holding one."""
+    ledger = RunLedger(path)
+    if not ledger.path.is_file():
+        raise ValueError(
+            f"no run ledger at {path} (a ledger directory or .jsonl "
+            "file; make a baseline with 'python -m repro.perf "
+            "update-baseline')"
+        )
+    return ledger.entries()
+
+
+def _measure(args: argparse.Namespace) -> list[dict[str, Any]]:
+    """Run the matrix, appending its entries to ``--ledger-dir`` if set."""
     progress = None if args.quiet else stderr_progress
-    return run_matrix(args.matrix, progress=progress)
-
-
-def _maybe_append_ledger(
-    args: argparse.Namespace, report: dict[str, Any]
-) -> None:
-    """Append the report's cells to ``--ledger-dir`` when requested."""
-    if getattr(args, "ledger_dir", None) is None:
-        return
-    entries = append_report_to_ledger(report, args.ledger_dir)
-    print(
-        f"ledger: appended {len(entries)} cell run(s) to "
-        f"{Path(args.ledger_dir)}",
-        file=sys.stderr,
-    )
+    entries = run_matrix(args.matrix, progress=progress)
+    if args.ledger_dir is not None:
+        ledger = RunLedger(args.ledger_dir)
+        for entry in entries:
+            ledger.append(entry)
+        print(
+            f"ledger: appended {len(entries)} cell run(s) to {ledger.path}",
+            file=sys.stderr,
+        )
+    return entries
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -138,25 +142,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "run":
-            report = _run_fresh(args)
-            _maybe_append_ledger(args, report)
-            text = json.dumps(report, indent=2, sort_keys=True)
-            if args.out is None:
-                print(text)
-            else:
-                write_report(report, args.out)
-                print(f"wrote {args.out}", file=sys.stderr)
+            for entry in _measure(args):
+                print(json.dumps(entry, sort_keys=True))
             return 0
 
         if args.command == "compare":
-            baseline = load_report(args.baseline)
+            baseline = _read_ledger(args.baseline)
             if args.fresh is not None:
-                fresh = load_report(args.fresh)
+                fresh = _read_ledger(args.fresh)
             else:
-                fresh = _run_fresh(args)
-            _maybe_append_ledger(args, fresh)
-            if args.fresh_out is not None:
-                write_report(fresh, args.fresh_out)
+                fresh = _measure(args)
             result = compare_reports(baseline, fresh)
             markdown = render_markdown(result)
             print(markdown, end="")
@@ -165,23 +160,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if result.ok else 1
 
         if args.command == "update-baseline":
-            old: Optional[dict[str, Any]] = None
+            old: Optional[list[dict[str, Any]]] = None
             try:
-                old = load_report(args.baseline)
+                old = _read_ledger(args.baseline)
             except ValueError:
                 pass
-            fresh = _run_fresh(args)
-            _maybe_append_ledger(args, fresh)
-            write_report(fresh, args.baseline)
-            print(f"wrote {args.baseline}", file=sys.stderr)
+            fresh = _measure(args)
+            print(f"wrote {write_baseline(fresh, args.baseline)}",
+                  file=sys.stderr)
             if old is not None:
-                result = compare_reports(old, fresh)
-                print(render_markdown(result), end="")
+                print(render_markdown(compare_reports(old, fresh)), end="")
             return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

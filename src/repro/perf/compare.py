@@ -1,11 +1,11 @@
-"""Judge a pair of runs: a fresh benchmark report against the baseline,
-or two run-ledger entries of one configuration.
+"""Judge a pair of run-ledger entries: a fresh benchmark cell against
+its baseline entry, or two runs of one configuration.
 
 :func:`judge` is the one rule, and every gate calls it (``perf
-compare`` through :func:`compare_reports`, ``ptpminer history --check``
-and ``ptpminer diff`` through :mod:`repro.obs.ledger`). Metric classes
-get different treatment, because they have different noise
-characteristics:
+compare`` once per cell through :func:`compare_reports`, ``ptpminer
+history --check`` and ``ptpminer diff`` through
+:mod:`repro.obs.ledger`). Metric classes get different treatment,
+because they have different noise characteristics:
 
 * **exact**: the pattern count, every search counter
   (``nodes_expanded``, ``pruned_*``, ``states_created``, …), and the
@@ -29,7 +29,7 @@ beyond the same thresholds are reported (never fatal) so
 from __future__ import annotations
 
 import platform
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -42,6 +42,7 @@ __all__ = [
     "environment_fingerprint",
     "judge",
     "render_markdown",
+    "same_environment",
 ]
 
 
@@ -61,6 +62,11 @@ def environment_fingerprint() -> dict[str, str]:
         "system": platform.system(),
         "machine": platform.machine(),
     }
+
+
+def same_environment(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
+    """Whether two runs carry equal environment fingerprints."""
+    return dict(a.get("environment", {})) == dict(b.get("environment", {}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +97,11 @@ class Finding:
 
 @dataclass(slots=True)
 class ComparisonResult:
-    """Everything a comparison found, bucketed by severity."""
+    """Everything a comparison found, bucketed by severity.
+
+    ``env_match`` holds when every compared cell pair shares one
+    environment fingerprint.
+    """
 
     matrix: str
     env_match: bool
@@ -146,16 +156,16 @@ def judge(
 ) -> list[Finding]:
     """Every finding between two runs of one configuration.
 
-    ``base`` and ``fresh`` are two cells of benchmark reports or two
-    run-ledger entries: both carry ``patterns``, ``counters`` and
-    ``wall_s``; report cells add ``peak_mib`` and their ``cell`` id,
-    ledger entries the ``patterns_digest`` and ``cost.digest``. Fields
-    absent from either run are not judged. ``env_match`` says whether
-    the two runs' environment fingerprints are equal. See the module
-    docstring for the rule.
+    ``base`` and ``fresh`` are run-ledger entries. Fields absent from
+    either run are not judged: a benchmark cell carries ``peak_mib``, a
+    ``mine --ledger-dir`` run its ``patterns_digest`` and, with a cost
+    profile, its ``cost.digest``. Findings name the cell id in
+    ``config.cell`` (empty for a run that is no cell). ``env_match``
+    says whether the two runs' environment fingerprints are equal. See
+    the module docstring for the rule.
     """
     tol = tolerance if tolerance is not None else Tolerance()
-    cell = str(fresh.get("cell", ""))
+    cell = str((fresh.get("config") or {}).get("cell", ""))
     findings: list[Finding] = []
 
     # --- exact classes: pattern count, counters, digests ----------------
@@ -217,31 +227,40 @@ def judge(
     return findings
 
 
-def _index_cells(report: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
-    return {
-        str(row.get("cell")): dict(row)
-        for row in report.get("cells", ())
-    }
+def _index_cells(
+    entries: Iterable[Mapping[str, Any]],
+) -> dict[str, Mapping[str, Any]]:
+    """Each cell's latest entry, by ``config.cell`` id; entries of runs
+    that are no cell are left out."""
+    cells: dict[str, Mapping[str, Any]] = {}
+    for entry in entries:
+        cell = (entry.get("config") or {}).get("cell")
+        if cell is not None:
+            cells[str(cell)] = entry
+    return cells
 
 
 def compare_reports(
-    baseline: Mapping[str, Any],
-    fresh: Mapping[str, Any],
+    baseline: Iterable[Mapping[str, Any]],
+    fresh: Iterable[Mapping[str, Any]],
     *,
     tolerance: Optional[Tolerance] = None,
 ) -> ComparisonResult:
     """Compare ``fresh`` against ``baseline``, one :func:`judge` per cell.
 
-    Cells are matched by ``cell`` id; a cell present on only one side is
-    a hard failure (the workload matrix itself changed — re-run
-    ``update-baseline`` deliberately).
+    Both are run-ledger entries, matched by ``config.cell`` id (a
+    cell's latest entry on each side counts); a cell present on only
+    one side is a hard failure (the workload matrix itself changed —
+    re-run ``update-baseline`` deliberately).
     """
-    env_match = dict(baseline.get("environment", {})) == dict(
-        fresh.get("environment", {})
-    )
+    base_cells = _index_cells(baseline)
+    fresh_cells = _index_cells(fresh)
+    matrices = {
+        str((entry.get("config") or {}).get("matrix", "?"))
+        for entry in (*base_cells.values(), *fresh_cells.values())
+    }
     result = ComparisonResult(
-        matrix=str(fresh.get("matrix", baseline.get("matrix", "?"))),
-        env_match=env_match,
+        matrix=", ".join(sorted(matrices)) or "?", env_match=True
     )
     buckets = {
         "regression": result.regressions,
@@ -249,8 +268,6 @@ def compare_reports(
         "improvement": result.improvements,
     }
 
-    base_cells = _index_cells(baseline)
-    fresh_cells = _index_cells(fresh)
     for cell_id in sorted(set(base_cells) - set(fresh_cells)):
         result.regressions.append(
             Finding(cell_id, "presence", "present", "missing",
@@ -264,11 +281,11 @@ def compare_reports(
 
     for cell_id in sorted(set(base_cells) & set(fresh_cells)):
         result.cells_compared += 1
+        base, new = base_cells[cell_id], fresh_cells[cell_id]
+        env_match = same_environment(base, new)
+        result.env_match = result.env_match and env_match
         for finding in judge(
-            base_cells[cell_id],
-            fresh_cells[cell_id],
-            env_match=env_match,
-            tolerance=tolerance,
+            base, new, env_match=env_match, tolerance=tolerance
         ):
             buckets[finding.severity].append(finding)
     return result

@@ -10,7 +10,7 @@ only its wall time and peak memory vary with hardware.
 Matrices:
 
 ``quick``
-    The CI gate and the committed ``BENCH_PTPMINER.json``: sparse and
+    The CI gate and the committed ``BENCH_PTPMINER.jsonl``: sparse and
     dense synthetic workloads at 2–3 supports, P-TPMiner plus all four
     baselines. The sparse cells reuse the 120-sequence workload of the
     CI metrics-snapshot job (``benchmarks/ci_metrics_snapshot.py``), so

@@ -550,7 +550,8 @@ def test_top_k_matches_golden(config_id: str, k: int) -> None:
 
 
 def test_top_k_checks_the_mode_once(monkeypatch):
-    """``mine_top_k`` leaves the mode check to the shared pipeline."""
+    """``mine_top_k`` leaves the mode check to the shared pipeline:
+    point pruning's pass makes it, or else one ``require_mode`` call."""
     calls: list[str] = []
     original = ESequenceDatabase.require_mode
 
@@ -561,6 +562,8 @@ def test_top_k_checks_the_mode_once(monkeypatch):
     monkeypatch.setattr(ESequenceDatabase, "require_mode", counting)
     db = ESequenceDatabase.from_event_lists([[(0, 2, "A"), (1, 3, "B")]])
     PTPMiner().mine_top_k(db, 1)
+    assert calls == []
+    PTPMiner(pruning=PruningConfig(point=False)).mine_top_k(db, 1)
     assert calls == ["tp"]
 
 

@@ -84,6 +84,25 @@ class TestModes:
         with pytest.raises(ValueError, match="point events"):
             PTPMiner(min_sup=1, mode="tp").mine(hybrid_db)
 
+    @pytest.mark.parametrize("point", [True, False], ids=["on", "off"])
+    def test_point_event_fails_tp_before_encoding(
+        self, hybrid_db, monkeypatch, point
+    ):
+        # Point pruning's pass makes the mode check when it runs, and
+        # require_mode when it does not: one message, nothing encoded.
+        from repro.core import ptpminer as ptpminer_module
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encoded before the mode check")
+
+        monkeypatch.setattr(ptpminer_module, "EncodedDatabase", no_encoding)
+        with pytest.raises(ValueError) as expected:
+            hybrid_db.require_mode("tp")
+        miner = PTPMiner(min_sup=1, pruning=PruningConfig(point=point))
+        with pytest.raises(ValueError) as raised:
+            miner.mine(hybrid_db)
+        assert str(raised.value) == str(expected.value)
+
     def test_htp_mode_finds_hybrid_patterns(self, hybrid_db):
         result = PTPMiner(min_sup=2, mode="htp").mine(hybrid_db)
         supports = result.as_dict()

@@ -40,6 +40,7 @@ def entry(
     counters=None,
     environment=ENV,
     min_sup=0.3,
+    workers=1,
     cost_snapshot=None,
     phases=None,
     **kwargs,
@@ -49,7 +50,7 @@ def entry(
         miner="ptpminer",
         min_sup=min_sup,
         mode="tp",
-        workers=1,
+        workers=workers,
         environment=environment,
         wall_s=wall_s,
         patterns=patterns,
@@ -160,6 +161,10 @@ class TestBuildEntry:
         assert a["run_id"] != b["run_id"]
         assert ":" not in a["run_id"]
 
+    def test_peak_mib_is_stored_only_when_given(self):
+        assert "peak_mib" not in entry(run_id="r1")
+        assert entry(run_id="r1", peak_mib=1.25)["peak_mib"] == 1.25
+
 
 class TestRunLedger:
     def test_append_then_read_round_trips(self, tmp_path):
@@ -209,6 +214,16 @@ class TestRunLedger:
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert RunLedger(tmp_path / "nowhere").entries() == []
+
+    def test_a_jsonl_path_names_the_ledger_file_itself(self, tmp_path):
+        # The committed perf baseline is a ledger file, not a directory.
+        path = tmp_path / "nested" / "BENCH.jsonl"
+        ledger = RunLedger(path)
+        assert ledger.path == path
+        ledger.append(entry(run_id="r1"))
+        assert path.is_file()
+        assert [e["run_id"] for e in RunLedger(path).entries()] == ["r1"]
+        assert RunLedger(tmp_path / "dir").path.name == LEDGER_FILENAME
 
     def test_find_by_exact_id_prefix_and_errors(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -364,6 +379,19 @@ class TestDiffEntries:
         assert diff["wall_s"]["verdict"] == "warning"
         assert diff["has_regressions"] is False
 
+    def test_peak_memory_row_explains_a_memory_regression(self):
+        a = entry(run_id="a", peak_mib=1.0)
+        b = entry(run_id="b", peak_mib=9.0)
+        diff = diff_entries(a, b)
+        assert diff["peak_mib"] == {"a": 1.0, "b": 9.0, "verdict": "regression"}
+        assert diff["has_regressions"] is True
+        assert "- peak_mib: 1.000 -> 9.000 (regression)" in (
+            render_diff_markdown(diff)
+        )
+        assert "peak_mib" not in render_diff_markdown(
+            diff_entries(entry(run_id="a"), entry(run_id="b"))
+        )
+
     def test_phase_rows_get_verdicts(self):
         a = entry(run_id="a", phases={"mine": 1.0, "load": 0.1})
         b = entry(run_id="b", phases={"mine": 11.0, "load": 0.1})
@@ -393,6 +421,24 @@ class TestDiffEntries:
         assert "Environment fingerprints differ" in text
         assert "Heaviest-root shifts" in text
 
+    def test_cross_config_caveat_says_exact_rows_still_gate(self):
+        # Worker count is part of the fingerprint, so a sharded and a
+        # serial run of one input differ in it; a counter delta between
+        # them must still fail the diff.
+        a = entry(run_id="a")
+        b = entry(
+            run_id="b",
+            workers=2,
+            counters={"nodes_expanded": 42, "states_created": 7},
+        )
+        diff = diff_entries(a, b)
+        assert diff["same_fingerprint"] is False
+        assert diff["has_regressions"] is True
+        text = render_diff_markdown(diff)
+        assert "the exact rows below still gate the verdict" in text
+        assert "informational" not in text
+        assert "**Regressions detected.**" in text
+
     def test_markdown_clean_diff_says_no_regressions(self):
         a = entry(run_id="a")
         b = entry(run_id="b")
@@ -401,15 +447,18 @@ class TestDiffEntries:
         assert "**No regressions.**" in text
 
 
+def cell(made):
+    """``made`` as a benchmark cell's entry: its config names the cell."""
+    return {**made, "config": {**made["config"], "cell": "c"}}
+
+
 def compare_verdict(base, fresh, tolerance):
     """``perf compare``'s verdict on one cell whose wall time moved."""
-    def report(wall_s):
-        return {
-            "matrix": "m", "environment": ENV,
-            "cells": [{"cell": "c", "patterns": 1, "wall_s": wall_s}],
-        }
-
-    result = compare_reports(report(base), report(fresh), tolerance=tolerance)
+    result = compare_reports(
+        [cell(entry(run_id="a", wall_s=base))],
+        [cell(entry(run_id="b", wall_s=fresh))],
+        tolerance=tolerance,
+    )
     if result.regressions:
         return "regression"
     return "improvement" if result.improvements else "ok"
@@ -435,51 +484,31 @@ def test_ledger_verdicts_agree_with_perf_compare(base, fresh, rtol, abs_s):
     assert flagged == (["wall_s"] if expected == "regression" else [])
 
 
-def one_cell_report(made):
-    """A ledger entry's judged fields as a one-cell bench report."""
-    return {
-        "matrix": "m",
-        "environment": made["environment"],
-        "cells": [
-            {
-                "cell": "c",
-                "patterns": made["patterns"],
-                "counters": made["counters"],
-                "wall_s": made["wall_s"],
-            }
-        ],
-    }
-
-
 @pytest.mark.parametrize(
-    "base_kw, fresh_kw, regressed, in_perf_cell",
+    "base_kw, fresh_kw, regressed",
     [
-        ({}, {"patterns": 11}, True, True),
+        ({}, {"patterns": 11}, True),
         (
             {},
             {"counters": {"nodes_expanded": 41, "states_created": 8}},
-            True,
             True,
         ),
         (
             {"patterns_digest": "a" * 16},
             {"patterns_digest": "b" * 16},
             True,
-            False,
         ),
         (
             {"cost_snapshot": cost_snapshot(states=3)},
             {"cost_snapshot": cost_snapshot(states=4)},
             True,
-            False,
         ),
-        ({"wall_s": 1.0}, {"wall_s": 1.2}, False, True),
-        ({"wall_s": 1.0}, {"wall_s": 11.0}, True, True),
+        ({"wall_s": 1.0}, {"wall_s": 1.2}, False),
+        ({"wall_s": 1.0}, {"wall_s": 11.0}, True),
         (
             {"wall_s": 1.0},
             {"wall_s": 11.0, "environment": OTHER_ENV},
             False,
-            True,
         ),
     ],
     ids=[
@@ -493,18 +522,18 @@ def one_cell_report(made):
     ],
 )
 def test_three_commands_judge_one_drifted_field_alike(
-    base_kw, fresh_kw, regressed, in_perf_cell
+    base_kw, fresh_kw, regressed
 ):
     # `diff`, `history --check` and `perf compare` give one verdict on
-    # a pair of runs that differ in exactly one judged field.
+    # a pair of runs that differ in exactly one judged field: a perf
+    # cell is a ledger entry too, so every field reaches all three.
     a = entry(run_id="a", **base_kw)
     b = entry(run_id="b", **fresh_kw)
     has_regressions = diff_entries(a, b)["has_regressions"]
     assert has_regressions is regressed
     assert bool(history_report([a, b])["regressions"]) is regressed
-    if in_perf_cell:
-        result = compare_reports(one_cell_report(a), one_cell_report(b))
-        assert (not result.ok) is regressed
+    result = compare_reports([cell(a)], [cell(b)])
+    assert (not result.ok) is regressed
 
 
 class TestPatternsDigestField:

@@ -333,13 +333,14 @@ class TestMineExtensions:
 
 class TestPerfSubcommand:
     def test_perf_forwards_to_perf_cli(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["perf", "run", "--matrix", "tiny", "--quiet",
-                     "--out", str(out)]) == 0
-        import json
+        from repro.obs.ledger import RunLedger
 
-        report = json.loads(out.read_text())
-        assert report["kind"] == "repro-bench"
+        ledger_dir = tmp_path / "ledger"
+        assert main(["perf", "run", "--matrix", "tiny", "--quiet",
+                     "--ledger-dir", str(ledger_dir)]) == 0
+        entries = RunLedger(ledger_dir).entries()
+        assert entries
+        assert {entry["kind"] for entry in entries} == {"repro-run"}
         capsys.readouterr()
 
     def test_perf_usage_error_propagates(self, capsys):
@@ -705,6 +706,36 @@ class TestDiffSubcommand:
         assert "# Run diff" in out
         assert "Counters identical." in out
         assert "**No regressions.**" in out
+
+    def test_diff_across_fingerprints_gates_on_counters(
+        self, tiny_file, tmp_path, capsys
+    ):
+        # A sharded and a serial run differ in config fingerprint (the
+        # worker count is part of it), yet their exact rows gate: equal
+        # counters pass, a counter delta fails.
+        from repro.obs.ledger import RunLedger
+
+        ledger_dir = tmp_path / "ledger"
+        for workers in ("2", "1"):
+            assert main(["mine", str(tiny_file), "--min-sup", "0.3",
+                         "--workers", workers,
+                         "--ledger-dir", str(ledger_dir)]) == 0
+        sharded, serial = RunLedger(ledger_dir).entries()
+        assert sharded["fingerprint"] != serial["fingerprint"]
+        capsys.readouterr()
+        assert main(["diff", sharded["run_id"], serial["run_id"],
+                     "--ledger-dir", str(ledger_dir)]) == 0
+        assert "exact rows below still gate" in capsys.readouterr().out
+        tampered = dict(serial)
+        tampered["run_id"] = "tampered-run"
+        tampered["counters"] = dict(serial["counters"])
+        tampered["counters"]["states_created"] += 1
+        RunLedger(ledger_dir).append(tampered)
+        assert main(["diff", sharded["run_id"], "tampered-run",
+                     "--ledger-dir", str(ledger_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "exact rows below still gate" in out
+        assert "**Regressions detected.**" in out
 
     def test_diff_flags_injected_counter_regression(self, two_runs,
                                                     capsys):

@@ -562,6 +562,16 @@ if __name__ == "__main__":
 """
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
+    }
+
+
 class TestSharedEncoding:
     """Every shard searches the parent's one encoding and pair tables."""
 
@@ -589,12 +599,6 @@ class TestSharedEncoding:
     def test_spawned_workers_match_serial(self, tmp_path):
         script = tmp_path / "spawn_mine.py"
         script.write_text(_SPAWN_SCRIPT)
-        src = os.path.dirname(os.path.dirname(engine.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = {
-            **os.environ,
-            "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
-        }
         # The timeout matters: spawned workers that cannot import the
         # script's __main__ leave the pool waiting forever.
         completed = subprocess.run(
@@ -602,12 +606,98 @@ class TestSharedEncoding:
             capture_output=True,
             text=True,
             timeout=120,
-            env=env,
+            env=_src_env(),
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
         method, patterns = completed.stdout.split()
         assert method == "spawn"
         assert int(patterns) > 0
+
+
+class TestWorkerPlacement:
+    """Each pool worker moves onto a CPU of the parent's allowed set,
+    shard ``i`` onto the ``i``-th in turn, and gets the set back."""
+
+    @staticmethod
+    def fake_affinity(monkeypatch, tmp_path, allowed):
+        """Patch both affinity calls; forked workers inherit the patch
+        and log each set call to a file, one JSON list per line."""
+        log = tmp_path / "affinity.jsonl"
+
+        def record(pid, cpus):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(sorted(cpus)) + "\n")
+
+        monkeypatch.setattr(
+            engine.os, "sched_getaffinity", lambda pid: set(allowed)
+        )
+        monkeypatch.setattr(engine.os, "sched_setaffinity", record)
+        return log
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_shards_take_the_allowed_cpus_in_turn(
+        self, tiny_db, tmp_path, monkeypatch, workers
+    ):
+        log = self.fake_affinity(monkeypatch, tmp_path, {4, 6})
+        config = MinerConfig(min_sup=0.3)
+        result = mine_sharded(
+            tiny_db, config, workers=workers, executor="process"
+        )
+        assert result.patterns == PTPMiner.from_config(config).mine(
+            tiny_db
+        ).patterns
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        pinned = sorted(cpus[0] for cpus in calls if len(cpus) == 1)
+        assert pinned == sorted([4, 6, 4][:workers])
+        assert [cpus for cpus in calls if len(cpus) > 1] == [[4, 6]] * workers
+
+    def test_serial_executor_stays_put(self, tiny_db, tmp_path, monkeypatch):
+        log = self.fake_affinity(monkeypatch, tmp_path, {4, 6})
+        mine_sharded(
+            tiny_db, MinerConfig(min_sup=0.3), workers=2, executor="serial"
+        )
+        assert not log.exists()
+
+    def test_no_placement_on_one_cpu_or_without_the_call(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {3})
+        assert engine._worker_cpus() == ()
+        monkeypatch.setattr(
+            engine.os, "sched_getaffinity", lambda pid: {3, 1}
+        )
+        assert engine._worker_cpus() == (1, 3)
+        monkeypatch.delattr(engine.os, "sched_setaffinity")
+        assert engine._worker_cpus() == ()
+
+
+#: Mines ``tiny`` on two process workers, started by ``argv[1]``, with
+#: the live bus logging every frame the parent's aggregator receives to
+#: ``argv[2]``; prints the start method once the aggregator has every
+#: shard's final frame.
+_LIVE_SCRIPT = """
+import multiprocessing
+import sys
+
+from repro import obs
+from repro.core.config import MinerConfig, PruningConfig
+from repro.datagen import standard_dataset
+from repro.engine import mine_sharded
+from repro.obs import live
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    collector = live.LiveCollector(
+        live.LiveConfig(interval_s=0, render=False, log_path=sys.argv[2])
+    )
+    config = MinerConfig(min_sup=0.3, pruning=PruningConfig(point=False))
+    with obs.observe(live=collector):
+        mine_sharded(
+            standard_dataset("tiny"), config, workers=2, executor="process"
+        )
+    summary = collector.summary
+    assert summary["roots_done"] == summary["roots_total"] > 0, summary
+    assert all(lane["final"] for lane in summary["shards"].values()), summary
+    print(multiprocessing.get_start_method())
+"""
 
 
 class TestLiveMode:
@@ -679,6 +769,41 @@ class TestLiveMode:
             assert final.roots_done == final.roots_total == total
             finals.append(final)
         assert sum(f.patterns for f in finals) == len(result.patterns)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_every_final_frame_reaches_the_aggregator(
+        self, tiny_db, tmp_path, method
+    ):
+        """Frames travel on a plain queue from the pool's context; the
+        parent drains it again after the pool has shut down, so no
+        shard's final frame is left in a worker's feeder thread."""
+        config = MinerConfig(min_sup=0.3, pruning=PruningConfig(point=False))
+        threshold = float(tiny_db.absolute_support(config.min_sup))
+        _db, _counters, root = PTPMiner.from_config(config).plan_root(
+            tiny_db, [1.0] * len(tiny_db), threshold
+        )
+        tasks = plan_shards(root, config, threshold, 2)
+        script = tmp_path / "live_mine.py"
+        script.write_text(_LIVE_SCRIPT)
+        log = tmp_path / "frames.jsonl"
+        completed = subprocess.run(
+            [sys.executable, str(script), method, str(log)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_src_env(),
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.split() == [method]
+        frames = obs_live.read_live_log(log)
+        for task in tasks:
+            (final,) = [
+                frame for frame in frames
+                if frame.shard == task.shard and frame.final
+            ]
+            assert final.roots_done == final.roots_total == len(
+                task.candidates
+            )
 
     def test_scoped_collector_is_picked_up_by_default(self, tiny_db):
         config = obs_live.LiveConfig(render=False)

@@ -603,8 +603,9 @@ class MultiprocessingPrimitiveRule:
     """R009 — mp queues/pipes only in :mod:`repro.obs.live` + engine.
 
     The live telemetry bus and the sharded engine jointly own the one
-    cross-process channel in this codebase (a manager queue shipped to
-    workers through the pool initializer, drained from the result loop).
+    cross-process channel in this codebase (a queue from the pool's own
+    context, shipped to workers through the pool initializer, drained
+    from the result loop).
     A ``multiprocessing`` ``Queue``/``SimpleQueue``/``JoinableQueue``/
     ``Pipe``/``Manager`` constructed anywhere else would create a second,
     unmanaged channel — outside the engine's worker lifecycle, invisible
